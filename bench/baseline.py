@@ -1,12 +1,11 @@
 """Run the benchmark over several seeds and summarise each metric's spread.
 
-    python3 bench/baseline.py --seeds 1-10 [--workloads registration,...]
-                              [--trace-seed 1] [--out bench/baseline.json]
+    python3 bench/baseline.py --seeds 1-10 [--out bench/baseline.json]
 
-For every workload it runs `bench/run.py` once per seed with the
-run_seconds of BENCHMARK.json, then one traced run, and records for each
-metric the median, the quartiles (statistics.quantiles, n=4) and the
-quartile spread as a share of the median.  The output, together with the
+For every workload of BENCHMARK.json it runs `bench/run.py` once per seed
+with the run_seconds of BENCHMARK.json, then one traced run with seed 1, and
+records for each metric the median, the quartiles (statistics.quantiles,
+n=4) and the quartile spread as a share of the median.  The output, together with the
 environment of the first run, is the perf baseline that later changes
 compare against with the same command.
 """
@@ -51,22 +50,20 @@ def main() -> None:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
-    parser.add_argument("--trace-seed", type=int, default=1)
     parser.add_argument("--out", default=str(ROOT / "bench" / "baseline.json"))
     args = parser.parse_args()
     seconds = spec["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     out = {"run_seconds": seconds, "seeds": seed_list(args.seeds), "workloads": {}}
-    for name in args.workloads.split(","):
+    for name in (w["name"] for w in spec["workloads"]):
         runs = [run(name, seed, seconds, 0) for seed in out["seeds"]]
         results = [result for result, _ in runs]
         metrics = {m: summary([r["metrics"][m]["value"] for r in results])
                    for m in results[0]["metrics"]}
         unscaled = {m: summary([statistics.median(rep[f"raw_{m}"] for rep in rec["repetitions"])
                                 for _, rec in runs])
-                    for m in ("solve_s", "wall_s")}
+                    for m in ("solve_s", "run_s")}
         for m, s in metrics.items():
             flag = "" if s["spread"] <= bounds[m] / 3 else "  (above a third of its bound)"
             print(f"{name:14s} {m:12s} median {s['median']:10.4f}  spread "
@@ -74,7 +71,7 @@ def main() -> None:
         for m, s in unscaled.items():
             print(f"{name:14s} {m:12s} unscaled median {s['median']:.4f}  spread "
                   f"{s['spread']:.4f}", flush=True)
-        traced, record = run(name, args.trace_seed, seconds, 1)
+        traced, record = run(name, 1, seconds, 1)
         out.setdefault("environment", {k: record[k] for k in SHARED_ENV})
         out["workloads"][name] = {
             "parameters": record["parameters"],

@@ -6,17 +6,21 @@ Run from the repository root:
 
 Each repetition runs the workload in a fresh Python process, so set-up time
 and peak memory are what one user run sees.  Repetitions go on while the
-next one still fits in --seconds (at least one runs).  End-to-end metrics
-are medians over repetitions; setup_s is the median over at least five
-set-ups, topped up by children that only set up and exit.
+next one, and the set-up-only children still needed, fit in --seconds (at
+least one repetition runs).  End-to-end metrics are medians over
+repetitions; setup_s is the median over at least five set-ups, topped up by
+children that only set up and exit.
 
-Times are scaled to a reference machine speed: each child runs the probe of
-calibrate.py before and after its timed work, and a time t is reported as
-t * REFERENCE_S / (mean probe time).  The raw times go to the result file.
+Times are CPU seconds of the child process, so that time the host takes
+the VM's cores away (steal time) does not count.  They are scaled to a
+reference machine speed: each child runs the probe of calibrate.py before
+and after its timed work, and a time t is reported as
+t * REFERENCE_S / (mean probe time).  The unscaled times go to the result
+file.
 
 With --trace 1, untraced and traced repetitions alternate: per-layer
 metrics come from the traced ones, and the tracing overhead is the
-difference of the two medians of wall_s.
+difference of the two medians of run_s.
 
 Before timing, the gate self-test checks that every gate of the workload
 rejects a corrupted result; if one does not, the run stops with exit code 3.
@@ -49,35 +53,10 @@ SETUP_SAMPLES = 5       # set-up is timed at least this often per run
 BLAS_THREADS = "1"      # the solvers are elementwise numpy; one thread is steadiest
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-END_TO_END = (("solve_s", "s"), ("wall_s", "s"), ("setup_s", "s"),
-              ("peak_rss_mb", "MB"))
-
-# (name, unit): per-layer metrics reported by a traced run
-PER_LAYER = (
-    ("master.evolve.calls", "count"), ("master.evolve.self_s", "s"),
-    ("master.evolve.steps", "count"), ("master.evolve.rejected", "count"),
-    ("master.evolve.accept_ratio", "1"), ("master.evolve.us_per_step", "us"),
-    ("master.transition_rates.calls", "count"), ("master.transition_rates.s", "s"),
-    ("master.l1_ref", "1"), ("master.mass_drift", "1"), ("master.h_slack", "1"),
-    ("fokker_planck.solve_fp.calls", "count"), ("fokker_planck.solve_fp.s", "s"),
-    ("fokker_planck.l1_master", "1"),
-    ("bath.windowed_spectral.calls", "count"), ("bath.windowed_spectral.s", "s"),
-    ("bath.windowed_spectral.us_per_call", "us"),
-    ("bath.spectral_density.calls", "count"), ("bath.spectral_density.s", "s"),
-    ("kmc.sample_trajectories.calls", "count"), ("kmc.sample_trajectories.s", "s"),
-    ("kmc.walkers_per_s", "1/s"), ("kmc.l1_master", "1"),
-    ("measurement.run_measurement.calls", "count"),
-    ("measurement.run_measurement.self_s", "s"),
-    ("analytic.time_scales.calls", "count"), ("analytic.time_scales.s", "s"),
-    ("analytic.classify_regime.calls", "count"), ("analytic.classify_regime.s", "s"),
-    ("model.fixed_points.calls", "count"), ("model.fixed_points.s", "s"),
-    ("model.derived_scales.calls", "count"), ("model.derived_scales.s", "s"),
-    ("config.parse_config.s", "s"), ("cli.command_surface.self_s", "s"),
-    ("snapshots.write_long_csv.calls", "count"), ("snapshots.write_long_csv.s", "s"),
-    ("snapshots.write_long_csv.bytes", "B"),
-    ("arrays.peak_bytes", "B"),
-    ("trace.overhead_s", "s"), ("trace.spans", "count"),
-)
+# metric names and units, as BENCHMARK.json lists them
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = tuple((m["name"], m["unit"]) for m in SPEC["end_to_end"])
+PER_LAYER = tuple((m["name"], m["unit"]) for m in SPEC["per_layer"])
 
 
 # -- child: one repetition in a fresh process -------------------------------
@@ -115,16 +94,17 @@ def module_self_times(table: dict) -> dict:
 
 
 def child(args) -> int:
-    sys.path.insert(0, str(SRC))
     import calibrate
     import workloads
 
     wl = workloads.WORKLOADS[args.workload]
     state = wl.setup(args.seed, args.out)
-    setup_done = time.monotonic()
+    setup_cpu_s = time.process_time()   # CPU time since the process started
     probe_before = calibrate.probe()
+    ready = time.monotonic()            # where a set-up-only child exits
     if args.setup_only:
-        print(json.dumps({"setup_done": setup_done, "probes": [probe_before]}))
+        print(json.dumps({"setup_cpu_s": setup_cpu_s, "ready": ready,
+                          "probes": [probe_before]}))
         return 0
 
     tracer = None
@@ -132,14 +112,15 @@ def child(args) -> int:
         import tracing
         tracer = tracing.Tracer()
         tracer.install()
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     outcome = wl.solve(state)
-    t1 = time.perf_counter()
+    t1 = time.process_time()
     wl.write(state, outcome)
-    t2 = time.perf_counter()
+    t2 = time.process_time()
 
     record = {
-        "setup_done": setup_done,
+        "setup_cpu_s": setup_cpu_s,
+        "ready": ready,
         "probes": [probe_before, calibrate.probe()],
         "solve_s": t1 - t0,
         "write_s": t2 - t1,
@@ -213,23 +194,30 @@ def environment(args, wl) -> dict:
 
 
 def spawn(args, env: dict, deadline: float, *extra: str) -> dict:
-    """One fresh child process; its record plus wall_s and setup_s seen from here."""
+    """One fresh child process: its record, its CPU and elapsed times, and the scaled times."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child",
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--out", args.out, *extra]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.monotonic()
-    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=max(1.0, deadline - start))
-    wall = time.monotonic() - start
+    try:
+        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
+                              timeout=max(1.0, deadline - start))
+    except subprocess.TimeoutExpired:
+        raise SystemExit(f"child {' '.join(extra)} did not end within {HARD_LIMIT_S:.0f} s "
+                         "of the start of the run") from None
+    elapsed = time.monotonic() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"child {' '.join(extra)} exited with code {proc.returncode}")
     rec = json.loads(proc.stdout.strip().splitlines()[-1])
-    # times scaled to the reference machine speed; the raw ones are kept too
+    # CPU times scaled to the reference machine speed; the raw ones are kept too
     scale = REFERENCE_S / statistics.mean(rec["probes"])
-    rec.update(raw_wall_s=wall, raw_setup_s=rec["setup_done"] - start, scale=scale)
-    rec.update(setup_s=rec["raw_setup_s"] * scale,
-               wall_s=(wall - sum(rec["probes"])) * scale)
+    rec.update(elapsed_s=elapsed, ready_s=rec["ready"] - start, raw_run_s=cpu,
+               raw_setup_s=rec["setup_cpu_s"], scale=scale)
+    rec.update(setup_s=rec["raw_setup_s"] * scale, run_s=(cpu - sum(rec["probes"])) * scale)
     if "solve_s" in rec:
         rec.update(raw_solve_s=rec["solve_s"], solve_s=rec["solve_s"] * scale)
     return rec
@@ -253,10 +241,6 @@ def print_table(traced: list) -> None:
 
 
 def parent(args) -> int:
-    if not (SRC / "magdot" / "__init__.py").is_file():
-        print(f"magdot sources not found under {SRC}", file=sys.stderr)
-        return 2
-    sys.path.insert(0, str(SRC))
     import workloads
 
     deadline = time.monotonic() + HARD_LIMIT_S
@@ -277,13 +261,19 @@ def parent(args) -> int:
     record = environment(args, wl)
     print("environment: " + json.dumps(record))
 
+    # The budget is kept in elapsed seconds, probe runs included.
     reps: list[dict] = []
     loop_start = time.monotonic()
     while True:
         traced = bool(args.trace) and len(reps) % 2 == 1
         rec = spawn(args, env, deadline, "--trace", str(int(traced)), "--rep", str(len(reps)))
         reps.append({**rec, "traced": traced})
-        predicted = statistics.median(r["wall_s"] for r in reps if r["traced"] == traced)
+        traced = bool(args.trace) and len(reps) % 2 == 1
+        alike = [r for r in reps if r["traced"] == traced] or reps
+        predicted = statistics.median(r["elapsed_s"] for r in alike)
+        if not args.trace:
+            setup_child_s = statistics.median(r["ready_s"] for r in reps)
+            predicted += max(0, SETUP_SAMPLES - len(reps) - 1) * setup_child_s
         now = time.monotonic()
         if now + predicted > deadline:
             break
@@ -300,18 +290,19 @@ def parent(args) -> int:
     for i, r in enumerate(reps):
         bad = [op for op, ok in r["ops"] if not ok]
         print(f"rep {i}{' traced' if r['traced'] else ''}: setup {r['setup_s']:.3f} s, "
-              f"solve {r['solve_s']:.3f} s, wall {r['wall_s']:.3f} s "
-              f"(raw {r['raw_solve_s']:.3f}, {r['raw_wall_s']:.3f}; scale {r['scale']:.3f}), "
+              f"solve {r['solve_s']:.3f} s, run {r['run_s']:.3f} s "
+              f"(unscaled {r['raw_solve_s']:.3f}, {r['raw_run_s']:.3f}; scale {r['scale']:.3f}; "
+              f"elapsed {r['elapsed_s']:.3f} s), "
               f"rss {r['peak_rss_mb']:.1f} MB, gates {json.dumps(r['diag'])}"
               + (f", FAILED {bad}" if bad else ""))
 
     if args.trace:
         layers = {name: statistics.median(r["layers"][name] for r in traced)
                   for name, _ in PER_LAYER if name != "trace.overhead_s"}
-        layers["trace.overhead_s"] = (statistics.median(r["wall_s"] for r in traced)
-                                      - statistics.median(r["wall_s"] for r in plain))
+        layers["trace.overhead_s"] = (statistics.median(r["run_s"] for r in traced)
+                                      - statistics.median(r["run_s"] for r in plain))
         print_table(traced)
-        print(f"tracing overhead: {layers['trace.overhead_s']:+.4f} s of wall_s "
+        print(f"tracing overhead: {layers['trace.overhead_s']:+.4f} s of run_s "
               f"(median traced minus median untraced)")
         metrics = {name: {"value": layers[name], "unit": unit} for name, unit in PER_LAYER}
     else:
@@ -331,10 +322,14 @@ def parent(args) -> int:
 
 
 def main(argv=None) -> int:
+    if not (SRC / "magdot" / "__init__.py").is_file():
+        print(f"magdot sources not found under {SRC}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(SRC))
+    import workloads
+
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True,
-                        choices=("registration", "memory_onset", "kmc_ensemble",
-                                 "measure_sweep"))
+    parser.add_argument("--workload", required=True, choices=tuple(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from collections import defaultdict
-from time import perf_counter
+from time import process_time
 
 import numpy as np
 
@@ -93,13 +93,13 @@ class Tracer:
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
-            span = [name, perf_counter(), 0.0, self._stack[-1] if self._stack else -1]
+            span = [name, process_time(), 0.0, self._stack[-1] if self._stack else -1]
             self._stack.append(len(self.spans))
             self.spans.append(span)
             try:
                 result = fn(*args, **kwargs)
             finally:
-                span[2] = perf_counter()
+                span[2] = process_time()
                 self._stack.pop()
             if observe is not None:
                 observe(self.counters, args, kwargs, result)
