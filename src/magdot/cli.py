@@ -54,8 +54,14 @@ def _out_dir(cfg_dir: str, override: str | None) -> str:
     return out
 
 
-def _theta(params: ModelParams) -> float:
-    return params.hbar / (params.gamma * (params.coupling_j - params.temp_bath))
+def _output_times(cfg: RunConfig, command: str) -> list:
+    """Output times of a run; times_theta needs theta, which derived_scales
+    rejects for T >= J."""
+    theta = derived_scales(cfg.model_params()).theta if cfg.times_theta else None
+    times = cfg.resolve_times(theta)
+    if not times:
+        raise UsageError(f"{command} needs output times (times or times_theta)")
+    return times
 
 
 # -- subcommands ----------------------------------------------------------
@@ -87,9 +93,7 @@ def _cmd_simulate(args) -> int:
         cfg.times_theta = [float(x) for x in args.times_theta.split(",")]
         cfg.times = []
     params = cfg.model_params()
-    times = cfg.resolve_times(_theta(params))
-    if not times:
-        raise UsageError("simulate needs output times (times or times_theta)")
+    times = _output_times(cfg, "simulate")
     out = _out_dir(cfg.out_dir, args.snapshot_dir)
 
     if cfg.engine == "master":
@@ -146,10 +150,7 @@ def _cmd_sample(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     params = cfg.model_params()
-    times = cfg.resolve_times(_theta(params))
-    if not times:
-        raise UsageError("sample needs a final time (times or times_theta)")
-    t_end = times[-1]
+    t_end = _output_times(cfg, "sample")[-1]
     ens = sample_trajectories(params, cfg.trajectories, t_end, seed=cfg.seed)
     out = _out_dir(cfg.out_dir, args.out_dir)
     path = os.path.join(out, "sample_histogram.csv")
@@ -163,10 +164,7 @@ def _cmd_sample(args) -> int:
 def _cmd_measure(args) -> int:
     cfg = _load_config(args.config)
     params = cfg.model_params()
-    times = cfg.resolve_times(_theta(params))
-    if not times:
-        raise UsageError("measure needs a final time (times or times_theta)")
-    t_end = times[-1]
+    t_end = _output_times(cfg, "measure")[-1]
     spin = SpinState(r_up=cfg.r_up, r_down=1.0 - cfg.r_up)
     report = run_measurement(
         spin, params, t_end, engine=cfg.engine, tol=cfg.tol,
@@ -196,13 +194,16 @@ def _cmd_measure(args) -> int:
     return 0
 
 
+def _sweep_config(cfg_text: str, axis: str, value: float) -> RunConfig:
+    return parse_config(cfg_text + f"\n{axis} = {FMT % value}\n")
+
+
 def _sweep_entry(payload):
     cfg_text, axis, value, index, out_dir = payload
-    cfg2 = parse_config(cfg_text + f"\n{axis} = {FMT % value}\n")
+    cfg2 = _sweep_config(cfg_text, axis, value)
     cfg2.out_dir = out_dir
     params = cfg2.model_params()
-    times = cfg2.resolve_times(_theta(params))
-    t_end = times[-1]
+    t_end = _output_times(cfg2, "sweep")[-1]
     spin = SpinState(r_up=cfg2.r_up, r_down=1.0 - cfg2.r_up)
     report = run_measurement(
         spin, params, t_end, engine=cfg2.engine, tol=cfg2.tol,
@@ -233,6 +234,8 @@ def _cmd_sweep(args) -> int:
     if not axis or not values:
         raise UsageError("sweep needs an axis: --axis key=v1,v2,... or a "
                          "`sweep = key=v1,v2` config line")
+    for v in values:  # fail on a missing time or T >= J before any run starts
+        _output_times(_sweep_config(cfg_text, axis, v), "sweep")
     out = _out_dir(cfg.out_dir, args.out_dir)
     payloads = [(cfg_text, axis, v, i, out) for i, v in enumerate(values)]
     workers = args.workers or cfg.workers
@@ -290,7 +293,7 @@ _FIGURES = {
 def _cmd_figure(args) -> int:
     spec = _FIGURES[args.which]
     params = ModelParams(n_spins=1000, temp_bath=0.65, coupling_g=spec["g"])
-    theta = _theta(params)
+    theta = derived_scales(params).theta
     times = [x * theta for x in spec["times_theta"]]
     init = initial_distribution(params, "exact-paramagnet")
     res = evolve(init, params, times[-1], snapshot_times=times)

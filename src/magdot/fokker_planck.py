@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .master import NumericalError, StiffnessError, _rk4, _deriv_factory
+from .integrator import Generator, integrate
 from .model import ModelParams, diffusion_w, drift_v, fixed_points
 
 __all__ = [
@@ -82,7 +82,6 @@ class ContinuumField:
 @dataclass(frozen=True)
 class FPConfig:
     cells: int = 2000
-    dt_init: float | None = None
     tol: float = 1e-9
 
     def __post_init__(self):
@@ -167,65 +166,19 @@ def solve_fp(params: ModelParams, init: ContinuumField, times,
              cfg: FPConfig = FPConfig()) -> list[ContinuumField]:
     """Advance the drift-diffusion equation; returns fields at the asked times.
 
-    Adaptive RK4 with step doubling under a stability cap tied to the fastest
-    cell hop rate.  Mass is conserved by the flux form; drift beyond 1e-8
-    aborts.  Tiny negative undershoot (within 1e-11 of the peak scale) is
-    clipped and renormalized.
+    The cell hops form a birth-death generator, advanced by the master
+    equation's adaptive TR-BDF2 integrator: local L1 error of the density
+    per step < cfg.tol, every step landing exactly on the output times.
+    Mass is conserved by the flux form; drift beyond 1e-8 aborts.  Tiny
+    undershoot (within 1e-11 of the peak scale) is clipped and renormalized.
     """
     times = list(times)
-    if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("output times must ascend")
-    if times and times[0] < init.time:
-        raise ValueError("output times must not precede the initial time")
     if len(init.mesh) != cfg.cells:
         raise ValueError("init field does not match cfg.cells")
 
     up, down, _ = _face_rates(params, cfg.cells)
-    deriv = _deriv_factory(up, down)
-    outflow = float((up + down).max())
-    dt_cap = 0.8 / outflow
-    theta_guard = params.hbar / (params.gamma * max(
-        abs(params.coupling_j - params.temp_bath), 1e-3 * params.coupling_j))
-    dt_min = 1e-15 * theta_guard
-
-    p = init.values.copy()
-    t = init.time
-    mass0 = p.sum()
-    clip_floor = -1e-11 * max(p.max(), 1.0)
-
-    out: list[ContinuumField] = []
-    queue = iter(times)
-    next_t = next(queue, None)
-    while next_t is not None and next_t <= t:
-        out.append(ContinuumField(init.mesh, p.copy(), t))
-        next_t = next(queue, None)
-
-    dt = cfg.dt_init or dt_cap
-    while next_t is not None:
-        dt = min(dt, dt_cap, next_t - t)
-        if dt < dt_min:
-            raise StiffnessError(f"FP step underflow at t = {t:.6g}")
-        full = _rk4(deriv, p, dt)
-        half = _rk4(deriv, _rk4(deriv, p, 0.5 * dt), 0.5 * dt)
-        err = float(np.abs(full - half).sum()) * (2.0 / cfg.cells) / 15.0
-        if err > cfg.tol:
-            dt *= max(0.2, 0.9 * (cfg.tol / err) ** 0.2)
-            continue
-        p = half + (half - full) / 15.0
-        t += dt
-        lo = p.min()
-        if lo < 0.0:
-            if lo < clip_floor:
-                raise NumericalError(f"FP undershoot {lo:.3e} at t = {t:.6g}")
-            np.clip(p, 0.0, None, out=p)
-            p *= mass0 / p.sum()
-        if abs(p.sum() - mass0) > FP_MASS_TOL * mass0:
-            raise NumericalError(f"FP mass drift at t = {t:.6g}")
-        while next_t is not None and t >= next_t - 1e-9 * max(1.0, next_t):
-            out.append(ContinuumField(init.mesh, p.copy(), next_t))
-            next_t = next(queue, None)
-        if err > 0.0:
-            dt *= min(2.0, max(0.2, 0.9 * (cfg.tol / err) ** 0.2))
-        else:
-            dt *= 2.0
-    return out
+    states, _, _ = integrate(
+        Generator(up, down), init.values, init.time, times, cfg.tol,
+        clip_floor=-1e-11 * max(init.values.max(), 1.0), mass_tol=FP_MASS_TOL,
+        weight=2.0 / cfg.cells)
+    return [ContinuumField(init.mesh, v, t) for v, t in zip(states, times)]

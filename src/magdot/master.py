@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .bath import KernelSpec, spectral_density, windowed_spectral
+from .integrator import Generator, NumericalError, StiffnessError, integrate
 from .model import ModelParams, omega_pm
 
 __all__ = [
@@ -36,14 +37,6 @@ __all__ = [
 MASS_TOL = 1e-10
 CLIP_FLOOR = -1e-14
 LOCAL_HALF_SPAN = 0.05  # fit window of `local_width`, in m
-
-
-class StiffnessError(RuntimeError):
-    """Step size collapsed below the resolvable scale."""
-
-
-class NumericalError(RuntimeError):
-    """Positivity or mass conservation broken beyond the allowed slack."""
 
 
 @dataclass
@@ -211,9 +204,6 @@ class RateTable:
     mode: str = "short-memory"
     time: float | None = None
 
-    def max_outflow(self) -> float:
-        return float((self.up + self.down).max())
-
 
 @dataclass
 class EvolveResult:
@@ -335,31 +325,11 @@ def free_energy(dist: DiscreteDistribution, params: ModelParams) -> FreeEnergyRe
                             functional=entropy - energy / params.temp_bath)
 
 
-def _free_energy_value(w, m, log_c, e_site, temp):
+def _free_energy_value(w, log_c, e_site, temp):
     pos = w > 0.0
     s = -(w[pos] * (np.log(w[pos]) - log_c[pos])).sum()
     u = -(w @ e_site)
     return s - u / temp
-
-
-def _deriv_factory(up, down):
-    loss = up + down
-
-    def deriv(p):
-        dp = -loss * p
-        dp[1:] += up[:-1] * p[:-1]
-        dp[:-1] += down[1:] * p[1:]
-        return dp
-
-    return deriv
-
-
-def _rk4(deriv, p, dt):
-    k1 = deriv(p)
-    k2 = deriv(p + (0.5 * dt) * k1)
-    k3 = deriv(p + (0.5 * dt) * k2)
-    k4 = deriv(p + dt * k3)
-    return p + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
@@ -369,117 +339,49 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
            ) -> EvolveResult:
     """Integrate the balance equation from dist.time to t_end.
 
-    Adaptive RK4 with step doubling (local L1 error < tol per step) plus a
-    hard stability cap dt <= 0.1 / max total outflow rate, independent of the
-    error controller.  Negative undershoot down to -1e-14 is clipped and the
-    mass renormalized; anything larger raises.  Full-memory mode rebuilds the
-    rate table at the start of every accepted macro-step and additionally
-    caps the step at 0.1 hbar/T early on, the scale on which the windowed
-    kernel still varies.
+    Adaptive TR-BDF2 (`integrator.integrate`): L-stable, so the local L1
+    error per step (< tol) alone sets the step, and every step lands
+    exactly on the snapshot times.  Negative undershoot down to -1e-14 is
+    clipped and the mass renormalized; anything larger raises.  Full-memory
+    mode builds the rate table once per accepted step, holds it over the
+    step, and caps the step at 0.1 hbar/T + 0.05 t, the scale on which the
+    windowed kernel still varies.
     """
-    if t_end < dist.time:
-        raise ValueError("t_end must be >= the distribution's time stamp")
     snapshot_times = sorted(snapshot_times) if snapshot_times else []
-    if snapshot_times and snapshot_times[0] < dist.time:
-        raise ValueError("snapshot times must not precede the start time")
     if snapshot_times and snapshot_times[-1] > t_end * (1 + 1e-12):
         raise ValueError("snapshot times must not exceed t_end")
 
-    p = dist.weights.copy()
-    t = dist.time
-    mass0 = p.sum()
-    n = dist.n_spins
-    m_grid = dist.grid
-
-    theta_guard = params.hbar / (params.gamma * max(
-        abs(params.coupling_j - params.temp_bath), 1e-3 * params.coupling_j))
-    dt_min = 1e-15 * theta_guard
-
     full_memory = mode == "full-memory"
-    if rates is None or full_memory:
-        rates = transition_rates(params, mode=mode, t=t if full_memory else None,
-                                 kernel_tol=kernel_tol)
-    deriv = _deriv_factory(rates.up, rates.down)
-    outflow = rates.max_outflow()
-    dt_cap = 0.1 / outflow if outflow > 0 else (t_end - t) if t_end > t else 1.0
+    if full_memory:
+        def gen(t):
+            rt = transition_rates(params, mode=mode, t=t, kernel_tol=kernel_tol)
+            return Generator(rt.up, rt.down)
+    else:
+        rates = rates if rates is not None else transition_rates(params, mode=mode)
+        gen = Generator(rates.up, rates.down)
 
-    log_c = _log_binomial(n)
-    e_site = n * (params.g_eff * m_grid + 0.5 * params.coupling_j * m_grid * m_grid)
-    fe_t: list[float] = []
-    fe_v: list[float] = []
+    fe: list[tuple[float, float]] = []
+    on_step = None
     if record_free_energy:
-        fe_t.append(t)
-        fe_v.append(_free_energy_value(p, m_grid, log_c, e_site, params.temp_bath))
+        n, m = dist.n_spins, dist.grid
+        log_c = _log_binomial(n)
+        e_site = n * (params.g_eff * m + 0.5 * params.coupling_j * m * m)
 
-    snapshots: list[DiscreteDistribution] = []
-    snap_iter = iter(snapshot_times)
-    next_snap = next(snap_iter, None)
-    while next_snap is not None and next_snap <= t:  # emit snapshots at/at-before start
-        snapshots.append(DiscreteDistribution(n, p.copy(), t))
-        next_snap = next(snap_iter, None)
+        def on_step(t, p):
+            fe.append((t, _free_energy_value(p, log_c, e_site, params.temp_bath)))
 
-    dt = dt_cap
-    n_steps = 0
-    n_rejected = 0
-    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        if full_memory:
-            rates = transition_rates(params, mode="full-memory", t=t,
-                                     kernel_tol=kernel_tol)
-            deriv = _deriv_factory(rates.up, rates.down)
-            outflow = rates.max_outflow()
-            early_cap = 0.1 * params.hbar / params.temp_bath + 0.05 * t
-            dt_cap = min(0.1 / outflow if outflow > 0 else early_cap, early_cap)
+        on_step(dist.time, dist.weights)
 
-        dt = min(dt, dt_cap, t_end - t)
-        if next_snap is not None:
-            dt = min(dt, next_snap - t) if next_snap > t else dt
-        if dt < dt_min:
-            raise StiffnessError(
-                f"step size {dt:.3e} underflowed at t = {t:.6g} "
-                f"(threshold {dt_min:.3e})"
-            )
-
-        full = _rk4(deriv, p, dt)
-        half = _rk4(deriv, _rk4(deriv, p, 0.5 * dt), 0.5 * dt)
-        err = float(np.abs(full - half).sum()) / 15.0
-        if err > tol:
-            n_rejected += 1
-            dt *= max(0.2, 0.9 * (tol / err) ** 0.2)
-            continue
-
-        p = half + (half - full) / 15.0
-        t += dt
-        n_steps += 1
-        lo = p.min()
-        if lo < 0.0:
-            if lo < CLIP_FLOOR:
-                raise NumericalError(
-                    f"undershoot {lo:.3e} exceeds clip floor at t = {t:.6g}"
-                )
-            np.clip(p, 0.0, None, out=p)
-            p *= mass0 / p.sum()
-        if abs(p.sum() - mass0) > MASS_TOL * max(1.0, mass0):
-            raise NumericalError(f"mass drift {p.sum() - mass0:.3e} at t = {t:.6g}")
-
-        if record_free_energy:
-            fe_t.append(t)
-            fe_v.append(_free_energy_value(p, m_grid, log_c, e_site, params.temp_bath))
-
-        while next_snap is not None and t >= next_snap - 1e-9 * max(1.0, next_snap):
-            snapshots.append(DiscreteDistribution(n, p.copy(), next_snap))
-            next_snap = next(snap_iter, None)
-
-        if err > 0.0:
-            dt *= min(2.0, max(0.2, 0.9 * (tol / err) ** 0.2))
-        else:
-            dt *= 2.0
-
-    final = DiscreteDistribution(n, p, t_end if t_end > dist.time else dist.time)
+    states, n_steps, n_rejected = integrate(
+        gen, dist.weights, dist.time, [min(s, t_end) for s in snapshot_times] + [t_end],
+        tol, clip_floor=CLIP_FLOOR, mass_tol=MASS_TOL,
+        h_cap=(lambda t: 0.1 * params.hbar / params.temp_bath + 0.05 * t)
+        if full_memory else None, on_step=on_step)
+    fe_t, fe_v = np.array(fe).T if record_free_energy else (None, None)
     return EvolveResult(
-        final=final,
-        snapshots=snapshots,
-        free_energy_times=np.array(fe_t) if record_free_energy else None,
-        free_energy_values=np.array(fe_v) if record_free_energy else None,
-        n_steps=n_steps,
-        n_rejected=n_rejected,
+        final=DiscreteDistribution(dist.n_spins, states[-1], t_end),
+        snapshots=[DiscreteDistribution(dist.n_spins, w, s)
+                   for w, s in zip(states, snapshot_times)],
+        free_energy_times=fe_t, free_energy_values=fe_v,
+        n_steps=n_steps, n_rejected=n_rejected,
     )

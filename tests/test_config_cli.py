@@ -192,6 +192,36 @@ class TestCli:
                                 "--snapshot-dir", str(tmp_path / "o")]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_simulate_at_critical_temperature_is_config_error(self, tmp_path, capsys):
+        # theta = hbar / (gamma (J - T)) is undefined at T = J
+        cfg = tmp_path / "critical.cfg"
+        cfg.write_text(SMALL.replace("T = 0.65", "T = 1.0"))
+        assert command_surface(["simulate", "-c", str(cfg),
+                                "--snapshot-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "T < J" in err
+
+    def test_times_theta_above_critical_temperature_is_config_error(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "para.cfg"
+        cfg.write_text(SMALL.replace("T = 0.65", "T = 1.3"))
+        for command in ("simulate", "sample", "measure"):
+            assert command_surface([command, "-c", str(cfg),
+                                    "--out-dir" if command != "simulate"
+                                    else "--snapshot-dir", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert "T < J" in err and "t_end" not in err
+
+    def test_sweep_without_times_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "notimes.cfg"
+        cfg.write_text(SMALL.replace("times_theta = 0.5,1.5\n", ""))
+        out = tmp_path / "sw"
+        assert command_surface(["sweep", "-c", str(cfg), "--axis", "g=0.06,0.1",
+                                "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "needs output times" in err
+        assert not out.exists()
+
     def test_compare_missing_file_is_usage_error(self, tmp_path, capsys):
         assert command_surface(["compare", str(tmp_path / "none"),
                                 "--against", str(tmp_path / "other")]) == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from magdot import master
 from magdot.master import (
     DiscreteDistribution,
     NumericalError,
@@ -230,6 +231,22 @@ class TestFullMemory:
         res = evolve(d, p, 3.0, mode="full-memory")
         assert abs(res.final.total() - 1.0) < 1e-10
         assert res.n_steps > 5
+
+    def test_one_rate_build_per_accepted_step(self, monkeypatch):
+        builds = []
+        real = master.transition_rates
+
+        def counting(*args, **kwargs):
+            builds.append(kwargs["t"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(master, "transition_rates", counting)
+        p = small_params(n=32, debye_cutoff=10.0)
+        res = evolve(initial_distribution(p, "exact-paramagnet"), p, 3.0,
+                     mode="full-memory")
+        # one table at the start and one after each accepted step but the last
+        assert len(builds) == res.n_steps
+        assert len(set(builds)) == len(builds) and builds[0] == 0.0
 
     def test_full_memory_approaches_short_memory_run(self):
         # after a few bath memory times the windowed rates have converged,
