@@ -275,9 +275,8 @@ def transition_rates(params: ModelParams, mode: str = "short-memory",
     elif mode == "full-memory":
         if t is None:
             raise ValueError("full-memory rates need the current time t")
-        freqs = np.concatenate([om_p, om_m, -om_p, -om_m])
-        vals = np.array([windowed_spectral(spec, w, t, tol=kernel_tol) for w in freqs])
-        k_p, k_m, k_np, k_nm = vals.reshape(4, n + 1)
+        k_p, k_m, k_np, k_nm = windowed_spectral(
+            spec, np.stack([om_p, om_m, -om_p, -om_m]), t, tol=kernel_tol)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

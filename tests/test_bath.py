@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from magdot import bath
 from magdot.bath import (
     KernelConvergenceError,
     KernelSpec,
@@ -13,22 +14,38 @@ from magdot.bath import (
     windowed_spectral,
 )
 
+# an oracle that loses accuracy must fail, not warn
+pytestmark = pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+
 SPEC = KernelSpec(temp_bath=0.65, debye_cutoff=100.0)
 
 
 def windowed_time_domain(spec, omega, t):
     """Independent oracle: int_{-t}^{t} e^{-i w s} K(s) ds with the closed-form
     autocorrelation, integrated over the full window without exploiting the
-    Hermitian symmetry (so the imaginary residue is an honest check)."""
+    Hermitian symmetry (so the imaginary residue is an honest check).
+
+    K(s) varies on the scale |s| + 1/Gamma and reaches Gamma^2/(8 pi) at
+    s = 0, so the window is cut at +/- 2^k/Gamma and each piece gets its own
+    quad call: a tolerance relative to each piece stays above the roundoff
+    of its large, mutually cancelling values at large Gamma*t."""
     def re(s):
         return (cmath.exp(-1j * omega * s) * autocorrelation(spec, s)).real
 
     def im(s):
         return (cmath.exp(-1j * omega * s) * autocorrelation(spec, s)).imag
 
-    kw = dict(epsabs=1e-13, epsrel=1e-12, limit=400,
-              points=[-1.0 / spec.debye_cutoff, 0.0, 1.0 / spec.debye_cutoff])
-    return quad(re, -t, t, **kw)[0], quad(im, -t, t, **kw)[0]
+    geo = [2.0**k / spec.debye_cutoff for k in range(64)
+           if 2.0**k / spec.debye_cutoff < t]
+    edges = [-t] + [-x for x in reversed(geo)] + [0.0] + geo + [t]
+    kw = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
+    return tuple(sum(quad(f, a, b, **kw)[0] for a, b in zip(edges, edges[1:]))
+                 for f in (re, im))
+
+
+def tol_scale(spec, omega, tol=1e-8):
+    """The absolute error windowed_spectral allows at `tol`."""
+    return tol * max(spectral_density(spec, omega), 0.25 * spec.hbar * spec.temp_bath)
 
 
 class TestSpectralDensity:
@@ -93,9 +110,48 @@ class TestWindowed:
         with pytest.raises(ValueError):
             windowed_spectral(SPEC, 1.0, 1.0, tol=0.5)
 
-    def test_panel_budget_error(self):
+    @pytest.mark.parametrize("cutoff", [10.0, 100.0, 1e4, 1e6])
+    def test_matches_oracle_within_tol(self, cutoff):
+        spec = KernelSpec(temp_bath=0.65, debye_cutoff=cutoff)
+        for w, t in ((0.5, 0.2), (-1.3, 1.0), (2.0, 3.0), (0.3, 12.0)):
+            re, im = windowed_time_domain(spec, w, t)
+            assert abs(im) < 1e-10
+            assert abs(windowed_spectral(spec, w, t) - re) <= tol_scale(spec, w)
+            assert abs(windowed_spectral(spec, w, t, tol=1e-10) - re) \
+                <= tol_scale(spec, w, 1e-10)
+
+    def test_large_cutoff_short_window(self):
+        # a frequency-panel quadrature of the sinc window returned 0.352525
+        # here without raising (1.9% off); 0.35925460798783 is a 40-digit
+        # mpmath quadrature of the time-domain integral
+        spec = KernelSpec(temp_bath=0.65, debye_cutoff=1e4)
+        re, _ = windowed_time_domain(spec, 0.5, 0.2)
+        assert re == pytest.approx(0.35925460798783, abs=1e-12)
+        assert abs(windowed_spectral(spec, 0.5, 0.2) - re) <= tol_scale(spec, 0.5)
+
+    def test_very_large_cutoff(self):
+        # Gamma*t = 1e6 exhausted the frequency-panel budget.  Against the
+        # 40-digit mpmath value 0.11242938980336, the double-precision
+        # roundoff of K near s = 0 (|K| ~ Gamma^2 / 8 pi) is about 1e-11
+        spec = KernelSpec(temp_bath=0.65, debye_cutoff=1e6)
+        re, _ = windowed_time_domain(spec, 0.5, 1.0)
+        assert re == pytest.approx(0.11242938980336, abs=5e-11)
+        assert abs(windowed_spectral(spec, 0.5, 1.0) - re) <= tol_scale(spec, 0.5)
+
+    def test_array_call_matches_scalar_calls(self):
+        w = np.array([[-2.0, -0.3, 0.0], [0.4, 1.1, 3.5]])
+        vals = windowed_spectral(SPEC, w, 1.7)
+        assert vals.shape == w.shape
+        for wi, vi in zip(w.ravel(), vals.ravel()):
+            scalar = windowed_spectral(SPEC, wi, 1.7)
+            assert type(scalar) is float
+            assert scalar == pytest.approx(vi, abs=tol_scale(SPEC, wi))
+        assert type(windowed_spectral(SPEC, 1.0, 0.0)) is float
+
+    def test_panel_budget_error(self, monkeypatch):
+        monkeypatch.setattr(bath, "_MAX_NODES", 100)
         with pytest.raises(KernelConvergenceError):
-            windowed_spectral(SPEC, 1.0, 80.0, tol=1e-10, max_panels=8)
+            windowed_spectral(SPEC, 1.0, 80.0, tol=1e-10)
 
 
 class TestAutocorrelation:

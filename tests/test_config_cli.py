@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from magdot import bath
 from magdot.cli import command_surface
 from magdot.config import ConfigError, parse_config
 from magdot.snapshots import read_long_csv
@@ -76,6 +77,9 @@ class TestParseConfig:
 
 SMALL = ("N = 120\nT = 0.65\ng = 0.08\nGamma = 1e6\n"
          "times_theta = 0.5,1.5\ncells = 400\ntrajectories = 400\n")
+
+FULL_MEMORY = ("N = 16\nT = 0.65\ng = 0.05\nGamma = 1e6\n"
+               "mode = full-memory\ntimes = 1\n")
 
 
 @pytest.fixture()
@@ -191,6 +195,24 @@ class TestCli:
         assert command_surface(["simulate", "-c", str(cfg),
                                 "--snapshot-dir", str(tmp_path / "o")]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_full_memory_at_large_cutoff(self, tmp_path, capsys):
+        # Gamma * t = 1e6 exhausted the frequency-panel kernel quadrature
+        cfg = tmp_path / "memory.cfg"
+        cfg.write_text(FULL_MEMORY)
+        assert command_surface(["simulate", "-c", str(cfg),
+                                "--snapshot-dir", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+
+    def test_kernel_budget_exhausted_is_numerical_failure(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(bath, "_MAX_NODES", 16)
+        cfg = tmp_path / "memory.cfg"
+        cfg.write_text(FULL_MEMORY)
+        assert command_surface(["simulate", "-c", str(cfg),
+                                "--snapshot-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
 
     def test_simulate_at_critical_temperature_is_config_error(self, tmp_path, capsys):
         # theta = hbar / (gamma (J - T)) is undefined at T = J

@@ -1,7 +1,8 @@
 """The shared birth-death generator and the adaptive TR-BDF2 integrator.
 
-Solver properties are checked over random (N, T, g, Gamma, sector): drawn by
-hypothesis when it is installed, by a seeded numpy generator otherwise.
+Solver properties are checked over random (N, T, g, Gamma, sector, and the
+offset m0 and width delta0 of a Gaussian initial state): drawn by hypothesis
+when it is installed, by a seeded numpy generator otherwise.
 """
 
 import numpy as np
@@ -39,6 +40,8 @@ def random_params(test):
             coupling_g=st.floats(0.0, 0.2),
             debye_cutoff=st.floats(0.0, 6.0).map(lambda x: 10.0**x),
             sector=st.sampled_from(["up", "down"]),
+            m_offset=st.floats(-0.6, 0.6),
+            delta0=st.floats(0.3, 2.0),
         )
         return settings(max_examples=N_CASES, deadline=None, derandomize=True,
                         database=None)(given(params=params)(test))
@@ -48,7 +51,9 @@ def random_params(test):
         temp_bath=float(rng.choice([rng.uniform(0.3, 0.9), rng.uniform(1.1, 1.5)])),
         coupling_g=float(rng.uniform(0.0, 0.2)),
         debye_cutoff=float(10.0 ** rng.uniform(0.0, 6.0)),
-        sector=str(rng.choice(["up", "down"]))) for _ in range(N_CASES)]
+        sector=str(rng.choice(["up", "down"])),
+        m_offset=float(rng.uniform(-0.6, 0.6)),
+        delta0=float(rng.uniform(0.3, 2.0))) for _ in range(N_CASES)]
     return pytest.mark.parametrize("params", cases)(test)
 
 
@@ -152,6 +157,32 @@ def test_master_agrees_with_dense_expm(params):
         exact = expm(a * s.time) @ d.weights
         # the L1 semigroup is contractive, so local errors below tol add up
         assert np.abs(s.weights - exact).sum() <= res.n_steps * 1e-9
+
+
+@random_params
+def test_offset_gaussian_start_agrees_with_dense_expm(params):
+    tau = relax_time(params)
+    d = initial_distribution(params, "gaussian")
+    res = evolve(d, params, 2.0 * tau, snapshot_times=[0.3 * tau, 2.0 * tau],
+                 record_free_energy=True)
+    rt = transition_rates(params)
+    a = dense_generator(rt.up, rt.down)
+    for s in res.snapshots:
+        assert np.abs(s.weights - expm(a * s.time) @ d.weights).sum() <= res.n_steps * 1e-9
+        assert abs(s.total() - 1.0) < 1e-10 and s.weights.min() >= 0.0
+    fv = res.free_energy_values
+    assert np.diff(fv).min() >= -1e-12 * np.abs(fv).max()
+
+
+@random_params
+def test_detailed_balance(params):
+    # up[k] pi[k] = down[k+1] pi[k+1]: the stationary state carries no
+    # probability current between neighbouring levels
+    pi = stationary_distribution(params).weights
+    rt = transition_rates(params)
+    lhs, rhs = rt.up[:-1] * pi[:-1], rt.down[1:] * pi[1:]
+    assert np.all(lhs > 0.0)
+    assert np.abs(lhs / rhs - 1.0).max() < 1e-12
 
 
 @random_params
