@@ -116,11 +116,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analytic(args) -> int:
     cfg = _load_config(args.config)
+    if args.times_theta:
+        cfg.times_theta = [float(x) for x in args.times_theta.split(",")]
+        cfg.times = []
     params = cfg.model_params()
     ds = derived_scales(params)
     times = cfg.resolve_times(ds.theta)
-    if args.times_theta:
-        times = [float(x) * ds.theta for x in args.times_theta.split(",")]
     if not times:
         raise UsageError("analytic needs output times")
     model = args.model
@@ -145,7 +146,7 @@ def _cmd_analytic(args) -> int:
 
 def _cmd_sample(args) -> int:
     cfg = _load_config(args.config)
-    if args.trajectories:
+    if args.trajectories is not None:
         cfg.trajectories = args.trajectories
     if args.seed is not None:
         cfg.seed = args.seed
@@ -157,21 +158,27 @@ def _cmd_sample(args) -> int:
     write_long_csv(path, [ens.histogram])
     print(path)
     print(f"trajectories={ens.n_traj} seed={ens.seed} "
-          f"up_fraction={FMT % ens.up_fraction}")
+          f"up_fraction={FMT % ens.up_fraction} steps={ens.n_steps} "
+          f"uniform_rate={FMT % ens.uniform_rate}")
     return 0
 
 
-def _cmd_measure(args) -> int:
-    cfg = _load_config(args.config)
+def _measure(cfg: RunConfig, command: str):
+    """run_measurement on the parameters, times and engine of one config."""
     params = cfg.model_params()
-    t_end = _output_times(cfg, "measure")[-1]
+    t_end = _output_times(cfg, command)[-1]
     spin = SpinState(r_up=cfg.r_up, r_down=1.0 - cfg.r_up)
-    report = run_measurement(
+    return run_measurement(
         spin, params, t_end, engine=cfg.engine, tol=cfg.tol,
         fp_config=FPConfig(cells=cfg.cells, tol=cfg.tol),
         p_wrong_bound=cfg.p_wrong_bound, g0=cfg.g0, g_spread=cfg.g_spread,
         init_kind=cfg.init if cfg.engine == "master" else "gaussian",
     )
+
+
+def _cmd_measure(args) -> int:
+    cfg = _load_config(args.config)
+    report = _measure(cfg, "measure")
     out = _out_dir(cfg.out_dir, args.out_dir)
     path = os.path.join(out, "measure_summary.csv")
     offd = report.offdiag
@@ -200,17 +207,7 @@ def _sweep_config(cfg_text: str, axis: str, value: float) -> RunConfig:
 
 def _sweep_entry(payload):
     cfg_text, axis, value, index, out_dir = payload
-    cfg2 = _sweep_config(cfg_text, axis, value)
-    cfg2.out_dir = out_dir
-    params = cfg2.model_params()
-    t_end = _output_times(cfg2, "sweep")[-1]
-    spin = SpinState(r_up=cfg2.r_up, r_down=1.0 - cfg2.r_up)
-    report = run_measurement(
-        spin, params, t_end, engine=cfg2.engine, tol=cfg2.tol,
-        fp_config=FPConfig(cells=cfg2.cells, tol=cfg2.tol),
-        p_wrong_bound=cfg2.p_wrong_bound, g0=cfg2.g0, g_spread=cfg2.g_spread,
-        init_kind=cfg2.init if cfg2.engine == "master" else "gaussian",
-    )
+    report = _measure(_sweep_config(cfg_text, axis, value), "sweep")
     up = report.sectors["up"]
     row = (f"{FMT % value},{FMT % report.regime.lam},"
            f"{FMT % up.p_correct},{FMT % up.p_wrong},{FMT % up.peak_m},"

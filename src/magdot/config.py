@@ -74,6 +74,8 @@ class RunConfig:
     def resolve_times(self, theta: float) -> list:
         if self.times and self.times_theta:
             raise ConfigError(None, "give either times or times_theta, not both")
+        _check_times("times", self.times, None)  # command-line overrides too
+        _check_times("times_theta", self.times_theta, None)
         if self.times:
             return list(self.times)
         return [x * theta for x in self.times_theta]
@@ -116,6 +118,13 @@ _CHOICES = {
     "init": ("exact-paramagnet", "gaussian"),
     "mode": ("short-memory", "full-memory"),
 }
+
+
+def _check_times(key: str, values: list, line: int | None) -> None:
+    if not all(math.isfinite(x) and x >= 0.0 for x in values):
+        raise ConfigError(line, f"{key} must be finite and >= 0")
+    if any(b < a for a, b in zip(values, values[1:])):
+        raise ConfigError(line, f"{key} must ascend")
 
 
 def _parse_float(text: str) -> float:
@@ -181,9 +190,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(lineno, "invariant violated: cells >= 100")
         if key == "tol" and not (0 < value):
             raise ConfigError(lineno, "invariant violated: tol > 0")
+        if key == "seed" and value < 0:
+            raise ConfigError(lineno, "invariant violated: seed >= 0")
         if key in ("times", "times_theta"):
-            if any(b < a for a, b in zip(value, value[1:])):
-                raise ConfigError(lineno, f"{key} must ascend")
+            _check_times(key, value, lineno)
         setattr(cfg, attr, value)
         seen.add(key)
 

@@ -1,14 +1,20 @@
 """Stochastic jump-process sampler over the master-equation generator.
 
-Independent oracle for `evolve`: exact simulation of the birth-death chain
-(exponential waiting times, categorical jump choice).  Trajectories run in
-fixed-size blocks; block b draws from a counter-based Philox stream keyed by
-(seed, b), so results are reproducible for a given seed and mergeable in
-trajectory order regardless of how blocks are scheduled.
+Independent oracle for `evolve`: exact simulation of the birth-death chain by
+uniformization.  With Lambda = max_k(up_k + down_k), every walker makes a
+Poisson(Lambda t) number of steps, each up, down or stay with probabilities
+up_k/Lambda, down_k/Lambda and the rest.  Walkers are i.i.d., so a block is
+carried as occupation counts: at step j the walkers whose count is j leave as
+a multivariate-hypergeometric draw over the states, the rest move by one
+multinomial per state, and the final states are shuffled into launch slots.
+A block costs O(N Lambda t) whatever its size.  Block b draws from a
+counter-based Philox stream keyed by (seed, b), so results are reproducible
+for a given seed and mergeable in trajectory order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +24,7 @@ from .model import ModelParams
 
 __all__ = ["TrajectoryEnsemble", "sample_trajectories"]
 
-_BLOCK = 4096
+_BLOCK = 2**16
 
 
 @dataclass
@@ -29,35 +35,8 @@ class TrajectoryEnsemble:
     up_fraction: float
     n_traj: int
     seed: int
-
-
-def _simulate_block(rng: np.random.Generator, k0: np.ndarray, up: np.ndarray,
-                    down: np.ndarray, t_end: float) -> np.ndarray:
-    """Advance one block of walkers to t_end; returns final grid indices."""
-    k = k0.copy()
-    t = np.zeros(k.shape[0])
-    active = np.ones(k.shape[0], dtype=bool)
-    while active.any():
-        idx = np.flatnonzero(active)
-        r_up = up[k[idx]]
-        total = r_up + down[k[idx]]
-        stuck = total <= 0.0
-        if stuck.any():  # zero total rate: frozen for good
-            active[idx[stuck]] = False
-            idx, r_up, total = idx[~stuck], r_up[~stuck], total[~stuck]
-            if idx.size == 0:
-                break
-        wait = rng.standard_exponential(idx.size) / total
-        t_new = t[idx] + wait
-        done = t_new >= t_end
-        active[idx[done]] = False
-        alive = ~done
-        idx = idx[alive]
-        if idx.size:
-            t[idx] = t_new[alive]
-            go_up = rng.random(idx.size) < (r_up[alive] / total[alive])
-            k[idx] += np.where(go_up, 1, -1)
-    return k
+    uniform_rate: float            # Lambda, the rate of the uniformizing clock
+    n_steps: int                   # steps applied to the counts, over all blocks
 
 
 def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
@@ -72,6 +51,10 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0 (got {seed})")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be finite and >= 0 (got {t_end})")
     if mode != "short-memory":
         raise ValueError("trajectory sampling requires time-homogeneous rates")
     if rates is None:
@@ -86,20 +69,32 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
             m_repel = 0.0
 
     n = params.n_spins
-    up, down = rates.up, rates.down
-    cdf = np.cumsum(init.weights)
-    cdf /= cdf[-1]
+    total = rates.up + rates.down
+    lam = float(total.max())
+    # up/down/stay per state; a zero total rate stays put, Lambda = 0 never steps
+    moves = np.column_stack((rates.up, rates.down, lam - total)) / (lam or 1.0)
+    weights = init.weights / init.weights.sum()
 
     finals = np.empty(n_traj, dtype=np.int64)
+    n_steps = 0
     for b, start in enumerate(range(0, n_traj, _BLOCK)):
-        count = min(_BLOCK, n_traj - start)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, b],
                                                                 dtype=np.uint64)))
         # always simulate a full block so trajectory i is the same walker no
         # matter how many trajectories were requested in total
-        k0 = np.searchsorted(cdf, rng.random(_BLOCK), side="left")
-        finals[start:start + count] = _simulate_block(rng, k0, up, down,
-                                                      t_end)[:count]
+        active = rng.multinomial(_BLOCK, weights)
+        stops = np.bincount(rng.poisson(lam * t_end, _BLOCK))
+        done = np.zeros(n + 1, dtype=np.int64)
+        for s in stops[:-1]:  # stops[j] walkers end after j steps, the rest step on
+            leaving = rng.multivariate_hypergeometric(active, s)
+            done += leaving
+            step = rng.multinomial(active - leaving, moves)
+            active = step[:, 2].copy()
+            active[1:] += step[:-1, 0]
+            active[:-1] += step[1:, 1]
+        n_steps += stops.size - 1
+        states = rng.permutation(np.repeat(np.arange(n + 1), done + active))
+        finals[start:start + _BLOCK] = states[:n_traj - start]
 
     hist = np.bincount(finals, minlength=n + 1).astype(float)
     hist /= n_traj
@@ -114,4 +109,6 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
         up_fraction=up_fraction,
         n_traj=n_traj,
         seed=seed,
+        uniform_rate=lam,
+        n_steps=n_steps,
     )

@@ -53,6 +53,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="ascend"):
             parse_config(FIG1_MINIMAL + "times = 3,1\n")
 
+    def test_nonfinite_or_negative_times_rejected(self):
+        for line in ("times = inf", "times = -5", "times = 1,nan",
+                     "times_theta = 1,inf", "times_theta = -0.5"):
+            with pytest.raises(ConfigError, match="line 4: .*finite and >= 0"):
+                parse_config(FIG1_MINIMAL + line + "\n")
+        assert parse_config(FIG1_MINIMAL + "times = 0,1\n").times == [0.0, 1.0]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="line 4: .*seed >= 0"):
+            parse_config(FIG1_MINIMAL + "seed = -1\n")
+
     def test_both_time_forms_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(FIG1_MINIMAL + "times = 1\ntimes_theta = 1\n")
@@ -143,6 +154,54 @@ class TestCli:
         read = lambda d: open(os.path.join(d, "sample_histogram.csv")).read()
         assert read(d1) == read(d2)
         assert read(d1) != read(d3)
+
+    def test_sample_reports_steps_and_uniform_rate(self, small_cfg, tmp_path, capsys):
+        assert command_surface(["sample", "-c", small_cfg,
+                                "--out-dir", str(tmp_path / "o")]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        fields = dict(kv.split("=") for kv in summary.split())
+        assert int(fields["steps"]) > 0 and float(fields["uniform_rate"]) > 0.0
+
+    def test_negative_seed_is_config_error(self, small_cfg, tmp_path, capsys):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(SMALL + "seed = -1\n")
+        out = ["--out-dir", str(tmp_path / "o")]
+        assert command_surface(["sample", "-c", str(cfg)] + out) == 1
+        err = capsys.readouterr().err
+        assert "seed >= 0" in err and "Traceback" not in err
+        assert command_surface(["sample", "-c", small_cfg, "--seed", "-3"] + out) == 1
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
+
+    def test_zero_trajectories_is_not_replaced_by_config(self, small_cfg, tmp_path,
+                                                          capsys):
+        assert command_surface(["sample", "-c", small_cfg, "--trajectories", "0",
+                                "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "n_traj must be >= 1" in err and "Traceback" not in err
+
+    def test_nonfinite_or_negative_times_are_config_errors(self, small_cfg, tmp_path,
+                                                           capsys):
+        out = str(tmp_path / "o")
+        for times in ("times = inf", "times = -5", "times_theta = inf"):
+            cfg = tmp_path / "t.cfg"
+            cfg.write_text(SMALL.replace("times_theta = 0.5,1.5", times))
+            for argv in (["simulate", "-c", str(cfg), "--snapshot-dir", out],
+                         ["sample", "-c", str(cfg), "--out-dir", out]):
+                assert command_surface(argv) == 1
+                err = capsys.readouterr().err
+                assert "finite and >= 0" in err and "Traceback" not in err
+        for flag, value in (("--times", "1,inf"), ("--times-theta", "-1")):
+            assert command_surface(["simulate", "-c", small_cfg, flag, value,
+                                    "--snapshot-dir", out]) == 1
+            err = capsys.readouterr().err
+            assert "finite and >= 0" in err and "Traceback" not in err
+        for value in ("inf", "-1"):
+            assert command_surface(["analytic", "-c", small_cfg, "--times-theta",
+                                    value, "--out-dir", out]) == 1
+            err = capsys.readouterr().err
+            assert "finite and >= 0" in err and "Traceback" not in err
+        assert not os.path.exists(out)
 
     def test_measure_summary_schema(self, small_cfg, tmp_path, capsys):
         out = str(tmp_path / "m")

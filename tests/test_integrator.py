@@ -1,8 +1,8 @@
 """The shared birth-death generator and the adaptive TR-BDF2 integrator.
 
 Solver properties are checked over random (N, T, g, Gamma, sector, and the
-offset m0 and width delta0 of a Gaussian initial state): drawn by hypothesis
-when it is installed, by a seeded numpy generator otherwise.
+offset m0 and width delta0 of a Gaussian initial state) drawn by
+`conftest.random_params`.
 """
 
 import numpy as np
@@ -18,52 +18,8 @@ from magdot.master import (
     stationary_distribution,
     transition_rates,
 )
-from magdot.model import ModelParams
 
-from conftest import small_params
-
-try:
-    from hypothesis import given, settings, strategies as st
-except ImportError:  # seeded numpy draws instead
-    given = None
-
-N_CASES = 8
-
-
-def random_params(test):
-    """Run test(params) over random model parameters, both sectors, T < J and T > J."""
-    if given is not None:
-        params = st.builds(
-            ModelParams,
-            n_spins=st.integers(4, 40),
-            temp_bath=st.one_of(st.floats(0.3, 0.9), st.floats(1.1, 1.5)),
-            coupling_g=st.floats(0.0, 0.2),
-            debye_cutoff=st.floats(0.0, 6.0).map(lambda x: 10.0**x),
-            sector=st.sampled_from(["up", "down"]),
-            m_offset=st.floats(-0.6, 0.6),
-            delta0=st.floats(0.3, 2.0),
-        )
-        return settings(max_examples=N_CASES, deadline=None, derandomize=True,
-                        database=None)(given(params=params)(test))
-    rng = np.random.default_rng(20261018)
-    cases = [ModelParams(
-        n_spins=int(rng.integers(4, 41)),
-        temp_bath=float(rng.choice([rng.uniform(0.3, 0.9), rng.uniform(1.1, 1.5)])),
-        coupling_g=float(rng.uniform(0.0, 0.2)),
-        debye_cutoff=float(10.0 ** rng.uniform(0.0, 6.0)),
-        sector=str(rng.choice(["up", "down"])),
-        m_offset=float(rng.uniform(-0.6, 0.6)),
-        delta0=float(rng.uniform(0.3, 2.0))) for _ in range(N_CASES)]
-    return pytest.mark.parametrize("params", cases)(test)
-
-
-def relax_time(p):
-    """theta for T < J, the paramagnetic relaxation time for T > J."""
-    return p.hbar / (p.gamma * abs(p.coupling_j - p.temp_bath))
-
-
-def dense_generator(up, down):
-    return np.diag(-(up + down)) + np.diag(up[:-1], -1) + np.diag(down[1:], 1)
+from conftest import dense_generator, random_params, relax_time, small_params
 
 
 class TestGenerator:

@@ -1,20 +1,41 @@
+"""The uniformized jump-process sampler.
+
+Histograms are checked against dense `expm` solutions of the master
+equation, state by state and in total L1, against the noise of a multinomial
+sample of the same size: over random parameters (`conftest.random_params`)
+and exactly at N = 3, where a few uniformized steps decide the law.
+"""
+
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from magdot.kmc import sample_trajectories
-from magdot.master import RateTable, evolve, initial_distribution
+from magdot.master import (
+    DiscreteDistribution,
+    RateTable,
+    evolve,
+    initial_distribution,
+    transition_rates,
+)
 from magdot.model import derived_scales
 
-from conftest import small_params
+from conftest import dense_generator, random_params, relax_time, small_params
+
+N_WALKERS = 2**18 + 4321  # four full blocks and a partial one
+
+
+def rate_table(up, down):
+    n = up.size - 1
+    z = np.zeros(n + 1)
+    return RateTable(m=(2.0 * np.arange(n + 1) - n) / n, up=up, down=down,
+                     gain_above=z, gain_below=z.copy())
 
 
 def zero_rates(n):
-    m = (2.0 * np.arange(n + 1) - n) / n
-    z = np.zeros(n + 1)
-    return RateTable(m=m, up=z.copy(), down=z.copy(),
-                     gain_above=z.copy(), gain_below=z.copy())
+    return rate_table(np.zeros(n + 1), np.zeros(n + 1))
 
 
 def test_frozen_walkers_with_zero_rates():
@@ -69,3 +90,78 @@ def test_input_validation():
         sample_trajectories(p, 0, 1.0)
     with pytest.raises(ValueError):
         sample_trajectories(p, 10, 1.0, mode="full-memory")
+
+
+def test_rejects_negative_seed_and_bad_end_time():
+    p = small_params(n=20)
+    for kw in (dict(t_end=1.0, seed=-1), dict(t_end=math.inf),
+               dict(t_end=math.nan), dict(t_end=-5.0)):
+        with pytest.raises(ValueError):
+            sample_trajectories(p, 10, **kw)
+    ens = sample_trajectories(p, 10, t_end=0.0)  # t = 0 is legal: no steps
+    assert ens.n_steps == 0
+
+
+def assert_sampled_from(ens, p):
+    """Counts within 5 multinomial sigma per state, and the L1 distance
+    within 5 standard deviations above its expected value (the noise floor)."""
+    n = ens.n_traj
+    var = n * p * (1.0 - p)
+    counts = np.bincount(ens.final_states, minlength=p.size)
+    # + 3 walkers: a state with n p << 1 is not Gaussian
+    assert np.all(np.abs(counts - n * p) <= 5.0 * np.sqrt(var) + 3.0)
+    floor = np.sqrt(2.0 * var / np.pi).sum() / n
+    spread = math.sqrt((1.0 - 2.0 / math.pi) * var.sum()) / n
+    assert np.abs(counts / n - p).sum() <= floor + 5.0 * spread
+
+
+@random_params
+def test_histogram_agrees_with_dense_expm(params):
+    init = initial_distribution(params, "gaussian")
+    rt = transition_rates(params)
+    a = dense_generator(rt.up, rt.down)
+    for frac in (0.3, 2.0):
+        t = frac * relax_time(params)
+        ens = sample_trajectories(params, N_WALKERS, t, seed=3, init=init)
+        assert_sampled_from(ens, np.clip(expm(a * t) @ init.weights, 0.0, None))
+
+
+def test_exact_at_three_spins():
+    # with 0.1 to 8 uniformized steps per walker, a wrong step count, clock
+    # rate or stop rule moves the law far beyond the noise of 2^20 walkers.
+    # Under `hop` every step moves (total rate Lambda everywhere), so the
+    # parity of a walker's final state is the parity of its Poisson count.
+    p = small_params(n=3, g=0.1, temp=0.8)
+    hop = rate_table(np.array([2.0, 1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0, 2.0]))
+    corner = DiscreteDistribution(n_spins=3, weights=np.array([1.0, 0.0, 0.0, 0.0]),
+                                  time=0.0)
+    for rt, init in ((transition_rates(p), initial_distribution(p)), (hop, corner)):
+        lam = (rt.up + rt.down).max()
+        a = dense_generator(rt.up, rt.down)
+        for steps in (0.1, 0.5, 2.0, 8.0):
+            t = steps / lam
+            ens = sample_trajectories(p, 2**20, t, seed=1, rates=rt, init=init)
+            assert ens.uniform_rate == lam
+            assert_sampled_from(ens, expm(a * t) @ init.weights)
+
+
+def test_launch_order_is_uncorrelated():
+    # walkers are i.i.d., so neighbouring launch slots carry independent states
+    p = small_params(n=50)
+    n = 50_000
+    ens = sample_trajectories(p, n, 0.5 * derived_scales(p).theta, seed=2)
+    x = ens.final_states - ens.final_states.mean()
+    assert abs((x[:-1] * x[1:]).mean() / x.var()) < 5.0 / math.sqrt(n)
+
+
+def test_reports_uniform_rate_and_steps():
+    p = small_params(n=50)
+    rt = transition_rates(p)
+    t = 0.5 * derived_scales(p).theta
+    ens = sample_trajectories(p, 3 * 2**16, t, seed=4)
+    assert ens.uniform_rate == (rt.up + rt.down).max()
+    # per block, the largest of 2^16 Poisson(Lambda t) step counts
+    mean = ens.uniform_rate * t
+    assert 3 * mean < ens.n_steps < 3 * (mean + 7.0 * math.sqrt(mean) + 7.0)
+    frozen = sample_trajectories(p, 10, t, rates=zero_rates(50))
+    assert frozen.uniform_rate == 0.0 and frozen.n_steps == 0
