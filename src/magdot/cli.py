@@ -111,6 +111,9 @@ def _cmd_simulate(args) -> int:
         written += write_split_csv(out, states)
     for p in written:
         print(p)
+    if cfg.engine == "master":
+        print(f"steps={res.n_steps} terms={res.n_terms} "
+              f"uniform_rate={FMT % res.uniform_rate}")
     return 0
 
 

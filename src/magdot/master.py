@@ -194,13 +194,12 @@ class FreeEnergyReport:
 
 @dataclass
 class RateTable:
-    """Jump rates and the raw gain/loss coefficients of the balance equation."""
+    """Jump rates of the balance equation; the gain into the row at m is
+    down at m + 2/N plus up at m - 2/N."""
 
     m: np.ndarray
-    up: np.ndarray          # rate of m -> m + 2/N (loss-up coefficient)
-    down: np.ndarray        # rate of m -> m - 2/N (loss-down coefficient)
-    gain_above: np.ndarray  # coefficient of P(m + 2/N) in the row at m
-    gain_below: np.ndarray  # coefficient of P(m - 2/N) in the row at m
+    up: np.ndarray    # rate of m -> m + 2/N
+    down: np.ndarray  # rate of m -> m - 2/N
     mode: str = "short-memory"
     time: float | None = None
 
@@ -212,7 +211,9 @@ class EvolveResult:
     free_energy_times: np.ndarray | None = None
     free_energy_values: np.ndarray | None = None
     n_steps: int = 0
-    n_rejected: int = 0
+    n_rejected: int = 0      # always 0: uniformization rejects no step
+    n_terms: int = 0         # Poisson terms (products with P) over all steps
+    uniform_rate: float = 0.0  # Lambda = max(up + down); the largest over the run
 
 
 def _log_binomial(n: int) -> np.ndarray:
@@ -257,7 +258,7 @@ def _kernel_spec(params: ModelParams) -> KernelSpec:
 
 def transition_rates(params: ModelParams, mode: str = "short-memory",
                      t: float | None = None, kernel_tol: float = 1e-8) -> RateTable:
-    """Gain/loss coefficients of the balance equation on the full grid.
+    """Jump rates of the balance equation on the full grid.
 
     The (1 -/+ m) occupation factors vanish identically at m = +/-1, closing
     the boundaries.  In full-memory mode the kernel is evaluated through the
@@ -271,25 +272,15 @@ def transition_rates(params: ModelParams, mode: str = "short-memory",
 
     if mode == "short-memory":
         k_p, k_m = spectral_density(spec, om_p), spectral_density(spec, om_m)
-        k_np, k_nm = spectral_density(spec, -om_p), spectral_density(spec, -om_m)
     elif mode == "full-memory":
         if t is None:
             raise ValueError("full-memory rates need the current time t")
-        k_p, k_m, k_np, k_nm = windowed_spectral(
-            spec, np.stack([om_p, om_m, -om_p, -om_m]), t, tol=kernel_tol)
+        k_p, k_m = windowed_spectral(spec, np.stack([om_p, om_m]), t, tol=kernel_tol)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    two_n = 2.0 / n
-    return RateTable(
-        m=m,
-        up=pref * k_p * (1.0 - m),
-        down=pref * k_m * (1.0 + m),
-        gain_above=pref * k_np * (1.0 + m + two_n),
-        gain_below=pref * k_nm * (1.0 - m + two_n),
-        mode=mode,
-        time=t,
-    )
+    return RateTable(m=m, up=pref * k_p * (1.0 - m), down=pref * k_m * (1.0 + m),
+                     mode=mode, time=t)
 
 
 def stationary_distribution(params: ModelParams) -> DiscreteDistribution:
@@ -338,13 +329,13 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
            ) -> EvolveResult:
     """Integrate the balance equation from dist.time to t_end.
 
-    Adaptive TR-BDF2 (`integrator.integrate`): L-stable, so the local L1
-    error per step (< tol) alone sets the step, and every step lands
+    Uniformization (`integrator.integrate`): each step sums the Poisson
+    series of exp(hA) to an L1 error of at most tol, and every step lands
     exactly on the snapshot times.  Negative undershoot down to -1e-14 is
     clipped and the mass renormalized; anything larger raises.  Full-memory
-    mode builds the rate table once per accepted step, holds it over the
-    step, and caps the step at 0.1 hbar/T + 0.05 t, the scale on which the
-    windowed kernel still varies.
+    mode builds the rate table once per step, holds it over the step, and
+    caps the step at 0.1 hbar/T + 0.05 t, the scale on which the windowed
+    kernel still varies.
     """
     snapshot_times = sorted(snapshot_times) if snapshot_times else []
     if snapshot_times and snapshot_times[-1] > t_end * (1 + 1e-12):
@@ -352,12 +343,18 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
 
     full_memory = mode == "full-memory"
     if full_memory:
+        peak_rate = 0.0
+
         def gen(t):
+            nonlocal peak_rate
             rt = transition_rates(params, mode=mode, t=t, kernel_tol=kernel_tol)
-            return Generator(rt.up, rt.down)
+            g = Generator(rt.up, rt.down)
+            peak_rate = max(peak_rate, g.rate)
+            return g
     else:
         rates = rates if rates is not None else transition_rates(params, mode=mode)
         gen = Generator(rates.up, rates.down)
+        peak_rate = gen.rate
 
     fe: list[tuple[float, float]] = []
     on_step = None
@@ -371,7 +368,7 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
 
         on_step(dist.time, dist.weights)
 
-    states, n_steps, n_rejected = integrate(
+    states, n_steps, n_terms = integrate(
         gen, dist.weights, dist.time, [min(s, t_end) for s in snapshot_times] + [t_end],
         tol, clip_floor=CLIP_FLOOR, mass_tol=MASS_TOL,
         h_cap=(lambda t: 0.1 * params.hbar / params.temp_bath + 0.05 * t)
@@ -382,5 +379,6 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
         snapshots=[DiscreteDistribution(dist.n_spins, w, s)
                    for w, s in zip(states, snapshot_times)],
         free_energy_times=fe_t, free_energy_values=fe_v,
-        n_steps=n_steps, n_rejected=n_rejected,
+        n_steps=n_steps, n_terms=n_terms,
+        uniform_rate=peak_rate,
     )

@@ -155,6 +155,20 @@ class TestCli:
         assert read(d1) == read(d2)
         assert read(d1) != read(d3)
 
+    def test_simulate_reports_steps_terms_and_uniform_rate(self, small_cfg, tmp_path,
+                                                           capsys):
+        assert command_surface(["simulate", "-c", small_cfg,
+                                "--snapshot-dir", str(tmp_path / "m")]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        fields = dict(kv.split("=") for kv in summary.split())
+        assert sorted(fields) == ["steps", "terms", "uniform_rate"]
+        assert 0 < int(fields["steps"]) <= int(fields["terms"])
+        assert float(fields["uniform_rate"]) > 0.0
+        # the FP engine prints only its paths
+        assert command_surface(["simulate", "-c", small_cfg, "--engine", "fp",
+                                "--snapshot-dir", str(tmp_path / "f")]) == 0
+        assert all(os.path.exists(line) for line in capsys.readouterr().out.splitlines())
+
     def test_sample_reports_steps_and_uniform_rate(self, small_cfg, tmp_path, capsys):
         assert command_surface(["sample", "-c", small_cfg,
                                 "--out-dir", str(tmp_path / "o")]) == 0

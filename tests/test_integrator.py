@@ -1,4 +1,4 @@
-"""The shared birth-death generator and the adaptive TR-BDF2 integrator.
+"""The shared birth-death generator and its uniformization integrator.
 
 Solver properties are checked over random (N, T, g, Gamma, sector, and the
 offset m0 and width delta0 of a Gaussian initial state) drawn by
@@ -31,26 +31,18 @@ class TestGenerator:
         p = rng.uniform(0.0, 1.0, 30)
         assert np.allclose(gen.apply(p), a @ p, rtol=1e-14, atol=1e-14)
         assert abs(gen.apply(p).sum()) < 1e-13  # columns sum to zero
-        for h in (0.01, 3.0, 0.01):  # the cached factorization follows h
-            m = np.eye(30) - integrator.D * h * a
-            assert np.allclose(m @ gen.solve(h, p), p, rtol=1e-13, atol=1e-13)
-
-    def test_factorization_cached_per_step_size(self, rng, monkeypatch):
-        calls = []
-        real = integrator.dgttrf
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(integrator, "dgttrf", counting)
-        gen = Generator(rng.uniform(0.0, 1.0, 10), rng.uniform(0.0, 1.0, 10))
-        b = rng.uniform(0.0, 1.0, 10)
-        gen.solve(0.5, b)
-        gen.solve(0.5, b)
-        assert len(calls) == 1
-        gen.solve(0.25, b)
-        assert len(calls) == 2
+        # propagation at Lambda h from 1e-3 to 2e3, also with rows that never
+        # jump and with no jump at all (Lambda = 0)
+        up[10:13] = down[10:13] = 0.0
+        for u, d in ((up, down), (0.0 * up, 0.0 * down)):
+            gen, a = Generator(u, d), dense_generator(u, d)
+            for h in (1e-4, 0.3, 40.0, 400.0):
+                exact = expm(h * a) @ p
+                for tol in (1e-6, 1e-11):
+                    q, n_terms = gen.propagate(h, p, tol)
+                    assert np.abs(q - exact).sum() <= tol
+                    assert n_terms >= gen.rate * h  # the sum reaches the mean
+        assert gen.rate == 0.0 and n_terms == 0
 
 
 class TestIntegrate:
@@ -83,12 +75,16 @@ class TestIntegrate:
         for s, w in zip(stops, states):
             assert np.abs(w - expm(a * s) @ self.p0).sum() <= n_steps * 1e-9
 
-    def test_error_estimate_sets_the_step(self):
-        # an order-2 method needs about (1e3)^(1/3) = 10x fewer steps at a
-        # 1000x looser tol; a stability-capped step would not change at all
-        _, tight, _ = self.run([3.0 * self.th], tol=1e-9)
-        _, loose, _ = self.run([3.0 * self.th], tol=1e-6)
-        assert loose < tight / 5
+    def test_steps_span_at_most_max_jumps(self):
+        # a long run still reports states: each step covers Lambda h <= MAX_JUMPS,
+        # stretched by at most 5% to land on a stop
+        t_end = 20.0 * self.th
+        seen = [0.0]
+        _, n_steps, n_terms = self.run([t_end], on_step=lambda t, p: seen.append(t))
+        jumps = self.gen.rate * np.diff(seen)
+        assert jumps.max() <= 1.05 * integrator.MAX_JUMPS
+        assert n_steps >= self.gen.rate * t_end / (1.05 * integrator.MAX_JUMPS)
+        assert n_terms >= self.gen.rate * t_end
 
     def test_tol_below_roundoff_fails_fast(self):
         with pytest.raises(StiffnessError, match="roundoff"):
@@ -99,6 +95,25 @@ class TestIntegrate:
     def test_step_underflow_raises(self):
         with pytest.raises(StiffnessError, match="underflow"):
             self.run([self.th], h_cap=lambda t: 1e-20 * self.th)
+
+
+@random_params
+def test_tol_sets_the_truncation(params):
+    # one step of the integrator is one truncated Poisson sum: its L1 error
+    # stays below tol, and a tighter tol sums more terms
+    rt = transition_rates(params)
+    gen = Generator(rt.up, rt.down)
+    p0 = initial_distribution(params, "gaussian").weights
+    t = min(2.0 * relax_time(params), integrator.MAX_JUMPS / gen.rate)
+    exact = expm(t * dense_generator(rt.up, rt.down)) @ p0
+    terms = []
+    for tol in (1e-6, 1e-9, 1e-12):
+        (p,), n_steps, n_terms = integrate(gen, p0, 0.0, [t], tol,
+                                           clip_floor=-1e-14, mass_tol=1e-10)
+        assert n_steps == 1
+        assert np.abs(p - exact).sum() <= tol
+        terms.append(n_terms)
+    assert terms[0] < terms[1] < terms[2]
 
 
 @random_params

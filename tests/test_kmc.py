@@ -29,9 +29,7 @@ N_WALKERS = 2**18 + 4321  # four full blocks and a partial one
 
 def rate_table(up, down):
     n = up.size - 1
-    z = np.zeros(n + 1)
-    return RateTable(m=(2.0 * np.arange(n + 1) - n) / n, up=up, down=down,
-                     gain_above=z, gain_below=z.copy())
+    return RateTable(m=(2.0 * np.arange(n + 1) - n) / n, up=up, down=down)
 
 
 def zero_rates(n):
