@@ -31,7 +31,7 @@ class TestGenerator:
         p = rng.uniform(0.0, 1.0, 30)
         assert np.allclose(gen.apply(p), a @ p, rtol=1e-14, atol=1e-14)
         assert abs(gen.apply(p).sum()) < 1e-13  # columns sum to zero
-        # propagation at Lambda h from 1e-3 to 2e3, also with rows that never
+        # propagation at Lambda h from about 1e-3 to 4e3, also with rows that never
         # jump and with no jump at all (Lambda = 0)
         up[10:13] = down[10:13] = 0.0
         for u, d in ((up, down), (0.0 * up, 0.0 * down)):
