@@ -10,6 +10,11 @@ checked.  Three characteristic models are available:
 * "linearized": the exponential flow of the drift linearized about m = 0;
 * "cubic-v": the closed-form flow of the cubic drift model, valid between
   the two ferromagnetic attractors for a small repeller offset.
+
+scipy is imported inside the functions that need it (the exact flow, the
+second-maximum onset and the width oracle), so that `import magdot` and
+every solver path, `time_scales`, `classify_regime` and
+`split_probabilities` included, load numpy only.
 """
 
 from __future__ import annotations
@@ -19,9 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq, minimize_scalar
 
 from .model import (
     ModelParams,
@@ -125,6 +127,7 @@ class _ExactFlow:
         nodes = mid[:, None] + half[:, None] * xg[None, :]
         panel = half * (f_reg(nodes) @ wg)
         q = np.concatenate([[0.0], np.cumsum(panel)])
+        from scipy.interpolate import CubicSpline
         self._q_reg = CubicSpline(edges, q)
 
     def _phi(self, x: float) -> float:
@@ -153,6 +156,7 @@ class _ExactFlow:
         if fa * fb > 0.0:
             # past the reachable end within float resolution: saturate
             return a if abs(fa) < abs(fb) else b
+        from scipy.optimize import brentq
         return float(brentq(lambda x: self._phi(x) - target, a, b,
                             xtol=1e-15, rtol=8.9e-16, maxiter=200))
 
@@ -421,6 +425,7 @@ def suzuki_second_max_onset(params: ModelParams):
         return m2**3 + lam * m_f**2 * math.sqrt(m_f**2 - 2.0 * m2**2) / math.sqrt(6.0)
 
     lo, hi = -m_f / math.sqrt(2.0) + 1e-15, 0.0
+    from scipy.optimize import brentq
     m2 = brentq(f, lo, hi, xtol=1e-15)
     alpha2 = math.sqrt(1.5 * (m_f**2 - m2**2) * (m_f**2 - 2.0 * m2**2) / m_f**4)
     t2 = ds.theta * math.log(
@@ -570,6 +575,7 @@ def _peak_states(params: ModelParams, t_end: float):
     if params.m_offset != 0.0 or params.delta0 != 1.0:
         raise ValueError("the width oracle starts from the exact paramagnet "
                          "(m_offset = 0, delta0 = 1)")
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(_peak_rhs(params), (0.0, max(t_end, 1e-300)),
                     _PARAMAGNET, method="DOP853", rtol=1e-10, atol=1e-12,
                     dense_output=True)
@@ -630,6 +636,7 @@ def width_maximum(params: ModelParams) -> tuple[float, float]:
     if k == len(tt) - 1:
         raise ValueError("the width has no maximum before registration")
     lo, hi = tt[max(k - 1, 0)], tt[k + 1]
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(lambda x: -width(x), bounds=(lo, hi),
                           method="bounded",
                           options={"xatol": 1e-9 * ds.theta})

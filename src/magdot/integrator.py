@@ -20,9 +20,9 @@ estimate.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
 
 __all__ = ["Generator", "integrate", "StiffnessError", "NumericalError"]
 
@@ -61,29 +61,15 @@ class Generator:
     def propagate(self, h: float, p: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
         """exp(hA) p with L1 error at most tol, and the number of P products.
 
-        The Poisson(Lambda h) weights are summed up to the smallest count K
-        whose upper tail is at most tol / (2 ||p||_1), then renormalized.
-        They are formed in log space relative to the largest, so a weight
-        underflows only where it is below 1e-308 of the mode, whatever
-        Lambda h is.
+        The Poisson(Lambda h) weights are summed up to the count K of
+        `poisson_cut` at eps = tol / (2 ||p||_1), then renormalized.
         """
         x = self.rate * h
         mass = float(np.abs(p).sum())
         if x == 0.0 or mass == 0.0:
             return np.array(p, dtype=float), 0
-        eps = tol / (2.0 * mass)
-        # Bernstein: P(X >= x + d) <= exp(-d^2 / (2 (x + d/3))) = eps at this d,
-        # and a tail below 1/2 needs K >= median >= x - ln 2
-        log_eps = -math.log(eps) if eps < 1.0 else 0.0
-        d = log_eps / 3.0 + math.sqrt(log_eps * log_eps / 9.0 + 2.0 * x * log_eps)
-        lo = max(int(x) - 1, 0) if eps < 0.5 else 0
-        ks = np.arange(lo, math.ceil(x + d) + 1)
-        below = pdtrc(ks, x) <= eps
-        n_terms = int(ks[np.argmax(below)] if below.any() else ks[-1])
-        k = np.arange(n_terms + 1)
-        log_w = k * math.log(x) - gammaln(k + 1.0)
-        w = np.exp(log_w - log_w.max())
-        w /= w.sum()
+        w = poisson_cut(x, tol / (2.0 * mass))
+        n_terms = len(w) - 1
         q = w[0] * p
         v = np.array(p, dtype=float)
         for wk in w[1:]:
@@ -93,6 +79,39 @@ class Generator:
             v = nxt
             q += wk * v
         return q, n_terms
+
+
+def poisson_cut(x: float, eps: float) -> np.ndarray:
+    """Normalized Poisson(x) weights of 0..K, with P(X > K) <= eps proven.
+
+    The pmf is summed from the top of a window [0, k_b] whose tail beyond
+    k_b is at most eps_b = eps/1024 (Bernstein); K is the smallest count
+    whose in-window tail, inflated by 1e-9 for roundoff, plus eps_b is at
+    most eps.  The weights are formed in log space relative to the largest,
+    so one underflows only where it is below 1e-308 of the mode, whatever x.
+    """
+    eps_b = eps / 1024.0
+    # Bernstein: P(X >= x + d) <= exp(-d^2 / (2 (x + d/3))) = eps_b at this d
+    log_eps = max(-math.log(eps_b), 0.0)
+    d = log_eps / 3.0 + math.sqrt(log_eps * log_eps / 9.0 + 2.0 * x * log_eps)
+    k_b = math.ceil(x + d)
+    log_fact = _log_factorials(k_b.bit_length())[:k_b + 1]
+    log_w = np.arange(k_b + 1) * math.log(x) - log_fact
+    pmf = np.exp(log_w - x)
+    # tail[K] = sum of pmf over K < j <= k_b, summed from the small end
+    tail = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)
+    log_w = log_w[:int(np.argmax(tail * (1.0 + 1e-9) + eps_b <= eps)) + 1]
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum()
+
+
+@lru_cache(maxsize=None)
+def _log_factorials(bits: int) -> np.ndarray:
+    """ln k! = lgamma(k + 1) for k < 2^bits: tables double in size, so a
+    process builds a few and the cut slices them."""
+    out = np.array([math.lgamma(k + 1.0) for k in range(1 << bits)])
+    out.flags.writeable = False
+    return out
 
 
 def integrate(gen, p0, t0, stops, tol, *, clip_floor, mass_tol, weight=1.0,

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bath import KernelSpec, spectral_density, windowed_spectral
 from .integrator import Generator, NumericalError, StiffnessError, integrate
@@ -293,7 +292,7 @@ def stationary_distribution(params: ModelParams) -> DiscreteDistribution:
     logw = _log_binomial(n) + n * (
         params.g_eff * m + 0.5 * params.coupling_j * m * m
     ) / params.temp_bath
-    w = np.exp(logw - logsumexp(logw))
+    w = np.exp(logw - logw.max())
     w /= w.sum()
     return DiscreteDistribution(n_spins=n, weights=w, time=0.0)
 

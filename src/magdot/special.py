@@ -1,9 +1,6 @@
-"""Complementary error function without external math dependencies.
-
-Two branches meeting at x = 2: a cancellation-free confluent series below,
-a modified-Lentz continued fraction above.  Both deliver ~1e-14 relative
-accuracy; tests validate against direct quadrature of the defining integral.
-"""
+"""Error functions on floats and numpy arrays, from the standard library's
+`math.erfc`, so that the oracles that run in every measurement stay off
+scipy."""
 
 from __future__ import annotations
 
@@ -13,62 +10,13 @@ import numpy as np
 
 __all__ = ["erf", "erfc"]
 
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-_CROSSOVER = 2.0
-
-
-def _erf_series(x: float) -> float:
-    """erf(x) = (2/sqrt(pi)) x e^{-x^2} sum_k (2x^2)^k / (2k+1)!!  (all terms > 0)."""
-    z = 2.0 * x * x
-    term = 1.0
-    acc = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= z / (2 * k + 1)
-        acc += term
-        if term < 1e-18 * acc or k > 300:
-            break
-    return _TWO_OVER_SQRT_PI * x * math.exp(-x * x) * acc
-
-
-def _erfc_cf(x: float) -> float:
-    """erfc(x) = e^{-x^2}/sqrt(pi) * 1/(x+ (1/2)/(x+ 1/(x+ (3/2)/(x+ ...))))."""
-    tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0
-    n = 0
-    while n < 400:
-        n += 1
-        a = 1.0 if n == 1 else 0.5 * (n - 1)
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return (math.exp(-x * x) / math.sqrt(math.pi)) * f
-
 
 def erfc(x):
-    """erfc(x) to ~1e-13 relative accuracy on the real line."""
+    """erfc(x) for a float, or elementwise for an ndarray."""
     if isinstance(x, np.ndarray):
-        return np.array([erfc(float(v)) for v in x.ravel()]).reshape(x.shape)
-    x = float(x)
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x < _CROSSOVER:
-        return 1.0 - _erf_series(x)
-    return _erfc_cf(x)
+        return np.array([math.erfc(float(v)) for v in x.ravel()]).reshape(x.shape)
+    return math.erfc(float(x))
 
 
 def erf(x):
-    if isinstance(x, np.ndarray):
-        return 1.0 - erfc(x)
-    return 1.0 - erfc(float(x))
+    return 1.0 - erfc(x)

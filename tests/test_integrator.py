@@ -5,9 +5,13 @@ offset m0 and width delta0 of a Gaussian initial state) drawn by
 `conftest.random_params`.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import pdtrc
+from scipy.stats import poisson
 
 from magdot import integrator
 from magdot.fokker_planck import FPConfig, equilibrium_profile, solve_fp
@@ -43,6 +47,24 @@ class TestGenerator:
                     assert np.abs(q - exact).sum() <= tol
                     assert n_terms >= gen.rate * h  # the sum reaches the mean
         assert gen.rate == 0.0 and n_terms == 0
+
+    def test_poisson_cut_against_scipy(self):
+        xs = (1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.7, 10.0, 50.0, 200.0, 512.0)
+        tols = (0.9, 0.1, 1e-3, 1e-6, 1e-9, 1e-12, integrator.TOL_FLOOR)
+        for x in xs:
+            for tol in tols:
+                for mass in (1.0, 0.03):
+                    eps = tol / (2.0 * mass)
+                    w = integrator.poisson_cut(x, eps)
+                    n_terms = len(w) - 1
+                    assert pdtrc(n_terms, x) <= eps  # the tail bound holds
+                    ks = np.arange(n_terms + 1)
+                    assert n_terms <= ks[np.argmax(pdtrc(ks, x) <= eps)] + 1
+                    ref = poisson.pmf(ks, x)
+                    # both sides round log weights of size about K |ln x|
+                    rtol = max(1e-13, 4.0 * np.spacing(
+                        n_terms * abs(math.log(x)) + math.lgamma(n_terms + 1.0)))
+                    assert np.all(np.abs(w / (ref / ref.sum()) - 1.0) <= rtol)
 
 
 class TestIntegrate:

@@ -17,7 +17,7 @@ from magdot.model import (
     x_coth_x,
 )
 
-from conftest import small_params
+from conftest import random_params, small_params
 
 
 def coth_series(x):
@@ -141,6 +141,38 @@ class TestFixedPoints:
         for fp in fixed_points(fig1_params):
             res = fp.m - math.tanh(field_h(fig1_params, fp.m) / t)
             assert abs(res) < 1e-10
+
+
+def bisected_zeros(f):
+    """Reference: scalar bisection of every sign change on a 10,000-cell scan,
+    each to a 1e-15 bracket, plus exact zeros at scan nodes."""
+    ms = np.linspace(-1.0, 1.0, 10_001)
+    res = f(ms)
+    roots = []
+    for i in np.flatnonzero(np.sign(res[:-1]) * np.sign(res[1:]) < 0):
+        lo, hi, flo = ms[i], ms[i + 1], res[i]
+        while hi - lo >= 1e-15:
+            mid = 0.5 * (lo + hi)
+            fm = f(mid)
+            if flo * fm <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        roots.append(0.5 * (lo + hi))
+    roots += [m for m in ms[res == 0.0] if all(abs(m - r) >= 1e-9 for r in roots)]
+    return sorted(roots)
+
+
+@random_params
+def test_zeros_match_scalar_bisection(params):
+    t = params.temp_bath
+    for fn, f in ((fixed_points, lambda m: m - np.tanh(field_h(params, m) / t)),
+                  (drift_zeros, lambda m: drift_v(params, m))):
+        got = fn(params)
+        ref = bisected_zeros(f)
+        assert len(got) == len(ref)
+        assert np.allclose([fp.m for fp in got], ref, rtol=0.0, atol=1e-14)
+        assert [fp.stable for fp in got] == [drift_v_prime(params, r) < 0 for r in ref]
 
 
 class TestDerivedScales:
