@@ -167,8 +167,9 @@ def solve_fp(params: ModelParams, init: ContinuumField, times,
     """Advance the drift-diffusion equation; returns fields at the asked times.
 
     The cell hops form a birth-death generator, advanced by the master
-    equation's uniformization integrator: L1 error of the density per step
-    <= cfg.tol, every step landing exactly on the output times.
+    equation's uniformization integrator: L1 error of the density at each
+    reported state <= cfg.tol against its series start, landing exactly on
+    the output times.
     Mass is conserved by the flux form; drift beyond 1e-8 aborts.  Tiny
     undershoot (within 1e-11 of the peak scale) is clipped and renormalized.
     """

@@ -11,23 +11,23 @@ P = I + A/Lambda,
     exp(hA) p = sum_k Pois(k; Lambda h) P^k p.
 
 Every entry of P is nonnegative and its columns sum to one, so each term is
-nonnegative and ||P^k p||_1 <= ||p||_1.  Cutting the sum where the Poisson
-upper tail falls below eps and renormalizing the kept weights errs by at
-most 2 eps ||p||_1 in L1 (Fox & Glynn 1988): a proven bound, not an
-estimate.
+nonnegative and ||P^k p||_1 <= ||p||_1.  Keeping the weights of a window
+of counts whose two Poisson tails together hold at most eps, and
+renormalizing them, errs by at most 2 eps ||p||_1 in L1 (Fox & Glynn 1988):
+a proven bound, not an estimate.  One series of vectors P^k p serves every
+time of a span, each time reading it with its own weights.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["Generator", "integrate", "StiffnessError", "NumericalError"]
 
 TOL_FLOOR = 100.0 * np.finfo(float).eps  # smallest tol, relative to the L1 mass
-MAX_JUMPS = 512.0  # largest Lambda h of one step, so that long runs report states
+MAX_JUMPS = 512.0  # largest Lambda h one series spans, so that long runs report states
 
 
 class StiffnessError(RuntimeError):
@@ -58,77 +58,112 @@ class Generator:
         dp[:-1] += self.down[1:] * p[1:]
         return dp
 
-    def propagate(self, h: float, p: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
-        """exp(hA) p with L1 error at most tol, and the number of P products.
+    def propagate(self, p: np.ndarray, hs, tol: float) -> tuple[list[np.ndarray], int]:
+        """exp(hA) p for each h of the ascending `hs`, all off one Poisson
+        series; returns the states and the number of products with P.
 
-        The Poisson(Lambda h) weights are summed up to the count K of
-        `poisson_cut` at eps = tol / (2 ||p||_1), then renormalized.
+        The vectors P^k p are formed once, up to the largest count any h
+        needs, and written in place into the rows of a block of about
+        256 KB.  Each h takes the Poisson(Lambda h) weights on its own
+        window (`poisson_window` at eps = tol / (2 ||p||_1)), and whenever
+        the block fills, each state adds its weights times the rows of its
+        window that the block holds.  Each state's L1 error is at most tol.
         """
-        x = self.rate * h
         mass = float(np.abs(p).sum())
-        if x == 0.0 or mass == 0.0:
-            return np.array(p, dtype=float), 0
-        w = poisson_cut(x, tol / (2.0 * mass))
-        n_terms = len(w) - 1
-        q = w[0] * p
-        v = np.array(p, dtype=float)
-        for wk in w[1:]:
-            nxt = self.stay * v
-            nxt[1:] += self.p_up * v[:-1]
-            nxt[:-1] += self.p_down * v[1:]
-            v = nxt
-            q += wk * v
-        return q, n_terms
+        if self.rate == 0.0 or mass == 0.0:
+            return [np.array(p, dtype=float) for _ in hs], 0
+        eps = tol / (2.0 * mass)
+        wins = [poisson_window(self.rate * h, eps) for h in hs]
+        n_prod = max(lo + len(w) - 1 for lo, w in wins)
+        n = len(p)
+        rows = min(n_prod + 1, max(2, 2**15 // n))  # 2^15 doubles = 256 KB
+        block = np.empty((rows, n))
+        block[0] = p
+        views = [(v, v[1:], v[:-1]) for v in block]
+        tmp = np.empty(n - 1)
+        acc = np.zeros((len(wins), n))
+        for k in range(n_prod + 1):
+            r = k % rows
+            if k:
+                # nxt = stay v; nxt[1:] += p_up v[:-1]; nxt[:-1] += p_down v[1:]
+                v, v_hi, v_lo = views[r - 1]
+                nxt, nxt_hi, nxt_lo = views[r]
+                np.multiply(self.stay, v, out=nxt)
+                np.multiply(self.p_up, v_lo, out=tmp)
+                np.add(nxt_hi, tmp, out=nxt_hi)
+                np.multiply(self.p_down, v_hi, out=tmp)
+                np.add(nxt_lo, tmp, out=nxt_lo)
+            if r == rows - 1 or k == n_prod:
+                first = k - r  # the count held by row 0
+                for i, (lo, w) in enumerate(wins):
+                    a, b = max(lo, first), min(lo + len(w) - 1, k)
+                    if a <= b:
+                        acc[i] += w[a - lo:b - lo + 1] @ block[a - first:b - first + 1]
+        return list(acc), n_prod
 
 
-def poisson_cut(x: float, eps: float) -> np.ndarray:
-    """Normalized Poisson(x) weights of 0..K, with P(X > K) <= eps proven.
+def poisson_window(x: float, eps: float) -> tuple[int, np.ndarray]:
+    """First count L and normalized Poisson(x) weights of L..R, where
+    P(X < L) <= eps/2 and P(X > R) <= eps/2 are proven.
 
-    The pmf is summed from the top of a window [0, k_b] whose tail beyond
-    k_b is at most eps_b = eps/1024 (Bernstein); K is the smallest count
-    whose in-window tail, inflated by 1e-9 for roundoff, plus eps_b is at
-    most eps.  The weights are formed in log space relative to the largest,
-    so one underflows only where it is below 1e-308 of the mode, whatever x.
+    Fox & Glynn (1988): the weights are built outward from the mode
+    floor(x) by the ratios w[k+1] = w[k] x/(k+1) and w[k-1] = w[k] k/x, so
+    no intermediate is far from 1 and none needs a factorial.  They span a
+    window whose tails beyond it are each at most eps_b = eps/1024, by
+    Chernoff below and Bernstein above.  Each side is then cut where its
+    in-window tail, inflated by 1e-9 for roundoff, plus eps_b is at most
+    eps/2; the kept weights are renormalized.
     """
     eps_b = eps / 1024.0
-    # Bernstein: P(X >= x + d) <= exp(-d^2 / (2 (x + d/3))) = eps_b at this d
     log_eps = max(-math.log(eps_b), 0.0)
+    # P(X <= x - d) <= exp(-d^2 / (2x)) and
+    # P(X >= x + d) <= exp(-d^2 / (2 (x + d/3))), each eps_b at these d
+    lo = max(math.floor(x - math.sqrt(2.0 * x * log_eps)), 0)
     d = log_eps / 3.0 + math.sqrt(log_eps * log_eps / 9.0 + 2.0 * x * log_eps)
-    k_b = math.ceil(x + d)
-    log_fact = _log_factorials(k_b.bit_length())[:k_b + 1]
-    log_w = np.arange(k_b + 1) * math.log(x) - log_fact
-    pmf = np.exp(log_w - x)
-    # tail[K] = sum of pmf over K < j <= k_b, summed from the small end
-    tail = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)
-    log_w = log_w[:int(np.argmax(tail * (1.0 + 1e-9) + eps_b <= eps)) + 1]
-    w = np.exp(log_w - log_w.max())
-    return w / w.sum()
+    hi = math.ceil(x + d)
+    mode = int(x)
+    w = np.empty(hi - lo + 1)
+    c = mode - lo
+    w[c] = 1.0
+    w[c + 1:] = np.cumprod(x / np.arange(mode + 1, hi + 1.0))
+    w[:c] = np.cumprod(np.arange(mode, lo, -1.0) / x)[::-1]
+    # a cut may drop in-window mass up to `spare`, its share of eps/2 once
+    # inflated by 1e-9 for roundoff; the sums run from the small end
+    spare = (0.5 * eps - eps_b) * w.sum() / (1.0 + 1e-9)
+    first = int(np.searchsorted(np.cumsum(w[:c]), spare, "right"))
+    last = len(w) - 1 - int(np.searchsorted(np.cumsum(w[:c:-1]), spare, "right"))
+    w = w[first:last + 1]
+    return lo + first, w / w.sum()
 
 
-@lru_cache(maxsize=None)
-def _log_factorials(bits: int) -> np.ndarray:
-    """ln k! = lgamma(k + 1) for k < 2^bits: tables double in size, so a
-    process builds a few and the cut slices them."""
-    out = np.array([math.lgamma(k + 1.0) for k in range(1 << bits)])
-    out.flags.writeable = False
-    return out
+def _passed(stops, i: int, t: float) -> int:
+    """Index of the first stop from i on that lies beyond t (1e-12 slack)."""
+    while i < len(stops) and stops[i] - t <= 1e-12 * max(1.0, abs(stops[i])):
+        i += 1
+    return i
 
 
 def integrate(gen, p0, t0, stops, tol, *, clip_floor, mass_tol, weight=1.0,
               h_cap=None, on_step=None):
     """Advance p0 from t0 through the ascending `stops`; returns
-    (weights at each stop, steps, Poisson terms summed).
+    (weights at each stop, report points, products with P over all series).
 
     `gen` is a Generator, or a function of t that builds one; it is then
-    called at t0 and after every step, and held over the step.  `tol`
-    bounds the L1 error of each step, scaled by `weight` (the cell width for
-    densities); uniformization meets it by construction, so no step is
-    rejected.  A step runs to the next stop, cut to `h_cap(t)` when given
-    and to MAX_JUMPS / Lambda; a step that would stop within 5% of a stop
-    lands on it.  A step below 1e-15 of the time span's magnitude is
-    StiffnessError.  Undershoot above `clip_floor` is clipped and the mass
-    renormalized; below it, or with a mass drift beyond `mass_tol`,
-    NumericalError.  `on_step(t, p)` sees every state reached by a step.
+    called at t0 and at every report point, and held until the next.
+    The states are reported at report points: each lies at the next stop,
+    cut to `h_cap(t)` when given and to Lambda h <= MAX_JUMPS, from the
+    previous one; a report point that would fall within 5% of a stop lands
+    on it.  A held generator serves every report point within MAX_JUMPS
+    jumps of a series start off one Poisson series (`Generator.propagate`),
+    and the next series starts from the last of them; a rebuilt one serves
+    one report point per series.  `tol` bounds the L1 error of each report
+    point against the exact propagation from its series start, scaled by
+    `weight` (the cell width for densities); uniformization meets it by
+    construction, so nothing is rejected.  A step between report points
+    below 1e-15 of the time span's magnitude is StiffnessError.  Undershoot
+    above `clip_floor` is clipped and the mass renormalized; below it, or
+    with a mass drift beyond `mass_tol`, NumericalError.  `on_step(t, p)`
+    sees the state at every report point.
     """
     p = np.array(p0, dtype=float)
     t = float(t0)
@@ -144,35 +179,44 @@ def integrate(gen, p0, t0, stops, tol, *, clip_floor, mass_tol, weight=1.0,
     time_dep = callable(gen)
     t_last = stops[-1] if stops else t
     h_min = 1e-15 * max(abs(t), abs(t_last))
-    out, i, n_steps, n_terms = [], 0, 0, 0
-    while True:
-        while i < len(stops) and stops[i] - t <= 1e-12 * max(1.0, abs(stops[i])):
-            out.append(p.copy())
-            i += 1
-        if i == len(stops):
-            return out, n_steps, n_terms
+    i = _passed(stops, 0, t)
+    out, n_steps, n_products = [p.copy() for _ in range(i)], 0, 0
+    while i < len(stops):
         g = gen(t) if time_dep else gen
-        h = stops[i] - t
-        if h_cap is not None:
-            h = min(h, h_cap(t))
-        if g.rate * h > MAX_JUMPS:
-            h = MAX_JUMPS / g.rate
-        land = t + 1.05 * h >= stops[i]
-        h = stops[i] - t if land else h
-        if h < h_min:
-            raise StiffnessError(f"step size {h:.3e} underflowed at t = {t:.6g} "
-                                 f"(threshold {h_min:.3e})")
-        p, terms = g.propagate(h, p, tol / weight)
-        n_steps += 1
-        n_terms += terms
-        t = stops[i] if land else t + h
-        lo = p.min()
-        if lo < 0.0:
-            if lo < clip_floor:
-                raise NumericalError(f"undershoot {lo:.3e} exceeds clip floor at t = {t:.6g}")
-            np.clip(p, 0.0, None, out=p)
-            p *= mass0 / p.sum()
-        if abs(p.sum() - mass0) > mass_tol * max(1.0, mass0):
-            raise NumericalError(f"mass drift {p.sum() - mass0:.3e} at t = {t:.6g}")
-        if on_step is not None:
-            on_step(t, p)
+        # the report points this series serves
+        series, s, j = [], t, i
+        while j < len(stops) and not (series and time_dep):
+            h = stops[j] - s
+            if h_cap is not None:
+                h = min(h, h_cap(s))
+            if g.rate * h > MAX_JUMPS:
+                h = MAX_JUMPS / g.rate
+            land = s + 1.05 * h >= stops[j]
+            h = stops[j] - s if land else h
+            s_next = stops[j] if land else s + h
+            if series and (h < h_min or g.rate * (s_next - t) > MAX_JUMPS):
+                break
+            if h < h_min:
+                raise StiffnessError(f"step size {h:.3e} underflowed at t = {s:.6g} "
+                                     f"(threshold {h_min:.3e})")
+            series.append(s_next)
+            s, j = s_next, _passed(stops, j, s_next)
+        states, products = g.propagate(p, [u - t for u in series], tol / weight)
+        n_products += products
+        for t, p in zip(series, states):
+            n_steps += 1
+            lo = p.min()
+            if lo < 0.0:
+                if lo < clip_floor:
+                    raise NumericalError(f"undershoot {lo:.3e} exceeds clip floor "
+                                         f"at t = {t:.6g}")
+                np.clip(p, 0.0, None, out=p)
+                p *= mass0 / p.sum()
+            if abs(p.sum() - mass0) > mass_tol * max(1.0, mass0):
+                raise NumericalError(f"mass drift {p.sum() - mass0:.3e} at t = {t:.6g}")
+            if on_step is not None:
+                on_step(t, p)
+            j = _passed(stops, i, t)
+            out.extend(p.copy() for _ in range(j - i))
+            i = j
+    return out, n_steps, n_products

@@ -211,7 +211,7 @@ class EvolveResult:
     free_energy_values: np.ndarray | None = None
     n_steps: int = 0
     n_rejected: int = 0      # always 0: uniformization rejects no step
-    n_terms: int = 0         # Poisson terms (products with P) over all steps
+    n_terms: int = 0         # products with P over all Poisson series
     uniform_rate: float = 0.0  # Lambda = max(up + down); the largest over the run
 
 
@@ -328,13 +328,14 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
            ) -> EvolveResult:
     """Integrate the balance equation from dist.time to t_end.
 
-    Uniformization (`integrator.integrate`): each step sums the Poisson
-    series of exp(hA) to an L1 error of at most tol, and every step lands
-    exactly on the snapshot times.  Negative undershoot down to -1e-14 is
-    clipped and the mass renormalized; anything larger raises.  Full-memory
-    mode builds the rate table once per step, holds it over the step, and
-    caps the step at 0.1 hbar/T + 0.05 t, the scale on which the windowed
-    kernel still varies.
+    Uniformization (`integrator.integrate`): every state it reports (the
+    snapshot times, which it lands on exactly, and at least one per
+    MAX_JUMPS jumps) is read off a Poisson series of exp(hA) with an L1
+    error of at most tol.  Negative undershoot down to -1e-14 is clipped and
+    the mass renormalized; anything larger raises.  Full-memory mode builds
+    the rate table at every reported state, holds it until the next, and
+    caps the interval at 0.1 hbar/T + 0.05 t, the scale on which the
+    windowed kernel still varies.
     """
     snapshot_times = sorted(snapshot_times) if snapshot_times else []
     if snapshot_times and snapshot_times[-1] > t_end * (1 + 1e-12):

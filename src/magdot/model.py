@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -284,8 +285,14 @@ def drift_zeros(params: ModelParams) -> list[FixedPoint]:
     return _zeros(params, lambda m: drift_v(params, m), 10_000)
 
 
+@lru_cache(maxsize=64)
 def derived_scales(params: ModelParams) -> DerivedScales:
-    """Evaluate the ferromagnetic scales; rejects T >= J and unstable widths."""
+    """Evaluate the ferromagnetic scales; rejects T >= J and unstable widths.
+
+    Cached per parameter set (both dataclasses are frozen), since the
+    oracles, the measurement and the CLI each ask for the same scales and
+    every evaluation scans `fixed_points`.  A rejection is not cached.
+    """
     params.require_ferromagnetic()
     j, t = params.coupling_j, params.temp_bath
     theta = params.hbar / (params.gamma * (j - t))

@@ -10,8 +10,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.special import pdtrc
-from scipy.stats import poisson
+from scipy.special import pdtr, pdtrc
 
 from magdot import integrator
 from magdot.fokker_planck import FPConfig, equilibrium_profile, solve_fp
@@ -36,35 +35,58 @@ class TestGenerator:
         assert np.allclose(gen.apply(p), a @ p, rtol=1e-14, atol=1e-14)
         assert abs(gen.apply(p).sum()) < 1e-13  # columns sum to zero
         # propagation at Lambda h from about 1e-3 to 4e3, also with rows that never
-        # jump and with no jump at all (Lambda = 0)
+        # jump and with no jump at all (Lambda = 0), each h on its own series and
+        # all of them off one
         up[10:13] = down[10:13] = 0.0
+        hs = (1e-4, 0.3, 40.0, 400.0)
         for u, d in ((up, down), (0.0 * up, 0.0 * down)):
             gen, a = Generator(u, d), dense_generator(u, d)
-            for h in (1e-4, 0.3, 40.0, 400.0):
-                exact = expm(h * a) @ p
-                for tol in (1e-6, 1e-11):
-                    q, n_terms = gen.propagate(h, p, tol)
-                    assert np.abs(q - exact).sum() <= tol
-                    assert n_terms >= gen.rate * h  # the sum reaches the mean
-        assert gen.rate == 0.0 and n_terms == 0
+            exact = [expm(h * a) @ p for h in hs]
+            for tol in (1e-6, 1e-11):
+                for h, e in zip(hs, exact):
+                    (q,), n_products = gen.propagate(p, [h], tol)
+                    assert np.abs(q - e).sum() <= tol
+                    assert n_products >= gen.rate * h  # the sum reaches the mean
+                states, n_series = gen.propagate(p, hs, tol)
+                assert n_series == n_products  # the largest h sets the count
+                for q, e in zip(states, exact):
+                    assert np.abs(q - e).sum() <= tol
+        assert gen.rate == 0.0 and n_products == 0
 
-    def test_poisson_cut_against_scipy(self):
+    def test_poisson_window_against_mpmath(self):
+        # 40-digit reference, normalized over the same window
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for x in (1e-9, 0.5, 12.0, 512.0, 4096.0, 1e5):
+            for eps in (1e-3, integrator.TOL_FLOOR):
+                lo, w = integrator.poisson_window(x, eps)
+                mx = mpmath.mpf(x)
+                ref = [mpmath.exp(k * mpmath.log(mx) - mx - mpmath.loggamma(k + 1))
+                       for k in range(lo, lo + len(w))]
+                total = mpmath.fsum(ref)
+                assert sum(abs(float(r / total) - wk) for r, wk in zip(ref, w)) <= 1e-14
+
+    def test_poisson_window_tails(self):
         xs = (1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.7, 10.0, 50.0, 200.0, 512.0)
         tols = (0.9, 0.1, 1e-3, 1e-6, 1e-9, 1e-12, integrator.TOL_FLOOR)
         for x in xs:
             for tol in tols:
                 for mass in (1.0, 0.03):
                     eps = tol / (2.0 * mass)
-                    w = integrator.poisson_cut(x, eps)
-                    n_terms = len(w) - 1
-                    assert pdtrc(n_terms, x) <= eps  # the tail bound holds
-                    ks = np.arange(n_terms + 1)
-                    assert n_terms <= ks[np.argmax(pdtrc(ks, x) <= eps)] + 1
-                    ref = poisson.pmf(ks, x)
-                    # both sides round log weights of size about K |ln x|
-                    rtol = max(1e-13, 4.0 * np.spacing(
-                        n_terms * abs(math.log(x)) + math.lgamma(n_terms + 1.0)))
-                    assert np.all(np.abs(w / (ref / ref.sum()) - 1.0) <= rtol)
+                    lo, w = integrator.poisson_window(x, eps)
+                    hi = lo + len(w) - 1
+                    assert lo <= math.floor(x) <= hi
+                    # the dropped mass on each side, so both together stay below eps,
+                    # and no side keeps more than one term beyond the tightest cut
+                    ks = np.arange(hi + 2)
+                    dropped_below = np.append(0.0, pdtr(ks[:-1], x))  # P(X < k)
+                    assert dropped_below[lo] <= 0.5 * eps
+                    assert pdtrc(hi, x) <= 0.5 * eps
+                    tight_lo = ks[:math.floor(x) + 1][dropped_below[:math.floor(x) + 1]
+                                                      <= 0.5 * eps].max()
+                    tight_hi = max(math.floor(x), ks[np.argmax(pdtrc(ks, x) <= 0.5 * eps)])
+                    assert lo >= tight_lo - 1 and hi <= tight_hi + 1
+                    assert abs(w.sum() - 1.0) < 1e-15 and w.min() >= 0.0
 
 
 class TestIntegrate:
@@ -92,10 +114,14 @@ class TestIntegrate:
         # many stops, so that some land by stretching the step and some by
         # shortening it
         stops = sorted(rng.uniform(0.0, 2.0 * self.th, 100))
-        states, n_steps, _ = self.run(stops)
+        states, n_steps, n_products = self.run(stops)
         a = dense_generator(self.gen.up, self.gen.down)
+        # the span holds fewer than MAX_JUMPS jumps, so one series serves every
+        # stop, and each lies within tol of the exact state, not n_steps tol
+        assert self.gen.rate * stops[-1] <= integrator.MAX_JUMPS
+        assert n_products == self.gen.propagate(self.p0, [stops[-1]], 1e-9)[1]
         for s, w in zip(stops, states):
-            assert np.abs(w - expm(a * s) @ self.p0).sum() <= n_steps * 1e-9
+            assert np.abs(w - expm(a * s) @ self.p0).sum() <= 1e-9 + 1e-14
 
     def test_steps_span_at_most_max_jumps(self):
         # a long run still reports states: each step covers Lambda h <= MAX_JUMPS,

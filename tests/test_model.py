@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from magdot import model
 from magdot.model import (
     ModelParams,
     ParameterError,
@@ -201,6 +202,26 @@ class TestDerivedScales:
         p = small_params(temp=1.5)
         with pytest.raises(ParameterError):
             derived_scales(p)
+
+    def test_cached_per_parameter_set(self, monkeypatch):
+        calls = []
+
+        def counted(params, *args, **kwargs):
+            calls.append(params)
+            return fixed_points(params, *args, **kwargs)
+
+        monkeypatch.setattr(model, "fixed_points", counted)
+        derived_scales.cache_clear()
+        p = small_params(n=37)
+        first = derived_scales(p)
+        assert derived_scales(p) is first
+        assert derived_scales(small_params(n=37)) is first  # equal parameters hit
+        assert calls == [p]
+        # a rejection is not cached: it raises on every call
+        bad = small_params(temp=1.5)
+        for _ in range(2):
+            with pytest.raises(ParameterError):
+                derived_scales(bad)
 
 
 class TestContinuityAtZeroField:
