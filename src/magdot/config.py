@@ -47,7 +47,6 @@ class RunConfig:
     cells: int = 2000
     seed: int = 0
     trajectories: int = 10000
-    lambda_threshold: float = 3.0
     p_wrong_bound: float = 1e-3
     g0: float = 0.0
     g_spread: float = 0.0
@@ -102,7 +101,6 @@ _KEY_MAP = {
     "cells": ("cells", int),
     "seed": ("seed", int),
     "trajectories": ("trajectories", int),
-    "lambda_threshold": ("lambda_threshold", float),
     "p_wrong_bound": ("p_wrong_bound", float),
     "g0": ("g0", float),
     "g_spread": ("g_spread", float),

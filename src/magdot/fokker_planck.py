@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import Generator, integrate
-from .model import ModelParams, diffusion_w, drift_v, fixed_points
+from .model import ModelParams, diffusion_w, drift_v, fixed_points, refined_peak
 
 __all__ = [
     "ContinuumField",
@@ -62,21 +62,9 @@ class ContinuumField:
         mu = self.mean()
         return float(math.sqrt(((self.mesh - mu) ** 2 @ self.values) / self.values.sum()))
 
-    def peak(self, refine: bool = True) -> float:
-        k = int(np.argmax(self.values))
-        if not refine or k == 0 or k == len(self.mesh) - 1:
-            return float(self.mesh[k])
-        triple = self.values[k - 1:k + 2]
-        if triple.min() <= 0.0:
-            return float(self.mesh[k])
-        y0, y1, y2 = np.log(triple)
-        denom = y0 - 2.0 * y1 + y2
-        if denom >= 0.0:
-            return float(self.mesh[k])
-        return float(self.mesh[k] + 0.5 * self.dm * (y0 - y2) / denom)
-
-    def copy(self) -> "ContinuumField":
-        return ContinuumField(self.mesh, self.values.copy(), self.time)
+    def peak(self) -> float:
+        """Location of the maximum density, parabolic-refined in ln P."""
+        return refined_peak(self.mesh, self.values)
 
 
 @dataclass(frozen=True)

@@ -44,19 +44,13 @@ class Generator:
     def __init__(self, up, down):
         self.up = np.asarray(up, dtype=float)
         self.down = np.asarray(down, dtype=float)
-        self.loss = self.up + self.down
-        self.rate = float(self.loss.max())  # Lambda, the uniformization rate
+        loss = self.up + self.down
+        self.rate = float(loss.max())  # Lambda, the uniformization rate
         # P = I + A/Lambda; loss/Lambda <= 1 holds exactly in floating point
         lam = self.rate if self.rate > 0.0 else 1.0
-        self.stay = 1.0 - self.loss / lam
+        self.stay = 1.0 - loss / lam
         self.p_up = self.up[:-1] / lam
         self.p_down = self.down[1:] / lam
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        dp = -self.loss * p
-        dp[1:] += self.up[:-1] * p[:-1]
-        dp[:-1] += self.down[1:] * p[1:]
-        return dp
 
     def propagate(self, p: np.ndarray, hs, tol: float) -> tuple[list[np.ndarray], int]:
         """exp(hA) p for each h of the ascending `hs`, all off one Poisson

@@ -31,8 +31,7 @@ _BLOCK = 2**16
 class TrajectoryEnsemble:
     histogram: DiscreteDistribution
     final_states: np.ndarray       # grid index per trajectory, in launch order
-    final_side: np.ndarray         # sign of m_final - m_repel per trajectory
-    up_fraction: float
+    up_fraction: float             # share ending above the repeller, ties half
     n_traj: int
     seed: int
     uniform_rate: float            # Lambda, the rate of the uniformizing clock
@@ -40,13 +39,12 @@ class TrajectoryEnsemble:
 
 
 def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
-                        seed: int = 0, mode: str = "short-memory",
-                        rates: RateTable | None = None,
-                        init: DiscreteDistribution | None = None,
-                        m_repel: float | None = None) -> TrajectoryEnsemble:
+                        seed: int = 0, rates: RateTable | None = None,
+                        init: DiscreteDistribution | None = None) -> TrajectoryEnsemble:
     """Sample n_traj jump-process trajectories up to t_end.
 
-    Short-memory (time-homogeneous rates) only.  Initial states are drawn
+    Sampling is short-memory only: the rates (default: the short-memory
+    `transition_rates`) do not depend on time.  Initial states are drawn
     from `init` (default: exact paramagnet).  Deterministic for a fixed seed.
     """
     if n_traj < 1:
@@ -55,18 +53,15 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
         raise ValueError(f"seed must be >= 0 (got {seed})")
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and >= 0 (got {t_end})")
-    if mode != "short-memory":
-        raise ValueError("trajectory sampling requires time-homogeneous rates")
     if rates is None:
         rates = transition_rates(params, mode="short-memory")
     if init is None:
         from .master import initial_distribution
         init = initial_distribution(params, "exact-paramagnet")
-    if m_repel is None:
-        if params.temp_bath < params.coupling_j:
-            m_repel = -params.g_eff / (params.coupling_j - params.temp_bath)
-        else:
-            m_repel = 0.0
+    if params.temp_bath < params.coupling_j:
+        m_repel = -params.g_eff / (params.coupling_j - params.temp_bath)
+    else:
+        m_repel = 0.0
 
     n = params.n_spins
     total = rates.up + rates.down
@@ -96,16 +91,13 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
         states = rng.permutation(np.repeat(np.arange(n + 1), done + active))
         finals[start:start + _BLOCK] = states[:n_traj - start]
 
-    hist = np.bincount(finals, minlength=n + 1).astype(float)
-    hist /= n_traj
-    grid = (2.0 * np.arange(n + 1) - n) / n
-    m_final = grid[finals]
-    side = np.sign(m_final - m_repel)
-    up_fraction = float((side > 0).sum() + 0.5 * (side == 0).sum()) / n_traj
+    counts = np.bincount(finals, minlength=n + 1)
+    m = params.grid
+    up_fraction = float(counts[m > m_repel].sum()
+                        + 0.5 * counts[m == m_repel].sum()) / n_traj
     return TrajectoryEnsemble(
-        histogram=DiscreteDistribution(n_spins=n, weights=hist, time=t_end),
+        histogram=DiscreteDistribution(n_spins=n, weights=counts / n_traj, time=t_end),
         final_states=finals,
-        final_side=side,
         up_fraction=up_fraction,
         n_traj=n_traj,
         seed=seed,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bath import KernelSpec, spectral_density, windowed_spectral
 from .integrator import Generator, NumericalError, StiffnessError, integrate
-from .model import ModelParams, omega_pm
+from .model import ModelParams, omega_pm, refined_peak
 
 __all__ = [
     "DiscreteDistribution",
@@ -35,7 +35,7 @@ __all__ = [
 
 MASS_TOL = 1e-10
 CLIP_FLOOR = -1e-14
-LOCAL_HALF_SPAN = 0.05  # fit window of `local_width`, in m
+LOCAL_HALF_SPAN = 0.05  # largest half-width of the `local_width` fit, in m
 
 
 @dataclass
@@ -83,35 +83,13 @@ class DiscreteDistribution:
         return float(self.weights[m < x].sum() - 0.5 * self.weights[at & (m < x)].sum()
                      + 0.5 * self.weights[at & ~(m < x)].sum())
 
-    def peak(self, refine: bool = True, region: tuple[float, float] | None = None) -> float:
-        """Location of the maximum weight, optionally parabolic-refined in ln P."""
-        m = self.grid
-        w = self.weights
+    def peak(self, region: tuple[float, float] | None = None) -> float:
+        """Location of the maximum weight, parabolic-refined in ln P."""
+        m, w = self.grid, self.weights
         if region is not None:
             sel = (m >= region[0]) & (m <= region[1])
             m, w = m[sel], w[sel]
-        k = int(np.argmax(w))
-        if not refine or k == 0 or k == len(w) - 1:
-            return float(m[k])
-        triple = w[k - 1:k + 2]
-        if triple.min() <= 0.0:
-            return float(m[k])
-        y0, y1, y2 = np.log(triple)
-        denom = y0 - 2.0 * y1 + y2
-        if denom >= 0.0:
-            return float(m[k])
-        return float(m[k] + 0.5 * (m[k] - m[k - 1]) * (y0 - y2) / denom)
-
-    def conditional_std(self, lo: float = -np.inf, hi: float = np.inf) -> float:
-        """Standard deviation of m restricted to lo < m < hi (peak width)."""
-        m = self.grid
-        sel = (m > lo) & (m < hi)
-        w = self.weights[sel]
-        tot = w.sum()
-        if tot <= 0.0:
-            raise ValueError("no weight in the requested window")
-        mu = (m[sel] @ w) / tot
-        return float(math.sqrt(((m[sel] - mu) ** 2 @ w) / tot))
+        return refined_peak(m, w)
 
     def median(self) -> float:
         """Interpolated median; tracks the transported center of a drifting
@@ -125,53 +103,31 @@ class DiscreteDistribution:
         dm = 2.0 / self.n_spins
         return float(self.grid[k] + (frac - 0.5) * dm)
 
-    def curvature_width(self, region: tuple[float, float] | None = None,
-                        center: float | None = None) -> float:
-        """Local Gaussian width from a quadratic fit of ln P.
+    def local_width(self, region: tuple[float, float] | None = None) -> float:
+        """Local Gaussian width (-d^2 ln P/dm^2)^(-1/2) at the median of the
+        weights inside `region` (default: all of them).
 
-        Fit window is +/-2 sigma around `center` (default: the mode),
-        iteratively refit, so the estimate follows the peak itself rather
-        than low-density tails or secondary bumps.
+        A quartic is fitted to ln P over +/- min(LOCAL_HALF_SPAN, 1/sqrt(N))
+        (rounded to whole grid points, at least two) around the grid point
+        nearest that median, and its second derivative is taken at the
+        median itself, which tracks the transported center of a drifting
+        peak.  The window depends on N only, so every snapshot of a run is
+        read through the same window.  1/sqrt(N) is of the order of the
+        equilibrium width delta_F/sqrt(N) and narrower than a wide, skewed
+        transient peak, across which a quartic cannot follow ln P;
+        LOCAL_HALF_SPAN caps it where ln P stops looking like a quartic,
+        near m_F and at small N.
         """
-        m = self.grid
-        w = self.weights
+        d, m = self, self.grid
         if region is not None:
-            sel = (m >= region[0]) & (m <= region[1])
-            m, w = m[sel], w[sel]
-        c = float(m[int(np.argmax(w))]) if center is None else float(center)
-        dm = float(m[1] - m[0])
-        sigma = 2.0 * dm
+            inside = (m >= region[0]) & (m <= region[1])
+            d = DiscreteDistribution(self.n_spins, np.where(inside, self.weights, 0.0))
+        c = d.median()
         k = int(np.argmin(np.abs(m - c)))
-        for _ in range(5):
-            window = (m >= c - 2.0 * sigma) & (m <= c + 2.0 * sigma) & (w > 0)
-            if window.sum() < 5:
-                window = (np.arange(len(m)) >= k - 2) \
-                    & (np.arange(len(m)) <= k + 2) & (w > 0)
-            coeff = np.polyfit(m[window], np.log(w[window]), 2)
-            if coeff[0] >= 0:
-                break
-            sigma = math.sqrt(-0.5 / coeff[0])
-        return float(sigma)
-
-    def local_width(self) -> float:
-        """Local Gaussian width (-d^2 ln P/dm^2)^(-1/2) at the median.
-
-        A quartic is fitted to ln P over a fixed window of +/-
-        LOCAL_HALF_SPAN (rounded to whole grid points) around the grid point
-        nearest the median, and its second derivative is taken at the median
-        itself, which tracks the transported center of a drifting peak.
-        Unlike `curvature_width`, the window does not scale with the width,
-        so the estimate stays local on a wide, skewed peak and varies
-        smoothly from snapshot to snapshot.  The window must stay below the
-        width: a quartic cannot follow ln P across several widths of a
-        non-Gaussian peak.
-        """
-        m = self.grid
-        c = self.median()
-        k = int(np.argmin(np.abs(m - c)))
-        h = max(int(round(LOCAL_HALF_SPAN / (m[1] - m[0]))), 2)
+        span = min(LOCAL_HALF_SPAN, 1.0 / math.sqrt(self.n_spins))
+        h = max(int(round(span / (m[1] - m[0]))), 2)
         window = slice(max(k - h, 0), k + h + 1)
-        x, w = m[window] - c, self.weights[window]
+        x, w = m[window] - c, d.weights[window]
         keep = w > 0
         if keep.sum() < 5:
             raise ValueError("fewer than five positive weights in the window")
@@ -179,9 +135,6 @@ class DiscreteDistribution:
         if coeff[2] >= 0:
             raise ValueError(f"ln P is not concave at m = {c}")
         return float(math.sqrt(-0.5 / coeff[2]))
-
-    def copy(self) -> "DiscreteDistribution":
-        return DiscreteDistribution(self.n_spins, self.weights.copy(), self.time)
 
 
 @dataclass(frozen=True)
@@ -240,7 +193,7 @@ def initial_distribution(params: ModelParams, kind: str = "exact-paramagnet"
     elif kind == "gaussian":
         if params.delta0 is None or params.delta0 <= 0:
             raise ValueError("gaussian initial state needs delta0 > 0")
-        m = (2.0 * np.arange(n + 1) - n) / n
+        m = params.grid
         logw = -0.5 * n * ((m - params.m_offset) / params.delta0) ** 2
         logw -= logw.max()
         w = np.exp(logw)
@@ -265,7 +218,7 @@ def transition_rates(params: ModelParams, mode: str = "short-memory",
     """
     spec = _kernel_spec(params)
     n = params.n_spins
-    m = (2.0 * np.arange(n + 1) - n) / n
+    m = params.grid
     om_p, om_m = omega_pm(params, m)
     pref = params.gamma * n / params.hbar**2
 
@@ -288,7 +241,7 @@ def stationary_distribution(params: ModelParams) -> DiscreteDistribution:
     P_d(m_k) ~ C(N,k) exp[N (g_eff m + J m^2/2)/T], assembled in log space.
     """
     n = params.n_spins
-    m = (2.0 * np.arange(n + 1) - n) / n
+    m = params.grid
     logw = _log_binomial(n) + n * (
         params.g_eff * m + 0.5 * params.coupling_j * m * m
     ) / params.temp_bath
@@ -298,27 +251,29 @@ def stationary_distribution(params: ModelParams) -> DiscreteDistribution:
 
 
 def free_energy(dist: DiscreteDistribution, params: ModelParams) -> FreeEnergyReport:
-    """Entropy, energy and the functional S - U/T of the m-diagonal state.
-
-    S includes the C(N,k) multiplicity of each magnetization level; the
-    0 ln 0 = 0 convention applies to empty levels.
-    """
-    n = dist.n_spins
-    m = dist.grid
-    w = dist.weights
-    log_c = _log_binomial(n)
-    pos = w > 0.0
-    entropy = float(-(w[pos] * (np.log(w[pos]) - log_c[pos])).sum())
-    energy = float(-n * (w @ (params.g_eff * m + 0.5 * params.coupling_j * m * m)))
+    """Entropy, energy and the functional S - U/T of the m-diagonal state."""
+    entropy, energy = _entropy_energy(params)(dist.weights)
     return FreeEnergyReport(entropy=entropy, energy=energy,
                             functional=entropy - energy / params.temp_bath)
 
 
-def _free_energy_value(w, log_c, e_site, temp):
-    pos = w > 0.0
-    s = -(w[pos] * (np.log(w[pos]) - log_c[pos])).sum()
-    u = -(w @ e_site)
-    return s - u / temp
+def _entropy_energy(params: ModelParams):
+    """Function of the weights over the levels of `params` that returns their
+    entropy S and energy U.
+
+    S includes the C(N,k) multiplicity of each magnetization level; the
+    0 ln 0 = 0 convention applies to empty levels.
+    """
+    m = params.grid
+    log_c = _log_binomial(params.n_spins)
+    level_energy = -(params.n_spins * (params.g_eff * m + 0.5 * params.coupling_j * m * m))
+
+    def entropy_energy(w):
+        pos = w > 0.0
+        return (float(-(w[pos] * (np.log(w[pos]) - log_c[pos])).sum()),
+                float(w @ level_energy))
+
+    return entropy_energy
 
 
 def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
@@ -359,12 +314,11 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
     fe: list[tuple[float, float]] = []
     on_step = None
     if record_free_energy:
-        n, m = dist.n_spins, dist.grid
-        log_c = _log_binomial(n)
-        e_site = n * (params.g_eff * m + 0.5 * params.coupling_j * m * m)
+        entropy_energy = _entropy_energy(params)
 
         def on_step(t, p):
-            fe.append((t, _free_energy_value(p, log_c, e_site, params.temp_bath)))
+            s, u = entropy_energy(p)
+            fe.append((t, s - u / params.temp_bath))
 
         on_step(dist.time, dist.weights)
 

@@ -86,45 +86,20 @@ def _mirrored_for_scales(params: ModelParams) -> ModelParams:
                    m_offset=-params.m_offset)
 
 
-def _sector_run_master(params: ModelParams, t_end: float, tol: float,
-                       init_kind: str):
-    init = initial_distribution(params, init_kind)
-    res = evolve(init, params, t_end, tol=tol)
-    dist = res.final
-    m_rep = -params.g_eff / (params.coupling_j - params.temp_bath)
-    below = dist.mass_below(m_rep)
-    above = dist.total() - below
-    drift = abs(dist.total() - 1.0)
-    return dist, above, below, drift
-
-
-def _sector_run_fp(params: ModelParams, t_end: float, cfg: FPConfig):
-    init = gaussian_field(params, cfg)
-    fld = solve_fp(params, init, [t_end], cfg)[0]
-    m_rep = -params.g_eff / (params.coupling_j - params.temp_bath)
-    dm = fld.dm
-    below = float(fld.values[fld.mesh < m_rep].sum() * dm)
-    above = fld.total() - below
-    drift = abs(fld.total() - 1.0)
-    return fld, above, below, drift
-
-
 def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
                     engine: str = "master", tol: float = 1e-9,
                     fp_config: FPConfig | None = None,
                     p_wrong_bound: float = 1e-3,
-                    stray_ratio_max: float = 1.0,
-                    coupling_ratio_min: float = 1.0,
                     g0: float = 0.0,
                     g_spread: float = 0.0,
                     init_kind: str = "exact-paramagnet") -> MeasurementReport:
     """Run both diagonal sectors and assemble the measurement verdict.
 
     Faithfulness requires all of: every sector's wrong-peak mass below
-    `p_wrong_bound`, the pre-measurement bias ratio below `stray_ratio_max`,
-    and the coupling ratio above `coupling_ratio_min`.  A run shorter than
-    the registration/relaxation horizon is flagged inconclusive (faithful is
-    None) rather than unfaithful.
+    `p_wrong_bound`, the pre-measurement bias ratio below 1, and the
+    coupling ratio above 1.  A run shorter than the registration/relaxation
+    horizon is flagged inconclusive (faithful is None) rather than
+    unfaithful.
     """
     params.require_ferromagnetic()
     if engine not in ("master", "fp"):
@@ -133,19 +108,22 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
     horizon = 0.0
     for name, weight in (("up", spin.r_up), ("down", spin.r_down)):
         sp = replace(params, sector=name)
+        # not derived_scales(sp): a strong field leaves one sector a single well
+        m_rep = -sp.g_eff / (sp.coupling_j - sp.temp_bath)
         if engine == "master":
-            final, above, below, drift = _sector_run_master(sp, t_end, tol, init_kind)
-            peak = final.peak()
+            final = evolve(initial_distribution(sp, init_kind), sp, t_end, tol=tol).final
+            below = final.mass_below(m_rep)
         else:
-            final, above, below, drift = _sector_run_fp(sp, t_end,
-                                                        fp_config or FPConfig())
-            peak = final.peak()
+            cfg = fp_config or FPConfig()
+            final = solve_fp(sp, gaussian_field(sp, cfg), [t_end], cfg)[0]
+            below = float(final.values[final.mesh < m_rep].sum() * final.dm)
+        above = final.total() - below
         correct, wrong = (above, below) if sp.g_eff > 0 else (below, above)
         if sp.g_eff == 0.0:
             correct, wrong = above, below  # symmetric: bookkeeping only
         sectors[name] = SectorOutcome(
             sector=name, born_weight=weight, p_correct=correct, p_wrong=wrong,
-            peak_m=peak, mass_drift=drift, final=final,
+            peak_m=final.peak(), mass_drift=abs(final.total() - 1.0), final=final,
         )
         ts = time_scales(_mirrored_for_scales(sp))
         horizon = max(horizon, min(ts.tau_reg, ts.tau_relax))
@@ -159,8 +137,8 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
     else:
         faithful = (
             all(s.p_wrong < p_wrong_bound for s in sectors.values())
-            and regime.stray_bias_ratio < stray_ratio_max
-            and regime.coupling_ratio > coupling_ratio_min
+            and regime.stray_bias_ratio < 1.0
+            and regime.coupling_ratio > 1.0
         )
     return MeasurementReport(
         sectors=sectors,

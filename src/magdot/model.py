@@ -27,6 +27,7 @@ __all__ = [
     "drift_zeros",
     "derived_scales",
     "x_coth_x",
+    "refined_peak",
 ]
 
 _INF = math.inf
@@ -235,6 +236,26 @@ def omega_pm(params: ModelParams, m):
         (-2.0 * h - shift) / params.hbar,
         (+2.0 * h - shift) / params.hbar,
     )
+
+
+def refined_peak(m: np.ndarray, p: np.ndarray) -> float:
+    """Location of the largest p on the uniform grid m, refined to the
+    vertex of the parabola through ln p there and at its two neighbours.
+
+    The grid point itself is returned at an edge, next to an empty
+    neighbour, or where ln p is not concave.
+    """
+    k = int(np.argmax(p))
+    if k == 0 or k == len(p) - 1:
+        return float(m[k])
+    triple = p[k - 1:k + 2]
+    if triple.min() <= 0.0:
+        return float(m[k])
+    y0, y1, y2 = np.log(triple)
+    denom = y0 - 2.0 * y1 + y2
+    if denom >= 0.0:
+        return float(m[k])
+    return float(m[k] + 0.5 * (m[k] - m[k - 1]) * (y0 - y2) / denom)
 
 
 def _mean_field_residual(params: ModelParams, m):

@@ -250,8 +250,8 @@ def test_criterion_8_equilibrium_width(fig1_run, fig2_run):
     p2, _, by2, _ = fig2_run
     ds1, ds2 = derived_scales(p1), derived_scales(p2)
     sq = math.sqrt(1000)
-    w1 = by1[10.0].curvature_width(region=(ds1.m_repel, 1.0)) * sq
-    w2 = by2[10.0].curvature_width(region=(0.0, 1.0)) * sq
+    w1 = by1[10.0].local_width(region=(ds1.m_repel, 1.0)) * sq
+    w2 = by2[10.0].local_width(region=(0.0, 1.0)) * sq
     r1, r2 = w1 / ds1.delta_ferro, w2 / ds2.delta_ferro
     ok = abs(r1 - 1.0) < 0.05 and abs(r2 - 1.0) < 0.05
     check(8, "final peak widths equal delta_F/sqrt(N)", ok,
@@ -273,11 +273,12 @@ def test_criterion_9_width_dynamics(fig1_run):
     #   Jacobian, noise-induced drift, jump size, skewness of the peak) lift
     #   it to 5.76 at 1.70 theta;
     # - the estimate: the width is the local Gaussian width at the median,
-    #   read from the curvature of ln P there.  The +/-2 sigma quadratic fit
-    #   of `curvature_width` spans most of the way to m_F on this wide,
-    #   skewed peak and reads 4.68 where the local curvature reads 5.76; its
-    #   window also snaps to the grid, which puts a spike on a flat top.
-    #   `local_width` fits a fixed window.
+    #   read from the curvature of ln P there by `local_width`, whose
+    #   window (+/- 1/sqrt(N) here) is the same for every snapshot.  A
+    #   +/-2 sigma quadratic fit spans most of the way to m_F on this wide,
+    #   skewed peak and reads 4.68 where the local curvature reads 5.76; a
+    #   window scaled with the width also snaps to the grid, which puts a
+    #   spike on a flat top.
     p, th, by_frac, _ = fig1_run
     ts = time_scales(p)
     t_pred, d_pred = width_maximum(p)

@@ -446,7 +446,15 @@ class TestLocalWidthEstimator:
 
     @pytest.mark.parametrize("frac", [1.0, 1.7])
     def test_matches_analytic_curvature(self, fig1_params, frac):
-        p, n = fig1_params, fig1_params.n_spins
+        self.check(fig1_params, frac)
+
+    def test_matches_analytic_curvature_near_m_ferro(self, fig1_params):
+        # at 2.5 theta the peak sits near m_F and is narrower than +/-0.05
+        self.check(replace(fig1_params, n_spins=2000), 2.5)
+
+    @staticmethod
+    def check(p, frac):
+        n = p.n_spins
         ds = derived_scales(p)
         t = frac * ds.theta
         cm = CharMap(p, "exact-quadrature")

@@ -1,12 +1,13 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from magdot import bath
 from magdot.cli import command_surface
-from magdot.config import ConfigError, parse_config
+from magdot.config import _KEY_MAP, ConfigError, parse_config
 from magdot.snapshots import read_long_csv
 
 FIG1_MINIMAL = "N = 1000\nT = 0.65\ng = 0.05\n"
@@ -25,7 +26,6 @@ class TestParseConfig:
         assert math.isinf(cfg.temp_init)
         assert cfg.cells == 2000
         assert cfg.tol == 1e-9
-        assert cfg.lambda_threshold == 3.0
         assert cfg.p_wrong_bound == 1e-3
         cfg.model_params()  # constructs cleanly
 
@@ -38,8 +38,17 @@ class TestParseConfig:
             parse_config("N = -5\nT = 0.65\ng = 0\n")
 
     def test_unknown_key_with_line_number(self):
-        with pytest.raises(ConfigError, match="line 2.*frobnicate"):
-            parse_config("N = 10\nfrobnicate = 3\nT = 0.65\ng = 0\n")
+        for key in ("frobnicate", "lambda_threshold"):
+            with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+                parse_config(f"N = 10\n{key} = 3\nT = 0.65\ng = 0\n")
+
+    def test_readme_lists_every_config_key(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path) as fh:
+            text = fh.read()
+        listed = text.split("Config keys and defaults:", 1)[1].split("Output times", 1)[0]
+        keys = {item.split("=", 1)[0].strip() for item in re.findall(r"`([^`]+)`", listed)}
+        assert keys == set(_KEY_MAP)
 
     def test_type_mismatch(self):
         with pytest.raises(ConfigError, match="line 1"):

@@ -86,8 +86,6 @@ def test_input_validation():
     p = small_params(n=20)
     with pytest.raises(ValueError):
         sample_trajectories(p, 0, 1.0)
-    with pytest.raises(ValueError):
-        sample_trajectories(p, 10, 1.0, mode="full-memory")
 
 
 def test_rejects_negative_seed_and_bad_end_time():

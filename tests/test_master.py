@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import polygamma
 
 from magdot import master
 from magdot.master import (
@@ -13,7 +14,7 @@ from magdot.master import (
     stationary_distribution,
     transition_rates,
 )
-from magdot.model import ModelParams, omega_pm
+from magdot.model import ModelParams, derived_scales, omega_pm
 
 from conftest import small_params
 
@@ -261,13 +262,6 @@ class TestDistributionStats:
         assert d.mass_below(0.0) == pytest.approx(0.5, abs=1e-15)
         assert d.mass_below(0.5) == pytest.approx(0.75, abs=1e-15)
 
-    def test_curvature_width_of_gaussian(self):
-        p = small_params(n=1000, g=0.0, m_offset=0.0, delta0=0.4)
-        d = initial_distribution(p, "gaussian")
-        want = 0.4 / math.sqrt(1000)
-        assert d.curvature_width() == pytest.approx(want, rel=1e-3)
-        assert d.conditional_std() == pytest.approx(want, rel=2e-3)
-
     @pytest.mark.parametrize("m_offset", [0.0, 0.1])
     def test_local_width_of_gaussian(self, m_offset):
         p = small_params(n=1000, g=0.0, m_offset=m_offset, delta0=0.4)
@@ -281,3 +275,26 @@ class TestDistributionStats:
         assert d.median() == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ValueError):
             d.local_width()
+
+    @pytest.mark.parametrize("g", [0.05, 0.0])
+    @pytest.mark.parametrize("n", [100, 1000, 4000, 64000])
+    def test_local_width_of_equilibrium(self, n, g):
+        # exact curvature of ln P = ln C(N, k) + N (g m + J m^2/2)/T, with
+        # k = N (1 + m)/2, at the median of the weights in (0, 1)
+        p = small_params(n=n, g=g)
+        d = stationary_distribution(p)
+        upper = np.where(d.grid >= 0.0, d.weights, 0.0)
+        k = 0.5 * n * (1.0 + DiscreteDistribution(n, upper).median())
+        curv = -(0.5 * n) ** 2 * (polygamma(1, k + 1) + polygamma(1, n - k + 1)) \
+            + n * p.coupling_j / p.temp_bath
+        assert d.local_width(region=(0.0, 1.0)) == pytest.approx(
+            math.sqrt(-1.0 / curv), rel=1e-4 if n >= 4000 else 3e-3)
+
+    def test_local_width_region_picks_one_of_two_peaks(self, fig2_params):
+        # at g = 0 the median of the whole distribution sits in the valley
+        d = evolve(initial_distribution(fig2_params), fig2_params,
+                   10 * theta(fig2_params)).final
+        with pytest.raises(ValueError, match="not concave"):
+            d.local_width()
+        want = derived_scales(fig2_params).delta_ferro / math.sqrt(fig2_params.n_spins)
+        assert d.local_width(region=(0.0, 1.0)) == pytest.approx(want, rel=0.05)
