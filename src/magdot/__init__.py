@@ -13,6 +13,7 @@ from .model import (
     omega_pm,
     fixed_points,
     derived_scales,
+    repeller,
 )
 from .bath import KernelSpec, spectral_density, windowed_spectral, autocorrelation
 from .master import (

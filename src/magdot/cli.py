@@ -200,7 +200,7 @@ def _cmd_measure(args) -> int:
               f"p_correct={sec.p_correct:.6f} p_wrong={sec.p_wrong:.6f} "
               f"peak_m={sec.peak_m:.6f}")
     print(f"born_drift={report.born_check:.3e} conclusive={report.conclusive} "
-          f"faithful={report.faithful}")
+          f"faithful={report.faithful} steps={report.n_steps} terms={report.n_terms}")
     return 0
 
 

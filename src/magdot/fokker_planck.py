@@ -55,6 +55,10 @@ class ContinuumField:
         """Midpoint-rule mass."""
         return float(self.values.sum() * self.dm)
 
+    def mass_below(self, x: float) -> float:
+        """Midpoint-rule mass of the cells whose centers lie below x."""
+        return float(self.values[self.mesh < x].sum() * self.dm)
+
     def mean(self) -> float:
         return float((self.mesh @ self.values) / self.values.sum())
 

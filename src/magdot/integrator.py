@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Generator", "integrate", "StiffnessError", "NumericalError"]
+__all__ = ["Generator", "join_chains", "integrate", "StiffnessError", "NumericalError"]
 
 TOL_FLOOR = 100.0 * np.finfo(float).eps  # smallest tol, relative to the L1 mass
 MAX_JUMPS = 512.0  # largest Lambda h one series spans, so that long runs report states
@@ -94,6 +94,23 @@ class Generator:
                     if a <= b:
                         acc[i] += w[a - lo:b - lo + 1] @ block[a - first:b - first + 1]
         return list(acc), n_prod
+
+
+def join_chains(chains) -> Generator:
+    """One Generator for the birth-death chains [(up, down), ...] laid end
+    to end.
+
+    No hop may cross a junction: the last up rate of each chain and the
+    first down rate of the next must be zero, so that the joined generator
+    is block-diagonal and each chain evolves as on its own.  A nonzero
+    rate there is ValueError.
+    """
+    for i, ((up, _), (_, down)) in enumerate(zip(chains, chains[1:])):
+        if up[-1] != 0.0 or down[0] != 0.0:
+            raise ValueError(f"hop rates {up[-1]:.3e} up and {down[0]:.3e} down "
+                             f"cross the junction after chain {i}")
+    return Generator(np.concatenate([up for up, _ in chains]),
+                     np.concatenate([down for _, down in chains]))
 
 
 def poisson_window(x: float, eps: float) -> tuple[int, np.ndarray]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .master import DiscreteDistribution, RateTable, transition_rates
-from .model import ModelParams
+from .model import ModelParams, repeller
 
 __all__ = ["TrajectoryEnsemble", "sample_trajectories"]
 
@@ -58,10 +58,7 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
     if init is None:
         from .master import initial_distribution
         init = initial_distribution(params, "exact-paramagnet")
-    if params.temp_bath < params.coupling_j:
-        m_repel = -params.g_eff / (params.coupling_j - params.temp_bath)
-    else:
-        m_repel = 0.0
+    m_repel = repeller(params) if params.temp_bath < params.coupling_j else 0.0
 
     n = params.n_spins
     total = rates.up + rates.down

@@ -2,7 +2,9 @@
 
 The up sector relaxes under +g weighted by the spin's r_up population, the
 down sector under -g weighted by r_down; their conditional pointer
-distributions must each conserve their Born weight.  Off-diagonal (coherence)
+distributions must each conserve their Born weight.  The measured spin's s_z
+is conserved, so no hop connects the sectors: both are advanced together as
+one block-diagonal birth-death chain.  Off-diagonal (coherence)
 dynamics is reported only through its time scales and suppression ratios;
 no coherence trajectory is computed here.
 """
@@ -11,11 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+
+import numpy as np
 
 from .analytic import RegimeReport, classify_regime, time_scales
-from .fokker_planck import FPConfig, gaussian_field, solve_fp
-from .master import evolve, initial_distribution
-from .model import ModelParams, derived_scales
+from .fokker_planck import (FP_MASS_TOL, ContinuumField, FPConfig, _face_rates,
+                            gaussian_field)
+from .integrator import NumericalError, integrate, join_chains
+from .master import (CLIP_FLOOR, MASS_TOL, DiscreteDistribution, initial_distribution,
+                     transition_rates)
+from .model import ModelParams, derived_scales, repeller
 
 __all__ = [
     "SpinState",
@@ -25,6 +33,8 @@ __all__ = [
     "run_measurement",
     "offdiagonal_scales",
 ]
+
+SECTORS = ("up", "down")
 
 
 @dataclass(frozen=True)
@@ -76,6 +86,8 @@ class MeasurementReport:
     regime: RegimeReport
     conclusive: bool
     faithful: bool | None  # None when the run ended before the horizon
+    n_steps: int  # report points of the joint run of both sectors
+    n_terms: int  # products with P over all its Poisson series
 
 
 def _mirrored_for_scales(params: ModelParams) -> ModelParams:
@@ -104,19 +116,14 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
     params.require_ferromagnetic()
     if engine not in ("master", "fp"):
         raise ValueError("engine must be 'master' or 'fp'")
+    finals, n_steps, n_terms = _evolve_sectors(params, t_end, engine, tol,
+                                               fp_config, init_kind)
     sectors = {}
     horizon = 0.0
-    for name, weight in (("up", spin.r_up), ("down", spin.r_down)):
+    for name, weight in zip(SECTORS, (spin.r_up, spin.r_down)):
         sp = replace(params, sector=name)
-        # not derived_scales(sp): a strong field leaves one sector a single well
-        m_rep = -sp.g_eff / (sp.coupling_j - sp.temp_bath)
-        if engine == "master":
-            final = evolve(initial_distribution(sp, init_kind), sp, t_end, tol=tol).final
-            below = final.mass_below(m_rep)
-        else:
-            cfg = fp_config or FPConfig()
-            final = solve_fp(sp, gaussian_field(sp, cfg), [t_end], cfg)[0]
-            below = float(final.values[final.mesh < m_rep].sum() * final.dm)
+        final = finals[name]
+        below = final.mass_below(repeller(sp))
         above = final.total() - below
         correct, wrong = (above, below) if sp.g_eff > 0 else (below, above)
         if sp.g_eff == 0.0:
@@ -148,7 +155,55 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
         regime=regime,
         conclusive=conclusive,
         faithful=faithful,
+        n_steps=n_steps,
+        n_terms=n_terms,
     )
+
+
+def _evolve_sectors(params: ModelParams, t_end: float, engine: str, tol: float,
+                    fp_config: FPConfig | None, init_kind: str):
+    """Advance the up and down sectors of `params` from t = 0 to t_end as one
+    chain; returns each sector's final state by name, and the report points
+    and products with P of the joint run.
+
+    The two sector chains, laid end to end, form one block-diagonal
+    generator (`join_chains`), which one `integrate` call advances.  Mirror
+    symmetry gives both the same uniformization rate, so their common clock
+    costs no extra product.  The L1 bound tol of a report point then holds
+    for both sectors together, hence for each; each sector's own mass drift
+    is checked at every report point at its solver's tolerance.
+    """
+    sps = [replace(params, sector=name) for name in SECTORS]
+    if engine == "master":
+        chains = [(rt.up, rt.down) for rt in map(transition_rates, sps)]
+        inits = [initial_distribution(sp, init_kind).weights for sp in sps]
+        opts = dict(clip_floor=CLIP_FLOOR, mass_tol=MASS_TOL)
+        state = partial(DiscreteDistribution, params.n_spins, time=t_end)
+    else:
+        cfg = fp_config or FPConfig()
+        tol = cfg.tol
+        fields = [gaussian_field(sp, cfg) for sp in sps]
+        chains = [_face_rates(sp, cfg.cells)[:2] for sp in sps]
+        inits = [f.values for f in fields]
+        # solve_fp's clip floor, mass tolerance and cell weight
+        opts = dict(clip_floor=-1e-11 * max(max(v.max() for v in inits), 1.0),
+                    mass_tol=FP_MASS_TOL, weight=2.0 / cfg.cells)
+        state = partial(ContinuumField, fields[0].mesh, time=t_end)
+    cut = len(inits[0])
+    masses = [float(p.sum()) for p in inits]
+
+    def check_sectors(t, p):
+        for name, part, mass0 in zip(SECTORS, np.split(p, [cut]), masses):
+            drift = part.sum() - mass0
+            if abs(drift) > opts["mass_tol"] * max(1.0, mass0):
+                raise NumericalError(f"{name} sector mass drift {drift:.3e} "
+                                     f"at t = {t:.6g}")
+
+    states, n_steps, n_terms = integrate(
+        join_chains(chains), np.concatenate(inits), 0.0, [t_end], tol,
+        on_step=check_sectors, **opts)
+    parts = np.split(states[-1], [cut])
+    return {name: state(p) for name, p in zip(SECTORS, parts)}, n_steps, n_terms
 
 
 def offdiagonal_scales(params: ModelParams, g_spread: float = 0.0

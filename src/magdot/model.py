@@ -26,6 +26,7 @@ __all__ = [
     "fixed_points",
     "drift_zeros",
     "derived_scales",
+    "repeller",
     "x_coth_x",
     "refined_peak",
 ]
@@ -306,6 +307,16 @@ def drift_zeros(params: ModelParams) -> list[FixedPoint]:
     return _zeros(params, lambda m: drift_v(params, m), 10_000)
 
 
+def repeller(params: ModelParams) -> float:
+    """Repulsive point -g_eff/(J - T) of the drift's linear part; rejects T >= J.
+
+    Unlike `derived_scales` it needs no second well, so it also serves a
+    sector that a strong field leaves with one.
+    """
+    params.require_ferromagnetic()
+    return -params.g_eff / (params.coupling_j - params.temp_bath)
+
+
 @lru_cache(maxsize=64)
 def derived_scales(params: ModelParams) -> DerivedScales:
     """Evaluate the ferromagnetic scales; rejects T >= J and unstable widths.
@@ -334,7 +345,7 @@ def derived_scales(params: ModelParams) -> DerivedScales:
     return DerivedScales(
         theta=theta,
         m_ferro=m_f,
-        m_repel=-params.g_eff / (j - t),
+        m_repel=repeller(params),
         delta_ferro=delta_f,
         delta_total=delta,
         bias_b=b,

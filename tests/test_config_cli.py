@@ -178,6 +178,19 @@ class TestCli:
                                 "--snapshot-dir", str(tmp_path / "f")]) == 0
         assert all(os.path.exists(line) for line in capsys.readouterr().out.splitlines())
 
+    def test_measure_reports_steps_and_terms(self, tmp_path, capsys):
+        for engine in ("master", "fp"):
+            cfg = tmp_path / f"{engine}.cfg"
+            cfg.write_text(SMALL + f"engine = {engine}\n")
+            assert command_surface(["measure", "-c", str(cfg),
+                                    "--out-dir", str(tmp_path / engine)]) == 0
+            summary = capsys.readouterr().out.splitlines()[-1]
+            fields = dict(kv.split("=") for kv in summary.split())
+            assert sorted(fields) == ["born_drift", "conclusive", "faithful",
+                                      "steps", "terms"]
+            # one joint run of both sectors: its report points and products
+            assert 0 < int(fields["steps"]) <= int(fields["terms"])
+
     def test_sample_reports_steps_and_uniform_rate(self, small_cfg, tmp_path, capsys):
         assert command_surface(["sample", "-c", small_cfg,
                                 "--out-dir", str(tmp_path / "o")]) == 0

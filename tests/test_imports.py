@@ -47,14 +47,18 @@ def test_solver_and_cli_paths_load_no_scipy(tmp_path):
         stationary_distribution(p)
 
         cfg = os.path.join({str(tmp_path)!r}, "run.cfg")
-        with open(cfg, "w") as fh:
-            fh.write("N = 60\\nT = 0.65\\ng = 0.08\\nGamma = 1e6\\n"
-                     "times_theta = 0.5\\ncells = 200\\ntrajectories = 200\\n")
+        fp_cfg = os.path.join({str(tmp_path)!r}, "fp.cfg")
+        text = ("N = 60\\nT = 0.65\\ng = 0.08\\nGamma = 1e6\\n"
+                "times_theta = 0.5\\ncells = 200\\ntrajectories = 200\\n")
+        for path, extra in ((cfg, ""), (fp_cfg, "engine = fp\\n")):
+            with open(path, "w") as fh:
+                fh.write(text + extra)
         out = os.path.join({str(tmp_path)!r}, "out")
         for argv in (["simulate", "-c", cfg, "--snapshot-dir", out],
                      ["simulate", "-c", cfg, "--engine", "fp", "--snapshot-dir", out],
                      ["sample", "-c", cfg, "--out-dir", out],
                      ["measure", "-c", cfg, "--out-dir", out],
+                     ["measure", "-c", fp_cfg, "--out-dir", out],
                      ["sweep", "-c", cfg, "--axis", "g=0.04,0.08", "--out-dir", out]):
             assert command_surface(argv) == 0, argv
         print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))

@@ -14,7 +14,7 @@ from scipy.special import pdtr, pdtrc
 
 from magdot import integrator
 from magdot.fokker_planck import FPConfig, equilibrium_profile, solve_fp
-from magdot.integrator import Generator, StiffnessError, integrate
+from magdot.integrator import Generator, StiffnessError, integrate, join_chains
 from magdot.master import (
     evolve,
     initial_distribution,
@@ -48,6 +48,21 @@ class TestGenerator:
                 for q, e in zip(states, exact):
                     assert np.abs(q - e).sum() <= tol
         assert gen.rate == 0.0 and n_products == 0
+
+    def test_join_chains_guards_the_junction(self):
+        p = small_params(n=20)
+        up_rt, down_rt = transition_rates(p), transition_rates(p.flipped())
+        gen = join_chains([(up_rt.up, up_rt.down), (down_rt.up, down_rt.down)])
+        # no hop between level 20 of the first chain and level 0 of the next
+        assert gen.p_up[20] == 0.0 and gen.p_down[20] == 0.0
+        assert gen.rate == Generator(up_rt.up, up_rt.down).rate
+        # a rate table whose boundary rate is nonzero would leak across it
+        leak_up, leak_down = up_rt.up.copy(), down_rt.down.copy()
+        leak_up[-1] = leak_down[0] = 1e-300
+        for chains in ([(leak_up, up_rt.down), (down_rt.up, down_rt.down)],
+                       [(up_rt.up, up_rt.down), (down_rt.up, leak_down)]):
+            with pytest.raises(ValueError, match="junction"):
+                join_chains(chains)
 
     def test_poisson_window_against_mpmath(self):
         # 40-digit reference, normalized over the same window

@@ -1,17 +1,36 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from magdot import measurement
+from magdot.fokker_planck import FP_MASS_TOL, FPConfig, gaussian_field, solve_fp
+from magdot.integrator import Generator, NumericalError
+from magdot.master import MASS_TOL, evolve, initial_distribution
 from magdot.measurement import (
     SpinState,
+    _evolve_sectors,
     offdiagonal_scales,
     run_measurement,
 )
 from magdot.model import ModelParams, derived_scales
 from magdot.special import erfc
 
-from conftest import small_params
+from conftest import random_params, relax_time, small_params
+
+TOL = 1e-9
+FP_CELLS = FPConfig(cells=200, tol=TOL)
+
+
+def own_run_l1(final, sp, t_end, engine):
+    """L1 distance of a sector's state from the same sector run on its own,
+    by `evolve` or `solve_fp` from the Gaussian start."""
+    if engine == "master":
+        own = evolve(initial_distribution(sp, "gaussian"), sp, t_end, tol=TOL).final
+        return float(np.abs(final.weights - own.weights).sum())
+    own = solve_fp(sp, gaussian_field(sp, FP_CELLS), [t_end], FP_CELLS)[0]
+    return float(np.abs(final.values - own.values).sum() * own.dm)
 
 
 class TestSpinState:
@@ -141,7 +160,52 @@ class TestRunMeasurement:
         assert rep.offdiag.tau_red == pytest.approx(
             1.0 / (math.sqrt(200) * 0.1), rel=1e-12)
 
+    @pytest.mark.parametrize("engine", ["master", "fp"])
+    def test_offset_start_keeps_each_sector(self, engine):
+        # a Gaussian start off the origin breaks the mirror symmetry of the
+        # sectors; the joint run still matches each sector's own run, and
+        # each sector keeps its mass
+        p = small_params(n=120, g=0.08, m_offset=0.2, delta0=1.0)
+        t_end = 2.0 * derived_scales(p).theta
+        rep = run_measurement(SpinState(0.5, 0.5), p, t_end, engine=engine, tol=TOL,
+                              fp_config=FP_CELLS, init_kind="gaussian")
+        up, down = rep.sectors["up"], rep.sectors["down"]
+        assert abs(up.p_correct - down.p_correct) > 0.1
+        for name, sec in rep.sectors.items():
+            mass_tol = MASS_TOL if engine == "master" else FP_MASS_TOL
+            assert sec.p_correct + sec.p_wrong == pytest.approx(1.0, abs=mass_tol)
+            assert own_run_l1(sec.final, replace(p, sector=name), t_end, engine) <= TOL
+        assert 0 < rep.n_steps <= rep.n_terms
+
+    def test_mass_moved_between_sectors_is_caught(self, monkeypatch):
+        # a hop across the junction keeps the total mass but moves it from
+        # one sector to the other; the per-sector check rejects the run
+        def leaky_join(chains):
+            up, down = (np.concatenate(r) for r in zip(*chains))
+            up[len(chains[0][0]) - 1] = up.max()
+            return Generator(up, down)
+
+        monkeypatch.setattr(measurement, "join_chains", leaky_join)
+        p = small_params(n=60, g=0.08)
+        with pytest.raises(NumericalError, match="up sector mass drift"):
+            run_measurement(SpinState(0.5, 0.5), p, t_end=derived_scales(p).theta)
+
     def test_rejects_bad_engine(self):
         p = small_params(n=100, g=0.1)
         with pytest.raises(ValueError):
             run_measurement(SpinState(1.0, 0.0), p, t_end=1.0, engine="magic")
+
+
+@random_params
+def test_joint_run_matches_own_sector_runs(params):
+    # laid end to end, the two sector chains evolve as on their own: each
+    # sector within tol in L1 of its own run, from the random Gaussian start
+    # (offset m0, width delta0), at T < J and T > J
+    tau = relax_time(params)
+    for engine, t_end in (("master", 2.0 * tau), ("fp", tau)):
+        finals, n_steps, n_terms = _evolve_sectors(params, t_end, engine, TOL,
+                                                   FP_CELLS, "gaussian")
+        assert 0 < n_steps <= n_terms
+        for name, final in finals.items():
+            assert final.time == t_end
+            assert own_run_l1(final, replace(params, sector=name), t_end, engine) <= TOL

@@ -15,6 +15,7 @@ from magdot.model import (
     field_h,
     fixed_points,
     omega_pm,
+    repeller,
     x_coth_x,
 )
 
@@ -279,3 +280,26 @@ class TestValidation:
     def test_grid_endpoints_exact(self):
         g = small_params(n=1000).grid
         assert g[0] == -1.0 and g[-1] == 1.0 and g[500] == 0.0
+
+
+class TestRepeller:
+    def test_one_well_sector_has_a_repeller(self):
+        # a strong field leaves the down sector one well, so derived_scales
+        # rejects it, but the repeller of the drift's linear part still exists
+        p = small_params(n=200, g=0.2, sector="down")
+        with pytest.raises(ParameterError):
+            derived_scales(p)
+        assert repeller(p) == pytest.approx(0.2 / 0.35, rel=1e-14)
+
+
+@random_params
+def test_repeller_is_derived_scales_m_repel(params):
+    if params.temp_bath >= params.coupling_j:
+        with pytest.raises(ParameterError):
+            repeller(params)
+        return
+    try:
+        ds = derived_scales(params)
+    except ParameterError:  # one well: no m_repel to compare with
+        return
+    assert repeller(params) == ds.m_repel
