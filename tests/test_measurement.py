@@ -171,8 +171,8 @@ class TestRunMeasurement:
                               fp_config=FP_CELLS, init_kind="gaussian")
         up, down = rep.sectors["up"], rep.sectors["down"]
         assert abs(up.p_correct - down.p_correct) > 0.1
+        mass_tol = MASS_TOL if engine == "master" else FP_MASS_TOL
         for name, sec in rep.sectors.items():
-            mass_tol = MASS_TOL if engine == "master" else FP_MASS_TOL
             assert sec.p_correct + sec.p_wrong == pytest.approx(1.0, abs=mass_tol)
             assert own_run_l1(sec.final, replace(p, sector=name), t_end, engine) <= TOL
         assert 0 < rep.n_steps <= rep.n_terms
