@@ -136,9 +136,6 @@ class _ExactFlow:
             val += math.log(abs(x - z)) / s
         return val
 
-    def contains(self, x: float) -> bool:
-        return self.lo < x < self.hi
-
     def travel(self, mu: float, m: float) -> float:
         return self._phi(m) - self._phi(mu)
 
@@ -279,11 +276,6 @@ def _cached_zeros(params: ModelParams):
 def _diffusion_c(params: ModelParams, t, theta: float):
     j, tb = params.coupling_j, params.temp_bath
     return -np.expm1(-2.0 * t / theta) * tb / (j - tb)
-
-
-def _cubic_v(ds: DerivedScales, m, theta: float):
-    m = np.asarray(m, dtype=float)
-    return (m - ds.m_repel) * (ds.m_ferro**2 - m * m) / (theta * ds.m_ferro**2)
 
 
 def _cubic_inverse_printed(ds: DerivedScales, m, t: float):

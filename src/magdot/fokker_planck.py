@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import Generator, integrate
+from .integrator import Chain, Generator, integrate
 from .model import ModelParams, diffusion_w, drift_v, fixed_points, refined_peak
 
 __all__ = [
     "ContinuumField",
     "FPConfig",
+    "chain",
     "solve_fp",
     "equilibrium_profile",
     "gaussian_field",
@@ -154,6 +155,25 @@ def equilibrium_profile(params: ModelParams, branch: str = "global",
     return ContinuumField(mesh=mesh, values=vals, time=0.0)
 
 
+def chain(params: ModelParams, init: ContinuumField | str = "gaussian",
+          cfg: FPConfig = FPConfig()) -> Chain:
+    """The cell chain from `init`, with the FP clip floor (1e-11 of the peak
+    scale), mass tolerance and cell weight.  `init` is a ContinuumField on
+    the cfg mesh, or "gaussian" for `gaussian_field`, the one start kind of
+    the FP engine; any other kind is ValueError.
+    """
+    if isinstance(init, str):
+        if init != "gaussian":
+            raise ValueError(f"the FP engine starts only from 'gaussian', not {init!r}")
+        init = gaussian_field(params, cfg)
+    if len(init.mesh) != cfg.cells:
+        raise ValueError("init field does not match cfg.cells")
+    up, down, _ = _face_rates(params, cfg.cells)
+    return Chain(Generator(up, down), init.values, 2.0 / cfg.cells,
+                 -1e-11 * max(init.values.max(), 1.0), FP_MASS_TOL,
+                 lambda v, t: ContinuumField(init.mesh, v, t))
+
+
 def solve_fp(params: ModelParams, init: ContinuumField, times,
              cfg: FPConfig = FPConfig()) -> list[ContinuumField]:
     """Advance the drift-diffusion equation; returns fields at the asked times.
@@ -161,17 +181,9 @@ def solve_fp(params: ModelParams, init: ContinuumField, times,
     The cell hops form a birth-death generator, advanced by the master
     equation's uniformization integrator: L1 error of the density at each
     reported state <= cfg.tol against its series start, landing exactly on
-    the output times.
-    Mass is conserved by the flux form; drift beyond 1e-8 aborts.  Tiny
-    undershoot (within 1e-11 of the peak scale) is clipped and renormalized.
+    the output times, with the checks of `chain`.
     """
     times = list(times)
-    if len(init.mesh) != cfg.cells:
-        raise ValueError("init field does not match cfg.cells")
-
-    up, down, _ = _face_rates(params, cfg.cells)
-    states, _, _ = integrate(
-        Generator(up, down), init.values, init.time, times, cfg.tol,
-        clip_floor=-1e-11 * max(init.values.max(), 1.0), mass_tol=FP_MASS_TOL,
-        weight=2.0 / cfg.cells)
-    return [ContinuumField(init.mesh, v, t) for v, t in zip(states, times)]
+    ch = chain(params, init, cfg)
+    states, _, _ = integrate(ch, init.time, times, cfg.tol)
+    return [ch.wrap(v, t) for v, t in zip(states, times)]

@@ -10,21 +10,24 @@ P = I + A/Lambda,
 
     exp(hA) p = sum_k Pois(k; Lambda h) P^k p.
 
-Every entry of P is nonnegative and its columns sum to one, so each term is
-nonnegative and ||P^k p||_1 <= ||p||_1.  Keeping the weights of a window
-of counts whose two Poisson tails together hold at most eps, and
-renormalizing them, errs by at most 2 eps ||p||_1 in L1 (Fox & Glynn 1988):
-a proven bound, not an estimate.  One series of vectors P^k p serves every
-time of a span, each time reading it with its own weights.
+While every rate is nonnegative, every entry of P is nonnegative and its
+columns sum to one, so each term is nonnegative and ||P^k p||_1 <= ||p||_1.
+Keeping the weights of a window of counts whose two Poisson tails together
+hold at most eps, and renormalizing them, then errs by at most 2 eps ||p||_1
+in L1 (Fox & Glynn 1988): a proven bound, not an estimate, that a negative
+rate voids.  One series of vectors P^k p serves every time of a span.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["Generator", "join_chains", "integrate", "StiffnessError", "NumericalError"]
+__all__ = ["Generator", "Chain", "join_chains", "integrate", "StiffnessError",
+           "NumericalError"]
 
 TOL_FLOOR = 100.0 * np.finfo(float).eps  # smallest tol, relative to the L1 mass
 MAX_JUMPS = 512.0  # largest Lambda h one series spans, so that long runs report states
@@ -96,21 +99,48 @@ class Generator:
         return list(acc), n_prod
 
 
-def join_chains(chains) -> Generator:
-    """One Generator for the birth-death chains [(up, down), ...] laid end
-    to end.
-
-    No hop may cross a junction: the last up rate of each chain and the
-    first down rate of the next must be zero, so that the joined generator
-    is block-diagonal and each chain evolves as on its own.  A nonzero
-    rate there is ValueError.
+@dataclass(frozen=True)
+class Chain:
+    """A start `p0` under `gen` (a Generator, or a function of t that builds
+    one), with the checks of the engine that built it: the L1 `weight` of
+    the state (the cell width for densities), the `clip_floor` and the
+    `mass_tol` of each chain joined into it, which begin at the levels
+    `starts`.  `wrap(values, t)` turns values back into the solver's state.
     """
-    for i, ((up, _), (_, down)) in enumerate(zip(chains, chains[1:])):
-        if up[-1] != 0.0 or down[0] != 0.0:
-            raise ValueError(f"hop rates {up[-1]:.3e} up and {down[0]:.3e} down "
+
+    gen: Generator | Callable[[float], Generator]
+    p0: np.ndarray
+    weight: float
+    clip_floor: float
+    mass_tol: float
+    wrap: Callable
+    starts: tuple[int, ...] = (0,)
+
+
+def join_chains(chains) -> Chain:
+    """`chains` laid end to end as one Chain, which wraps values into the
+    list of their states.  No hop may cross a junction, so that the joined
+    generator is block-diagonal and each chain evolves as on its own; a
+    nonzero rate there, or a weight or mass tolerance that differs between
+    chains, is ValueError.  The lowest clip floor holds for all.
+    """
+    if len({(c.weight, c.mass_tol) for c in chains}) > 1:
+        raise ValueError("joined chains must share their weight and mass tolerance")
+    gens = [c.gen for c in chains]
+    for i, (a, b) in enumerate(zip(gens, gens[1:])):
+        if a.up[-1] != 0.0 or b.down[0] != 0.0:
+            raise ValueError(f"hop rates {a.up[-1]:.3e} up and {b.down[0]:.3e} down "
                              f"cross the junction after chain {i}")
-    return Generator(np.concatenate([up for up, _ in chains]),
-                     np.concatenate([down for _, down in chains]))
+    offsets = np.cumsum([0] + [len(c.p0) for c in chains])
+    starts = tuple(int(o + s) for o, c in zip(offsets, chains) for s in c.starts)
+
+    def wrap(values, t):
+        return [c.wrap(v, t) for c, v in zip(chains, np.split(values, offsets[1:-1]))]
+
+    return Chain(Generator(np.concatenate([g.up for g in gens]),
+                           np.concatenate([g.down for g in gens])),
+                 np.concatenate([c.p0 for c in chains]), chains[0].weight,
+                 min(c.clip_floor for c in chains), chains[0].mass_tol, wrap, starts)
 
 
 def poisson_window(x: float, eps: float) -> tuple[int, np.ndarray]:
@@ -154,31 +184,29 @@ def _passed(stops, i: int, t: float) -> int:
     return i
 
 
-def integrate(gen, p0, t0, stops, tol, *, clip_floor, mass_tol, weight=1.0,
-              h_cap=None, on_step=None):
-    """Advance p0 from t0 through the ascending `stops`; returns
-    (weights at each stop, report points, products with P over all series).
+def integrate(chain: Chain, t0, stops, tol, *, h_cap=None, on_step=None):
+    """Advance `chain` from t0 through the ascending `stops`; returns
+    (values at each stop, report points, products with P over all series).
 
-    `gen` is a Generator, or a function of t that builds one; it is then
-    called at t0 and at every report point, and held until the next.
-    The states are reported at report points: each lies at the next stop,
-    cut to `h_cap(t)` when given and to Lambda h <= MAX_JUMPS, from the
-    previous one; a report point that would fall within 5% of a stop lands
-    on it.  A held generator serves every report point within MAX_JUMPS
-    jumps of a series start off one Poisson series (`Generator.propagate`),
-    and the next series starts from the last of them; a rebuilt one serves
-    one report point per series.  `tol` bounds the L1 error of each report
-    point against the exact propagation from its series start, scaled by
-    `weight` (the cell width for densities); uniformization meets it by
-    construction, so nothing is rejected.  A step between report points
+    Each report point lies at the next stop, cut to `h_cap(t)` when given
+    and to Lambda h <= MAX_JUMPS, from the previous one; one that would fall
+    within 5% of a stop lands on it.  A held generator serves every report
+    point within MAX_JUMPS jumps of a series start off one Poisson series
+    (`Generator.propagate`), and the next series starts from the last of
+    them; a generator function is called at t0 and at every report point,
+    and its generator serves one report point.  `tol` bounds the L1 error,
+    scaled by the chain's weight, of each report point against the exact
+    propagation from its series start, so nothing is rejected.  A step
     below 1e-15 of the time span's magnitude is StiffnessError.  Undershoot
-    above `clip_floor` is clipped and the mass renormalized; below it, or
-    with a mass drift beyond `mass_tol`, NumericalError.  `on_step(t, p)`
-    sees the state at every report point.
+    above the clip floor is clipped and the mass renormalized; below it, or
+    with a joined chain's mass drift beyond the mass tolerance,
+    NumericalError.  `on_step(t, p)` sees the state at every report point.
     """
-    p = np.array(p0, dtype=float)
+    gen, weight, starts = chain.gen, chain.weight, chain.starts
+    p = np.array(chain.p0, dtype=float)
     t = float(t0)
     mass0 = float(p.sum())
+    masses0 = np.add.reduceat(p, starts)
     scale = weight * max(mass0, 1.0)
     if any(b < a for a, b in zip([t] + list(stops), stops)):
         raise ValueError("output times must ascend from the start time")
@@ -218,13 +246,17 @@ def integrate(gen, p0, t0, stops, tol, *, clip_floor, mass_tol, weight=1.0,
             n_steps += 1
             lo = p.min()
             if lo < 0.0:
-                if lo < clip_floor:
+                if lo < chain.clip_floor:
                     raise NumericalError(f"undershoot {lo:.3e} exceeds clip floor "
                                          f"at t = {t:.6g}")
                 np.clip(p, 0.0, None, out=p)
                 p *= mass0 / p.sum()
-            if abs(p.sum() - mass0) > mass_tol * max(1.0, mass0):
-                raise NumericalError(f"mass drift {p.sum() - mass0:.3e} at t = {t:.6g}")
+            drift = np.add.reduceat(p, starts) - masses0
+            bad = np.abs(drift) > chain.mass_tol * np.maximum(1.0, masses0)
+            if bad.any():
+                k = int(bad.argmax())
+                raise NumericalError(f"chain {k} mass drift {drift[k]:.3e} "
+                                     f"at t = {t:.6g}")
             if on_step is not None:
                 on_step(t, p)
             j = _passed(stops, i, t)

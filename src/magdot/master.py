@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import KernelSpec, spectral_density, windowed_spectral
-from .integrator import Generator, NumericalError, StiffnessError, integrate
+from .integrator import Chain, Generator, NumericalError, StiffnessError, integrate
 from .model import ModelParams, omega_pm, refined_peak
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "NumericalError",
     "initial_distribution",
     "transition_rates",
+    "chain",
     "evolve",
     "stationary_distribution",
     "free_energy",
@@ -203,11 +204,6 @@ def initial_distribution(params: ModelParams, kind: str = "exact-paramagnet"
     return DiscreteDistribution(n_spins=n, weights=w, time=0.0)
 
 
-def _kernel_spec(params: ModelParams) -> KernelSpec:
-    return KernelSpec(temp_bath=params.temp_bath, debye_cutoff=params.debye_cutoff,
-                      hbar=params.hbar)
-
-
 def transition_rates(params: ModelParams, mode: str = "short-memory",
                      t: float | None = None, kernel_tol: float = 1e-8) -> RateTable:
     """Jump rates of the balance equation on the full grid.
@@ -216,7 +212,8 @@ def transition_rates(params: ModelParams, mode: str = "short-memory",
     the boundaries.  In full-memory mode the kernel is evaluated through the
     window at time `t` (required), which propagates quadrature failures.
     """
-    spec = _kernel_spec(params)
+    spec = KernelSpec(temp_bath=params.temp_bath, debye_cutoff=params.debye_cutoff,
+                      hbar=params.hbar)
     n = params.n_spins
     m = params.grid
     om_p, om_m = omega_pm(params, m)
@@ -276,20 +273,25 @@ def _entropy_energy(params: ModelParams):
     return entropy_energy
 
 
+def chain(dist: DiscreteDistribution, gen) -> Chain:
+    """The chain from `dist` under `gen` (a Generator, or a function of t
+    that builds one), with CLIP_FLOOR and MASS_TOL."""
+    return Chain(gen, dist.weights, 1.0, CLIP_FLOOR, MASS_TOL,
+                 lambda w, t: DiscreteDistribution(dist.n_spins, w, t))
+
+
 def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
            mode: str = "short-memory", tol: float = 1e-9,
            snapshot_times=None, record_free_energy: bool = False,
-           rates: RateTable | None = None, kernel_tol: float = 1e-8
-           ) -> EvolveResult:
+           kernel_tol: float = 1e-8) -> EvolveResult:
     """Integrate the balance equation from dist.time to t_end.
 
     Uniformization (`integrator.integrate`): every state it reports (the
     snapshot times, which it lands on exactly, and at least one per
     MAX_JUMPS jumps) is read off a Poisson series of exp(hA) with an L1
-    error of at most tol.  Negative undershoot down to -1e-14 is clipped and
-    the mass renormalized; anything larger raises.  Full-memory mode builds
-    the rate table at every reported state, holds it until the next, and
-    caps the interval at 0.1 hbar/T + 0.05 t, the scale on which the
+    error of at most tol, and checked as `chain` sets.  Full-memory mode
+    builds the rate table at every reported state, holds it until the next,
+    and caps the interval at 0.1 hbar/T + 0.05 t, the scale on which the
     windowed kernel still varies.
     """
     snapshot_times = sorted(snapshot_times) if snapshot_times else []
@@ -297,19 +299,13 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
         raise ValueError("snapshot times must not exceed t_end")
 
     full_memory = mode == "full-memory"
-    if full_memory:
-        peak_rate = 0.0
+    rates = []  # Lambda of every generator built
 
-        def gen(t):
-            nonlocal peak_rate
-            rt = transition_rates(params, mode=mode, t=t, kernel_tol=kernel_tol)
-            g = Generator(rt.up, rt.down)
-            peak_rate = max(peak_rate, g.rate)
-            return g
-    else:
-        rates = rates if rates is not None else transition_rates(params, mode=mode)
-        gen = Generator(rates.up, rates.down)
-        peak_rate = gen.rate
+    def gen(t=None):
+        rt = transition_rates(params, mode=mode, t=t, kernel_tol=kernel_tol)
+        g = Generator(rt.up, rt.down)
+        rates.append(g.rate)
+        return g
 
     fe: list[tuple[float, float]] = []
     on_step = None
@@ -322,17 +318,16 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
 
         on_step(dist.time, dist.weights)
 
+    ch = chain(dist, gen if full_memory else gen())
     states, n_steps, n_terms = integrate(
-        gen, dist.weights, dist.time, [min(s, t_end) for s in snapshot_times] + [t_end],
-        tol, clip_floor=CLIP_FLOOR, mass_tol=MASS_TOL,
+        ch, dist.time, [min(s, t_end) for s in snapshot_times] + [t_end], tol,
         h_cap=(lambda t: 0.1 * params.hbar / params.temp_bath + 0.05 * t)
         if full_memory else None, on_step=on_step)
     fe_t, fe_v = np.array(fe).T if record_free_energy else (None, None)
     return EvolveResult(
-        final=DiscreteDistribution(dist.n_spins, states[-1], t_end),
-        snapshots=[DiscreteDistribution(dist.n_spins, w, s)
-                   for w, s in zip(states, snapshot_times)],
+        final=ch.wrap(states[-1], t_end),
+        snapshots=[ch.wrap(w, s) for w, s in zip(states, snapshot_times)],
         free_energy_times=fe_t, free_energy_values=fe_v,
         n_steps=n_steps, n_terms=n_terms,
-        uniform_rate=peak_rate,
+        uniform_rate=max(rates, default=0.0),
     )

@@ -13,16 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
-import numpy as np
-
+from . import fokker_planck, master
 from .analytic import RegimeReport, classify_regime, time_scales
-from .fokker_planck import (FP_MASS_TOL, ContinuumField, FPConfig, _face_rates,
-                            gaussian_field)
-from .integrator import NumericalError, integrate, join_chains
-from .master import (CLIP_FLOOR, MASS_TOL, DiscreteDistribution, initial_distribution,
-                     transition_rates)
+from .fokker_planck import FPConfig
+from .integrator import Generator, integrate, join_chains
 from .model import ModelParams, derived_scales, repeller
 
 __all__ = [
@@ -104,14 +99,15 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
                     p_wrong_bound: float = 1e-3,
                     g0: float = 0.0,
                     g_spread: float = 0.0,
-                    init_kind: str = "exact-paramagnet") -> MeasurementReport:
+                    init_kind: str | None = None) -> MeasurementReport:
     """Run both diagonal sectors and assemble the measurement verdict.
 
     Faithfulness requires all of: every sector's wrong-peak mass below
     `p_wrong_bound`, the pre-measurement bias ratio below 1, and the
     coupling ratio above 1.  A run shorter than the registration/relaxation
     horizon is flagged inconclusive (faithful is None) rather than
-    unfaithful.
+    unfaithful.  With `init_kind` None each engine starts from its own
+    state: the exact paramagnet on "master", the Gaussian on "fp".
     """
     params.require_ferromagnetic()
     if engine not in ("master", "fp"):
@@ -125,9 +121,8 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
         final = finals[name]
         below = final.mass_below(repeller(sp))
         above = final.total() - below
-        correct, wrong = (above, below) if sp.g_eff > 0 else (below, above)
-        if sp.g_eff == 0.0:
-            correct, wrong = above, below  # symmetric: bookkeeping only
+        # at g = 0 the sectors are symmetric and the labels bookkeeping only
+        correct, wrong = (above, below) if sp.g_eff >= 0 else (below, above)
         sectors[name] = SectorOutcome(
             sector=name, born_weight=weight, p_correct=correct, p_wrong=wrong,
             peak_m=final.peak(), mass_drift=abs(final.total() - 1.0), final=final,
@@ -161,49 +156,29 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
 
 
 def _evolve_sectors(params: ModelParams, t_end: float, engine: str, tol: float,
-                    fp_config: FPConfig | None, init_kind: str):
+                    fp_config: FPConfig | None, init_kind: str | None):
     """Advance the up and down sectors of `params` from t = 0 to t_end as one
-    chain; returns each sector's final state by name, and the report points
-    and products with P of the joint run.
+    block-diagonal chain (`join_chains`); returns each sector's final state
+    by name, and the report points and products with P of the joint run.
 
-    The two sector chains, laid end to end, form one block-diagonal
-    generator (`join_chains`), which one `integrate` call advances.  Mirror
-    symmetry gives both the same uniformization rate, so their common clock
-    costs no extra product.  The L1 bound tol of a report point then holds
-    for both sectors together, hence for each; each sector's own mass drift
-    is checked at every report point at its solver's tolerance.
+    Mirror symmetry gives both sectors the same uniformization rate, so
+    their common clock costs no extra product.  The L1 bound tol of a
+    report point holds for both together, hence for each; `integrate`
+    checks each sector's own mass.
     """
     sps = [replace(params, sector=name) for name in SECTORS]
     if engine == "master":
-        chains = [(rt.up, rt.down) for rt in map(transition_rates, sps)]
-        inits = [initial_distribution(sp, init_kind).weights for sp in sps]
-        opts = dict(clip_floor=CLIP_FLOOR, mass_tol=MASS_TOL)
-        state = partial(DiscreteDistribution, params.n_spins, time=t_end)
+        kind = init_kind or "exact-paramagnet"
+        chains = [master.chain(master.initial_distribution(sp, kind),
+                               Generator(rt.up, rt.down))
+                  for sp, rt in zip(sps, map(master.transition_rates, sps))]
     else:
         cfg = fp_config or FPConfig()
         tol = cfg.tol
-        fields = [gaussian_field(sp, cfg) for sp in sps]
-        chains = [_face_rates(sp, cfg.cells)[:2] for sp in sps]
-        inits = [f.values for f in fields]
-        # solve_fp's clip floor, mass tolerance and cell weight
-        opts = dict(clip_floor=-1e-11 * max(max(v.max() for v in inits), 1.0),
-                    mass_tol=FP_MASS_TOL, weight=2.0 / cfg.cells)
-        state = partial(ContinuumField, fields[0].mesh, time=t_end)
-    cut = len(inits[0])
-    masses = [float(p.sum()) for p in inits]
-
-    def check_sectors(t, p):
-        for name, part, mass0 in zip(SECTORS, np.split(p, [cut]), masses):
-            drift = part.sum() - mass0
-            if abs(drift) > opts["mass_tol"] * max(1.0, mass0):
-                raise NumericalError(f"{name} sector mass drift {drift:.3e} "
-                                     f"at t = {t:.6g}")
-
-    states, n_steps, n_terms = integrate(
-        join_chains(chains), np.concatenate(inits), 0.0, [t_end], tol,
-        on_step=check_sectors, **opts)
-    parts = np.split(states[-1], [cut])
-    return {name: state(p) for name, p in zip(SECTORS, parts)}, n_steps, n_terms
+        chains = [fokker_planck.chain(sp, init_kind or "gaussian", cfg) for sp in sps]
+    joint = join_chains(chains)
+    states, n_steps, n_terms = integrate(joint, 0.0, [t_end], tol)
+    return dict(zip(SECTORS, joint.wrap(states[-1], t_end))), n_steps, n_terms
 
 
 def offdiagonal_scales(params: ModelParams, g_spread: float = 0.0

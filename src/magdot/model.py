@@ -50,12 +50,6 @@ def x_coth_x(x):
     return out if out.ndim else float(out)
 
 
-def _coth(x):
-    """coth(x) for |x| > 0, expm1-based for small arguments."""
-    x = np.asarray(x, dtype=float)
-    return 1.0 + 2.0 / np.expm1(2.0 * x)
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """All physical constants of the spin + magnet + bath model.

@@ -86,3 +86,15 @@ def test_oracles_import_scipy_where_used():
     assert delta_max == pytest.approx(5.759609089141864, rel=1e-12)
     assert [m2, alpha2, t2] == pytest.approx(
         [-0.5897476258957342, 0.3398698996681666, 10151.34559706036], rel=1e-13)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A `_`-prefixed name stays inside its module: no sibling imports it."""
+    found = []
+    for path in sorted(Path(magdot.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("magdot")):
+                found += [f"{path.name}: {a.name}" for a in node.names
+                          if a.name.startswith("_")]
+    assert found == []

@@ -12,10 +12,11 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import pdtr, pdtrc
 
-from magdot import integrator
+from magdot import fokker_planck, integrator
 from magdot.fokker_planck import FPConfig, equilibrium_profile, solve_fp
 from magdot.integrator import Generator, StiffnessError, integrate, join_chains
 from magdot.master import (
+    chain,
     evolve,
     initial_distribution,
     stationary_distribution,
@@ -52,17 +53,30 @@ class TestGenerator:
     def test_join_chains_guards_the_junction(self):
         p = small_params(n=20)
         up_rt, down_rt = transition_rates(p), transition_rates(p.flipped())
-        gen = join_chains([(up_rt.up, up_rt.down), (down_rt.up, down_rt.down)])
+        d = initial_distribution(p)
+        joint = join_chains([chain(d, Generator(up_rt.up, up_rt.down)),
+                             chain(d, Generator(down_rt.up, down_rt.down))])
         # no hop between level 20 of the first chain and level 0 of the next
-        assert gen.p_up[20] == 0.0 and gen.p_down[20] == 0.0
-        assert gen.rate == Generator(up_rt.up, up_rt.down).rate
+        assert joint.gen.p_up[20] == 0.0 and joint.gen.p_down[20] == 0.0
+        assert joint.gen.rate == Generator(up_rt.up, up_rt.down).rate
+        assert joint.starts == (0, 21)
         # a rate table whose boundary rate is nonzero would leak across it
         leak_up, leak_down = up_rt.up.copy(), down_rt.down.copy()
         leak_up[-1] = leak_down[0] = 1e-300
-        for chains in ([(leak_up, up_rt.down), (down_rt.up, down_rt.down)],
-                       [(up_rt.up, up_rt.down), (down_rt.up, leak_down)]):
+        for rates in ([(leak_up, up_rt.down), (down_rt.up, down_rt.down)],
+                      [(up_rt.up, up_rt.down), (down_rt.up, leak_down)]):
             with pytest.raises(ValueError, match="junction"):
-                join_chains(chains)
+                join_chains([chain(d, Generator(*r)) for r in rates])
+
+    def test_join_chains_refuses_other_checks(self):
+        # a master chain and an FP chain differ in cell weight and mass
+        # tolerance, so no one check serves both
+        p = small_params(n=20)
+        rt = transition_rates(p)
+        master_chain = chain(initial_distribution(p), Generator(rt.up, rt.down))
+        fp_chain = fokker_planck.chain(p, "gaussian", FPConfig(cells=100))
+        with pytest.raises(ValueError, match="weight and mass tolerance"):
+            join_chains([master_chain, fp_chain])
 
     def test_poisson_window_against_mpmath(self):
         # 40-digit reference, normalized over the same window
@@ -110,8 +124,8 @@ class TestIntegrate:
         self.th = relax_time(self.p)
 
     def run(self, stops, tol=1e-9, **kw):
-        return integrate(self.gen, self.p0, 0.0, stops, tol, clip_floor=-1e-14,
-                         mass_tol=1e-10, **kw)
+        return integrate(chain(initial_distribution(self.p), self.gen), 0.0, stops, tol,
+                         **kw)
 
     def test_steps_land_exactly_on_stops(self):
         stops = [0.0, 0.13 * self.th, 0.13 * self.th, 0.7 * self.th, 2.0 * self.th]
@@ -163,13 +177,12 @@ def test_tol_sets_the_truncation(params):
     # stays below tol, and a tighter tol sums more terms
     rt = transition_rates(params)
     gen = Generator(rt.up, rt.down)
-    p0 = initial_distribution(params, "gaussian").weights
+    d = initial_distribution(params, "gaussian")
     t = min(2.0 * relax_time(params), integrator.MAX_JUMPS / gen.rate)
-    exact = expm(t * dense_generator(rt.up, rt.down)) @ p0
+    exact = expm(t * dense_generator(rt.up, rt.down)) @ d.weights
     terms = []
     for tol in (1e-6, 1e-9, 1e-12):
-        (p,), n_steps, n_terms = integrate(gen, p0, 0.0, [t], tol,
-                                           clip_floor=-1e-14, mass_tol=1e-10)
+        (p,), n_steps, n_terms = integrate(chain(d, gen), 0.0, [t], tol)
         assert n_steps == 1
         assert np.abs(p - exact).sum() <= tol
         terms.append(n_terms)

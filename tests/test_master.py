@@ -158,15 +158,6 @@ class TestEvolve:
         for s in res.snapshots:
             assert np.abs(s.weights - s.weights[::-1]).max() < 1e-10
 
-    def test_precomputed_rates_equal_default_path(self):
-        p = small_params(n=80)
-        th = theta(p)
-        d = initial_distribution(p, "exact-paramagnet")
-        rt = transition_rates(p)
-        a = evolve(d, p, th, rates=rt).final
-        b = evolve(d, p, th).final
-        assert np.array_equal(a.weights, b.weights)
-
     def test_snapshot_beyond_t_end_rejected(self):
         p = small_params(n=80)
         d = initial_distribution(p, "exact-paramagnet")

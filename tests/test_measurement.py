@@ -6,7 +6,7 @@ import pytest
 
 from magdot import measurement
 from magdot.fokker_planck import FP_MASS_TOL, FPConfig, gaussian_field, solve_fp
-from magdot.integrator import Generator, NumericalError
+from magdot.integrator import Generator, NumericalError, join_chains
 from magdot.master import MASS_TOL, evolve, initial_distribution
 from magdot.measurement import (
     SpinState,
@@ -179,16 +179,26 @@ class TestRunMeasurement:
 
     def test_mass_moved_between_sectors_is_caught(self, monkeypatch):
         # a hop across the junction keeps the total mass but moves it from
-        # one sector to the other; the per-sector check rejects the run
+        # one sector to the other; the per-chain check rejects the run
         def leaky_join(chains):
-            up, down = (np.concatenate(r) for r in zip(*chains))
-            up[len(chains[0][0]) - 1] = up.max()
-            return Generator(up, down)
+            joint = join_chains(chains)
+            up = joint.gen.up.copy()
+            up[len(chains[0].p0) - 1] = up.max()
+            return replace(joint, gen=Generator(up, joint.gen.down))
 
         monkeypatch.setattr(measurement, "join_chains", leaky_join)
         p = small_params(n=60, g=0.08)
-        with pytest.raises(NumericalError, match="up sector mass drift"):
+        with pytest.raises(NumericalError, match="chain 0 mass drift"):
             run_measurement(SpinState(0.5, 0.5), p, t_end=derived_scales(p).theta)
+
+    @pytest.mark.parametrize("kind", ["no-such-kind", "exact-paramagnet"])
+    def test_fp_refuses_a_start_it_cannot_honour(self, kind):
+        # the FP engine starts only from its Gaussian; it raises rather than
+        # ignore another kind
+        p = small_params(n=60, g=0.08)
+        with pytest.raises(ValueError, match="FP engine starts only"):
+            run_measurement(SpinState(0.5, 0.5), p, t_end=derived_scales(p).theta,
+                            engine="fp", fp_config=FP_CELLS, init_kind=kind)
 
     def test_rejects_bad_engine(self):
         p = small_params(n=100, g=0.1)
