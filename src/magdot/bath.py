@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "KernelSpec",
@@ -34,7 +33,23 @@ __all__ = [
     "autocorrelation",
 ]
 
-_GL15_X, _GL15_W = leggauss(15)
+# 15-point Gauss-Legendre rule on [-1, 1]: numpy.polynomial.legendre.leggauss(15)
+# to the bit (a test compares them), written out so that importing the module
+# does not load numpy.polynomial
+_GL15_X = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
+    0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+    0.9372733924007058, 0.9879925180204854,
+])
+_GL15_W = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
 
 _NODE_CHUNK = 32768  # cap on simultaneous frequency x node products (256 kB each array)
 _MAX_NODES = 1 << 20  # node budget of one windowed transform

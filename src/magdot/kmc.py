@@ -4,12 +4,14 @@ Independent oracle for `evolve`: exact simulation of the birth-death chain by
 uniformization.  With Lambda = max_k(up_k + down_k), every walker makes a
 Poisson(Lambda t) number of steps, each up, down or stay with probabilities
 up_k/Lambda, down_k/Lambda and the rest.  Walkers are i.i.d., so a block is
-carried as occupation counts: at step j the walkers whose count is j leave as
-a multivariate-hypergeometric draw over the states, the rest move by one
-multinomial per state, and the final states are shuffled into launch slots.
-A block costs O(N Lambda t) whatever its size.  Block b draws from a
-counter-based Philox stream keyed by (seed, b), so results are reproducible
-for a given seed and mergeable in trajectory order.
+carried as occupation counts.  The step count is drawn one step at a time
+through the Poisson hazard h_j = P(K = j | K >= j): at step j each active
+walker leaves with probability h_j and otherwise moves, so one four-way
+multinomial per state (leave, up, down, stay) does both, and the walkers
+that leave at step j made exactly j moves.  The final states are shuffled
+into launch slots.  A block costs O(N Lambda t) whatever its size.  Block b
+draws from a counter-based Philox stream keyed by (seed, b), so results are
+reproducible for a given seed and mergeable in trajectory order.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import numpy as np
 from .master import DiscreteDistribution, RateTable, transition_rates
 from .model import ModelParams, repeller
 
-__all__ = ["TrajectoryEnsemble", "sample_trajectories"]
+__all__ = ["TrajectoryEnsemble", "poisson_hazards", "sample_trajectories"]
 
 _BLOCK = 2**16
+_TAIL_NATS = 700.0  # the hazard table drops a Poisson tail below e^-700
 
 
 @dataclass
@@ -38,14 +41,39 @@ class TrajectoryEnsemble:
     n_steps: int                   # steps applied to the counts, over all blocks
 
 
+def poisson_hazards(x: float) -> np.ndarray:
+    """h[j] = P(K = j | K >= j) for K ~ Poisson(x), j = 0..R, with h[R] = 1.
+
+    The weights are built outward from the mode floor(x) by the ratios
+    w[k+1] = w[k] x/(k+1) and w[k-1] = w[k] k/x, so none needs a factorial.
+    They reach R = x + d, where the Bernstein bound
+    P(K >= x + d) <= exp(-d^2 / (2 (x + d/3))) is e^-700; weights that
+    underflow to 0 at the right end are dropped.  The survival P(K >= j) is
+    summed from the right end, so a small one is not a difference of large
+    ones.  [1.0] when x = 0: every walker stops before its first step.
+    """
+    if x == 0.0:
+        return np.ones(1)
+    mode = int(x)
+    d = _TAIL_NATS / 3.0 + math.sqrt(_TAIL_NATS**2 / 9.0 + 2.0 * x * _TAIL_NATS)
+    hi = math.ceil(x + d)
+    w = np.empty(hi + 1)
+    w[mode] = 1.0
+    w[mode + 1:] = np.cumprod(x / np.arange(mode + 1, hi + 1.0))
+    w[:mode] = np.cumprod(np.arange(mode, 0, -1.0) / x)[::-1]
+    w = w[:np.flatnonzero(w)[-1] + 1]
+    return w / np.cumsum(w[::-1])[::-1]
+
+
 def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
                         seed: int = 0, rates: RateTable | None = None,
                         init: DiscreteDistribution | None = None) -> TrajectoryEnsemble:
     """Sample n_traj jump-process trajectories up to t_end.
 
     Sampling is short-memory only: the rates (default: the short-memory
-    `transition_rates`) do not depend on time.  Initial states are drawn
-    from `init` (default: exact paramagnet).  Deterministic for a fixed seed.
+    `transition_rates`) do not depend on time and must be finite and >= 0.
+    Initial states are drawn from `init` (default: exact paramagnet).
+    Deterministic for a fixed seed.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -53,21 +81,36 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
         raise ValueError(f"seed must be >= 0 (got {seed})")
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and >= 0 (got {t_end})")
+    n = params.n_spins
     if rates is None:
         rates = transition_rates(params, mode="short-memory")
     if init is None:
         from .master import initial_distribution
         init = initial_distribution(params, "exact-paramagnet")
+    if np.shape(rates.up) != (n + 1,) or np.shape(rates.down) != (n + 1,):
+        raise ValueError(f"rates must cover the N + 1 = {n + 1} states of params "
+                         f"(got {np.size(rates.up)} up and {np.size(rates.down)} down)")
+    if init.n_spins != n:
+        raise ValueError(f"init is over N = {init.n_spins} spins, params over N = {n}")
+    bad = ~(np.isfinite(rates.up) & np.isfinite(rates.down)
+            & (rates.up >= 0.0) & (rates.down >= 0.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"rates must be finite and >= 0, got up = {rates.up[k]:.3e}, "
+            f"down = {rates.down[k]:.3e} at m = {params.grid[k]:+.4f}; a "
+            f"{rates.mode} table cannot be sampled as a jump process")
     m_repel = repeller(params) if params.temp_bath < params.coupling_j else 0.0
 
-    n = params.n_spins
     total = rates.up + rates.down
     lam = float(total.max())
     # up/down/stay per state; a zero total rate stays put, Lambda = 0 never steps
     moves = np.column_stack((rates.up, rates.down, lam - total)) / (lam or 1.0)
+    hazards = poisson_hazards(lam * t_end)
     weights = init.weights / init.weights.sum()
 
     finals = np.empty(n_traj, dtype=np.int64)
+    pvals = np.empty((n + 1, 4))  # leave, up, down, stay
     n_steps = 0
     for b, start in enumerate(range(0, n_traj, _BLOCK)):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, b],
@@ -75,17 +118,19 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
         # always simulate a full block so trajectory i is the same walker no
         # matter how many trajectories were requested in total
         active = rng.multinomial(_BLOCK, weights)
-        stops = np.bincount(rng.poisson(lam * t_end, _BLOCK))
         done = np.zeros(n + 1, dtype=np.int64)
-        for s in stops[:-1]:  # stops[j] walkers end after j steps, the rest step on
-            leaving = rng.multivariate_hypergeometric(active, s)
-            done += leaving
-            step = rng.multinomial(active - leaving, moves)
-            active = step[:, 2].copy()
-            active[1:] += step[:-1, 0]
-            active[:-1] += step[1:, 1]
-        n_steps += stops.size - 1
-        states = rng.permutation(np.repeat(np.arange(n + 1), done + active))
+        for j, h in enumerate(hazards):  # a walker leaving at step j made j moves
+            pvals[:, 0] = h
+            np.multiply(moves, 1.0 - h, out=pvals[:, 1:])
+            step = rng.multinomial(active, pvals)
+            done += step[:, 0]
+            active = step[:, 3].copy()
+            active[1:] += step[:-1, 1]
+            active[:-1] += step[1:, 2]
+            if not active.any():
+                break
+        n_steps += j
+        states = rng.permutation(np.repeat(np.arange(n + 1), done))
         finals[start:start + _BLOCK] = states[:n_traj - start]
 
     counts = np.bincount(finals, minlength=n + 1)

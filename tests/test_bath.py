@@ -148,6 +148,14 @@ class TestWindowed:
             assert scalar == pytest.approx(vi, abs=tol_scale(SPEC, wi))
         assert type(windowed_spectral(SPEC, 1.0, 0.0)) is float
 
+    def test_rule_is_numpy_leggauss_to_the_bit(self):
+        # a Golub-Welsch rule, nodes 4.4e-16 and weights 1.1e-15 off, moved
+        # the 1e6 cutoff case of test_matches_oracle_within_tol to 1.82e-11
+        # against its 1.625e-11 tolerance
+        x, w = np.polynomial.legendre.leggauss(15)
+        assert bath._GL15_X.tobytes() == x.tobytes()
+        assert bath._GL15_W.tobytes() == w.tobytes()
+
     def test_panel_budget_error(self, monkeypatch):
         monkeypatch.setattr(bath, "_MAX_NODES", 100)
         with pytest.raises(KernelConvergenceError):

@@ -1,8 +1,9 @@
 """`import magdot` and every solver and CLI path load numpy only.
 
-scipy is imported inside the closed-form oracles that need it.  Each check
-runs in a fresh interpreter, so a module imported by another test cannot
-hide a scipy import.
+scipy is imported inside the closed-form oracles that need it, and
+numpy.polynomial is not loaded by `import magdot`.  Each check runs in a
+fresh interpreter, so a module imported by another test cannot hide an
+import.
 """
 
 import ast
@@ -66,6 +67,15 @@ def test_solver_and_cli_paths_load_no_scipy(tmp_path):
     assert out.splitlines()[-1] == "[]"
 
 
+def test_import_loads_no_numpy_polynomial():
+    out = run_fresh("""
+        import sys
+        import magdot
+        print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
+    """)
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_oracles_import_scipy_where_used():
     """The oracles that use scipy still give their values from a fresh process."""
     out = run_fresh("""
@@ -97,4 +107,19 @@ def test_no_module_imports_a_private_name_of_another():
                     node.level > 0 or (node.module or "").startswith("magdot")):
                 found += [f"{path.name}: {a.name}" for a in node.names
                           if a.name.startswith("_")]
+    assert found == []
+
+
+def test_sampler_imports_nothing_from_the_integrator():
+    """The jump-process sampler checks the integrator, so it builds its own
+    Poisson weights: kmc imports no name and no module from integrator."""
+    tree = ast.parse((Path(magdot.__file__).parent / "kmc.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            found += [f"{module}: {a.name}" for a in node.names
+                      if "integrator" in (module + "." + a.name).split(".")]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if "integrator" in a.name.split(".")]
     assert found == []

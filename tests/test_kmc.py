@@ -11,8 +11,9 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import pdtrc
 
-from magdot.kmc import sample_trajectories
+from magdot.kmc import poisson_hazards, sample_trajectories
 from magdot.master import (
     DiscreteDistribution,
     RateTable,
@@ -96,6 +97,38 @@ def test_rejects_negative_seed_and_bad_end_time():
             sample_trajectories(p, 10, **kw)
     ens = sample_trajectories(p, 10, t_end=0.0)  # t = 0 is legal: no steps
     assert ens.n_steps == 0
+
+
+def test_rejects_negative_rates():
+    # at short times the windowed kernel, and so a full-memory rate, can be
+    # negative; a jump process cannot carry it
+    p = small_params(n=50, g=0.2, temp=0.3, debye_cutoff=10.0)
+    rt = transition_rates(p, mode="full-memory", t=1.0)
+    assert min(rt.up.min(), rt.down.min()) < -1e-4
+    with pytest.raises(ValueError, match="rates must be finite and >= 0"):
+        sample_trajectories(p, 10, 1.0, rates=rt)
+    nan = rate_table(np.full(51, np.nan), np.zeros(51))
+    with pytest.raises(ValueError, match="rates must be finite and >= 0"):
+        sample_trajectories(p, 10, 1.0, rates=nan)
+
+
+def test_rejects_rates_or_init_of_another_size():
+    p = small_params(n=20)
+    with pytest.raises(ValueError, match="N \\+ 1 = 21 states"):
+        sample_trajectories(p, 10, 1.0, rates=zero_rates(30))
+    with pytest.raises(ValueError, match="init is over N = 30"):
+        sample_trajectories(p, 10, 1.0, init=initial_distribution(small_params(n=30)))
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-3, 5.0, 192.0, 1e4])
+def test_hazards_reproduce_poisson_survival(x):
+    h = poisson_hazards(x)
+    assert h[-1] == 1.0 and np.all((h >= 0.0) & (h <= 1.0))
+    # P(K >= j), j >= 1, is the chance of passing the stops 0..j-1
+    survival = np.cumprod(1.0 - h[:-1])
+    np.testing.assert_allclose(survival, pdtrc(np.arange(h.size - 1), x),
+                               rtol=0.0, atol=1e-12)
+    assert pdtrc(h.size - 1, x) <= 1e-300  # the tail the table drops
 
 
 def assert_sampled_from(ens, p):
