@@ -238,28 +238,13 @@ class CharMap:
         return float(_cubic_inverse_printed(ds, m, t))
 
     def travel_time(self, mu: float, m: float) -> float:
-        """t such that the characteristic through mu reaches m."""
+        """t such that the characteristic through mu reaches m; only the
+        exact-quadrature model has one, any other is ValueError."""
+        if self.model != "exact-quadrature":
+            raise ValueError(f"travel_time needs the exact-quadrature model, "
+                             f"not {self.model!r}")
         mu, m = float(mu), float(m)
-        if self.model == "exact-quadrature":
-            return self._flow_for(mu, m).travel(mu, m)
-        ds = self._scales()
-        m_f, m_p = ds.m_ferro, ds.m_repel
-        if self.model == "linearized":
-            ratio = (m - m_p) / (mu - m_p)
-            if ratio <= 0:
-                raise CharacteristicsError("points on opposite sides of m_P")
-            return ds.theta * math.log(ratio)
-        if not (abs(m) < m_f and abs(mu) < m_f):
-            raise CharacteristicsError("cubic map defined for |m| < m_F")
-        u = (mu - m_p) ** 2
-        v = (m - m_p) ** 2
-        if (mu - m_p) * (m - m_p) <= 0:
-            raise CharacteristicsError("points on opposite sides of m_P")
-        den = v * m_f**2 - u * m * m
-        arg = u * (m_f**2 - m * m) / den
-        if den <= 0 or arg <= 0:
-            raise CharacteristicsError("points not connected by the cubic flow")
-        return -0.5 * ds.theta * math.log(arg)
+        return self._flow_for(mu, m).travel(mu, m)
 
 
 @lru_cache(maxsize=32)

@@ -40,17 +40,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config(path: str) -> RunConfig:
+def _read_config(path: str) -> str:
     try:
         with open(path) as fh:
-            return parse_config(fh.read())
+            return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
 
 
+def _load_config(path: str) -> RunConfig:
+    return parse_config(_read_config(path))
+
+
 def _out_dir(cfg_dir: str, override: str | None) -> str:
     out = override or cfg_dir or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory {out}: {exc}") from exc
     return out
 
 
@@ -102,8 +109,8 @@ def _cmd_simulate(args) -> int:
                      snapshot_times=times, kernel_tol=cfg.kernel_tol)
         states = res.snapshots
     else:
-        fpc = FPConfig(cells=cfg.cells, tol=cfg.tol)
-        states = solve_fp(params, gaussian_field(params, fpc), times, fpc)
+        fpc = FPConfig(cells=cfg.cells)
+        states = solve_fp(params, gaussian_field(params, fpc), times, fpc, cfg.tol)
     path = os.path.join(out, "snapshots.csv")
     write_long_csv(path, states)
     written = [path]
@@ -173,7 +180,7 @@ def _measure(cfg: RunConfig, command: str):
     spin = SpinState(r_up=cfg.r_up, r_down=1.0 - cfg.r_up)
     return run_measurement(
         spin, params, t_end, engine=cfg.engine, tol=cfg.tol,
-        fp_config=FPConfig(cells=cfg.cells, tol=cfg.tol),
+        fp_config=FPConfig(cells=cfg.cells),
         p_wrong_bound=cfg.p_wrong_bound, g0=cfg.g0, g_spread=cfg.g_spread,
         init_kind=cfg.init if cfg.engine == "master" else "gaussian",
     )
@@ -223,8 +230,7 @@ def _sweep_entry(payload):
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        cfg_text = fh.read()
+    cfg_text = _read_config(args.config)
     cfg = parse_config(cfg_text)
     axis, values = cfg.sweep_axis, cfg.sweep_values
     if args.axis:
@@ -323,8 +329,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="master-equation or Fokker-Planck run")
     p.add_argument("-c", "--config", required=True)
     p.add_argument("--engine", choices=("master", "fp"))
-    p.add_argument("--times")
-    p.add_argument("--times-theta", dest="times_theta")
+    times = p.add_mutually_exclusive_group()
+    times.add_argument("--times")
+    times.add_argument("--times-theta", dest="times_theta")
     p.add_argument("--snapshot-dir", dest="snapshot_dir")
     p.add_argument("--split", action="store_true",
                    help="also write one file per snapshot time")

@@ -71,8 +71,6 @@ class RunConfig:
         )
 
     def resolve_times(self, theta: float) -> list:
-        if self.times and self.times_theta:
-            raise ConfigError(None, "give either times or times_theta, not both")
         _check_times("times", self.times, None)  # command-line overrides too
         _check_times("times_theta", self.times_theta, None)
         if self.times:

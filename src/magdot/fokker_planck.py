@@ -31,9 +31,6 @@ __all__ = [
     "gaussian_field",
 ]
 
-FP_MASS_TOL = 1e-8
-
-
 @dataclass
 class ContinuumField:
     """Density P(m) at the centers of a uniform cell mesh over [-1, 1]."""
@@ -75,7 +72,6 @@ class ContinuumField:
 @dataclass(frozen=True)
 class FPConfig:
     cells: int = 2000
-    tol: float = 1e-9
 
     def __post_init__(self):
         if self.cells < 100:
@@ -157,10 +153,9 @@ def equilibrium_profile(params: ModelParams, branch: str = "global",
 
 def chain(params: ModelParams, init: ContinuumField | str = "gaussian",
           cfg: FPConfig = FPConfig()) -> Chain:
-    """The cell chain from `init`, with the FP clip floor (1e-11 of the peak
-    scale), mass tolerance and cell weight.  `init` is a ContinuumField on
-    the cfg mesh, or "gaussian" for `gaussian_field`, the one start kind of
-    the FP engine; any other kind is ValueError.
+    """The cell chain from `init`, weighted by the cell width.  `init` is a
+    ContinuumField on the cfg mesh, or "gaussian" for `gaussian_field`, the
+    one start kind of the FP engine; any other kind is ValueError.
     """
     if isinstance(init, str):
         if init != "gaussian":
@@ -170,20 +165,19 @@ def chain(params: ModelParams, init: ContinuumField | str = "gaussian",
         raise ValueError("init field does not match cfg.cells")
     up, down, _ = _face_rates(params, cfg.cells)
     return Chain(Generator(up, down), init.values, 2.0 / cfg.cells,
-                 -1e-11 * max(init.values.max(), 1.0), FP_MASS_TOL,
                  lambda v, t: ContinuumField(init.mesh, v, t))
 
 
 def solve_fp(params: ModelParams, init: ContinuumField, times,
-             cfg: FPConfig = FPConfig()) -> list[ContinuumField]:
+             cfg: FPConfig = FPConfig(), tol: float = 1e-9) -> list[ContinuumField]:
     """Advance the drift-diffusion equation; returns fields at the asked times.
 
     The cell hops form a birth-death generator, advanced by the master
     equation's uniformization integrator: L1 error of the density at each
-    reported state <= cfg.tol against its series start, landing exactly on
-    the output times, with the checks of `chain`.
+    reported state <= tol against its series start, landing exactly on
+    the output times, with the integrator's positivity and mass checks.
     """
     times = list(times)
     ch = chain(params, init, cfg)
-    states, _, _ = integrate(ch, init.time, times, cfg.tol)
+    states, _, _ = integrate(ch, init.time, times, tol)
     return [ch.wrap(v, t) for v, t in zip(states, times)]

@@ -16,6 +16,10 @@ Keeping the weights of a window of counts whose two Poisson tails together
 hold at most eps, and renormalizing them, then errs by at most 2 eps ||p||_1
 in L1 (Fox & Glynn 1988): a proven bound, not an estimate, that a negative
 rate voids.  One series of vectors P^k p serves every time of a span.
+
+Positivity and mass are therefore the integrator's checks, the same for
+every engine: `integrate` raises NumericalError on a negative entry (only a
+negative rate can make one) or a mass drift beyond MASS_TOL, and mends neither.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = ["Generator", "Chain", "join_chains", "integrate", "StiffnessError",
 
 TOL_FLOOR = 100.0 * np.finfo(float).eps  # smallest tol, relative to the L1 mass
 MAX_JUMPS = 512.0  # largest Lambda h one series spans, so that long runs report states
+MASS_TOL = 1e-10  # largest mass drift of a chain, relative to max(1, its mass)
 
 
 class StiffnessError(RuntimeError):
@@ -102,17 +107,15 @@ class Generator:
 @dataclass(frozen=True)
 class Chain:
     """A start `p0` under `gen` (a Generator, or a function of t that builds
-    one), with the checks of the engine that built it: the L1 `weight` of
-    the state (the cell width for densities), the `clip_floor` and the
-    `mass_tol` of each chain joined into it, which begin at the levels
-    `starts`.  `wrap(values, t)` turns values back into the solver's state.
+    one), with the L1 `weight` of the state (the cell width for densities).
+    The chains joined into it begin at the levels `starts`, and each keeps
+    its own mass.  `wrap(values, t)` turns values back into the solver's
+    state.
     """
 
     gen: Generator | Callable[[float], Generator]
     p0: np.ndarray
     weight: float
-    clip_floor: float
-    mass_tol: float
     wrap: Callable
     starts: tuple[int, ...] = (0,)
 
@@ -121,11 +124,11 @@ def join_chains(chains) -> Chain:
     """`chains` laid end to end as one Chain, which wraps values into the
     list of their states.  No hop may cross a junction, so that the joined
     generator is block-diagonal and each chain evolves as on its own; a
-    nonzero rate there, or a weight or mass tolerance that differs between
-    chains, is ValueError.  The lowest clip floor holds for all.
+    nonzero rate there, or a weight that differs between chains, is
+    ValueError.
     """
-    if len({(c.weight, c.mass_tol) for c in chains}) > 1:
-        raise ValueError("joined chains must share their weight and mass tolerance")
+    if len({c.weight for c in chains}) > 1:
+        raise ValueError("joined chains must share their weight")
     gens = [c.gen for c in chains]
     for i, (a, b) in enumerate(zip(gens, gens[1:])):
         if a.up[-1] != 0.0 or b.down[0] != 0.0:
@@ -139,8 +142,7 @@ def join_chains(chains) -> Chain:
 
     return Chain(Generator(np.concatenate([g.up for g in gens]),
                            np.concatenate([g.down for g in gens])),
-                 np.concatenate([c.p0 for c in chains]), chains[0].weight,
-                 min(c.clip_floor for c in chains), chains[0].mass_tol, wrap, starts)
+                 np.concatenate([c.p0 for c in chains]), chains[0].weight, wrap, starts)
 
 
 def poisson_window(x: float, eps: float) -> tuple[int, np.ndarray]:
@@ -197,17 +199,16 @@ def integrate(chain: Chain, t0, stops, tol, *, h_cap=None, on_step=None):
     and its generator serves one report point.  `tol` bounds the L1 error,
     scaled by the chain's weight, of each report point against the exact
     propagation from its series start, so nothing is rejected.  A step
-    below 1e-15 of the time span's magnitude is StiffnessError.  Undershoot
-    above the clip floor is clipped and the mass renormalized; below it, or
-    with a joined chain's mass drift beyond the mass tolerance,
-    NumericalError.  `on_step(t, p)` sees the state at every report point.
+    below 1e-15 of the time span's magnitude is StiffnessError.  A negative
+    entry, or a joined chain whose mass drifts beyond MASS_TOL of
+    max(1, its mass), is NumericalError: nothing is clipped or renormalized.
+    `on_step(t, p)` sees the state at every report point.
     """
     gen, weight, starts = chain.gen, chain.weight, chain.starts
     p = np.array(chain.p0, dtype=float)
     t = float(t0)
-    mass0 = float(p.sum())
     masses0 = np.add.reduceat(p, starts)
-    scale = weight * max(mass0, 1.0)
+    scale = weight * max(float(p.sum()), 1.0)
     if any(b < a for a, b in zip([t] + list(stops), stops)):
         raise ValueError("output times must ascend from the start time")
     if not tol > 0.0:
@@ -244,15 +245,10 @@ def integrate(chain: Chain, t0, stops, tol, *, h_cap=None, on_step=None):
         n_products += products
         for t, p in zip(series, states):
             n_steps += 1
-            lo = p.min()
-            if lo < 0.0:
-                if lo < chain.clip_floor:
-                    raise NumericalError(f"undershoot {lo:.3e} exceeds clip floor "
-                                         f"at t = {t:.6g}")
-                np.clip(p, 0.0, None, out=p)
-                p *= mass0 / p.sum()
+            if p.min() < 0.0:
+                raise NumericalError(f"negative entry {p.min():.3e} at t = {t:.6g}")
             drift = np.add.reduceat(p, starts) - masses0
-            bad = np.abs(drift) > chain.mass_tol * np.maximum(1.0, masses0)
+            bad = np.abs(drift) > MASS_TOL * np.maximum(1.0, masses0)
             if bad.any():
                 k = int(bad.argmax())
                 raise NumericalError(f"chain {k} mass drift {drift[k]:.3e} "

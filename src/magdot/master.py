@@ -34,8 +34,6 @@ __all__ = [
     "free_energy",
 ]
 
-MASS_TOL = 1e-10
-CLIP_FLOOR = -1e-14
 LOCAL_HALF_SPAN = 0.05  # largest half-width of the `local_width` fit, in m
 
 
@@ -53,10 +51,8 @@ class DiscreteDistribution:
             raise ValueError(
                 f"expected {self.n_spins + 1} weights, got {self.weights.shape}"
             )
-        if self.weights.min() < CLIP_FLOOR:
-            raise NumericalError(
-                f"negative weight {self.weights.min():.3e} below clip floor"
-            )
+        if self.weights.min() < 0.0:
+            raise NumericalError(f"negative weight {self.weights.min():.3e}")
 
     @property
     def grid(self) -> np.ndarray:
@@ -275,8 +271,8 @@ def _entropy_energy(params: ModelParams):
 
 def chain(dist: DiscreteDistribution, gen) -> Chain:
     """The chain from `dist` under `gen` (a Generator, or a function of t
-    that builds one), with CLIP_FLOOR and MASS_TOL."""
-    return Chain(gen, dist.weights, 1.0, CLIP_FLOOR, MASS_TOL,
+    that builds one), with unit weight."""
+    return Chain(gen, dist.weights, 1.0,
                  lambda w, t: DiscreteDistribution(dist.n_spins, w, t))
 
 
@@ -289,7 +285,7 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
     Uniformization (`integrator.integrate`): every state it reports (the
     snapshot times, which it lands on exactly, and at least one per
     MAX_JUMPS jumps) is read off a Poisson series of exp(hA) with an L1
-    error of at most tol, and checked as `chain` sets.  Full-memory mode
+    error of at most tol, and checked for positivity and mass.  Full-memory mode
     builds the rate table at every reported state, holds it until the next,
     and caps the interval at 0.1 hbar/T + 0.05 t, the scale on which the
     windowed kernel still varies.

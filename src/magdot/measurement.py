@@ -174,7 +174,6 @@ def _evolve_sectors(params: ModelParams, t_end: float, engine: str, tol: float,
                   for sp, rt in zip(sps, map(master.transition_rates, sps))]
     else:
         cfg = fp_config or FPConfig()
-        tol = cfg.tol
         chains = [fokker_planck.chain(sp, init_kind or "gaussian", cfg) for sp in sps]
     joint = join_chains(chains)
     states, n_steps, n_terms = integrate(joint, 0.0, [t_end], tol)

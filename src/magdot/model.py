@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _INF = math.inf
+SCAN_POINTS = 10_000  # cells of the sign-change scan of `_zeros`
 
 
 class ParameterError(ValueError):
@@ -257,18 +258,18 @@ def _mean_field_residual(params: ModelParams, m):
     return m - np.tanh(field_h(params, m) / params.temp_bath)
 
 
-def _zeros(params: ModelParams, f, scan_points: int) -> list[FixedPoint]:
+def _zeros(params: ModelParams, f) -> list[FixedPoint]:
     """Zeros of the vectorized f on [-1, 1], ascending, each stable where
     dv/dm < 0.
 
-    Sign changes are located on a uniform scan of `scan_points` cells (so
+    Sign changes are located on a uniform scan of SCAN_POINTS cells (so
     nearly degenerate roots near the spinodal are not dropped).  Each
     bracket is then rescanned on 64 sub-cells and replaced by the first
     sub-cell holding a sign change, all brackets at once; eight passes take
     a 2e-4 bracket below 1e-18.  Exact zeros at scan nodes (e.g. m = 0 for
     g = 0) are added.
     """
-    ms = np.linspace(-1.0, 1.0, scan_points + 1)
+    ms = np.linspace(-1.0, 1.0, SCAN_POINTS + 1)
     fs = f(ms)
     i = np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0)
     lo, hi = ms[i], ms[i + 1]
@@ -288,17 +289,17 @@ def _zeros(params: ModelParams, f, scan_points: int) -> list[FixedPoint]:
     return [FixedPoint(m=float(r), stable=bool(d < 0)) for r, d in zip(roots, slopes)]
 
 
-def fixed_points(params: ModelParams, scan_points: int = 10_000) -> list[FixedPoint]:
+def fixed_points(params: ModelParams) -> list[FixedPoint]:
     """All solutions of m = tanh((g_eff + J m)/T) in [-1, 1], with stability.
     For T >= J there is a single paramagnetic root.
     """
-    return _zeros(params, lambda m: _mean_field_residual(params, m), scan_points)
+    return _zeros(params, lambda m: _mean_field_residual(params, m))
 
 
 def drift_zeros(params: ModelParams) -> list[FixedPoint]:
     """Zeros of the drift v(m) itself (they differ from the mean-field roots
     at order 1/N^2); these bound the characteristic basins."""
-    return _zeros(params, lambda m: drift_v(params, m), 10_000)
+    return _zeros(params, lambda m: drift_v(params, m))
 
 
 def repeller(params: ModelParams) -> float:

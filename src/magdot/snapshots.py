@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 FMT = "%.17g"
+TIME_RTOL = 1e-9  # relative tolerance within which `compare_dirs` pairs two times
 
 
 def as_density(state) -> tuple[float, np.ndarray, np.ndarray]:
@@ -88,14 +89,14 @@ def l1_distance(m_a, p_a, m_b, p_b) -> float:
     return float(np.trapezoid(np.abs(p_a - p_b_on_a), m_a))
 
 
-def compare_dirs(path_a: str, path_b: str, time_rtol: float = 1e-9):
+def compare_dirs(path_a: str, path_b: str):
     """Match snapshot times of two long-format files and compute L1 per time."""
     snaps_a = read_long_csv(path_a)
     snaps_b = read_long_csv(path_b)
     results = []
     for t_a, (m_a, p_a) in snaps_a.items():
         for t_b, (m_b, p_b) in snaps_b.items():
-            if abs(t_a - t_b) <= time_rtol * max(1.0, abs(t_a)):
+            if abs(t_a - t_b) <= TIME_RTOL * max(1.0, abs(t_a)):
                 results.append((t_a, l1_distance(m_a, p_a, m_b, p_b)))
                 break
     return results

@@ -84,6 +84,11 @@ class TestCharacteristics:
         with pytest.raises(CharacteristicsError):
             cm.travel_time(-0.3, 0.3)  # astride the repeller at -0.145
 
+    @pytest.mark.parametrize("model", ["linearized", "cubic-v"])
+    def test_travel_time_needs_exact_model(self, fig1_params, model):
+        with pytest.raises(ValueError, match="exact-quadrature"):
+            CharMap(fig1_params, model).travel_time(0.02, 0.3)
+
     def test_fixed_point_start_rejected(self, fig2_params):
         cm = CharMap(fig2_params, "exact-quadrature")
         with pytest.raises(CharacteristicsError):

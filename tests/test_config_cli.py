@@ -73,6 +73,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 4: .*seed >= 0"):
             parse_config(FIG1_MINIMAL + "seed = -1\n")
 
+    @pytest.mark.parametrize("line, invariant", [
+        ("T = 0", "T > 0"), ("gamma = 0", "gamma > 0"), ("Gamma = -1", "Gamma > 0"),
+        ("cells = 99", "cells >= 100"), ("tol = 0", "tol > 0")])
+    def test_invariant_names_its_line(self, line, invariant):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"line 4: invariant violated: {invariant}")):
+            parse_config(FIG1_MINIMAL + line + "\n")
+
     def test_both_time_forms_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(FIG1_MINIMAL + "times = 1\ntimes_theta = 1\n")
@@ -338,6 +346,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "needs output times" in err
         assert not out.exists()
+
+    def test_sweep_missing_config_is_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cfg")
+        assert command_surface(["sweep", "-c", missing, "--axis", "g=0.1"]) == 1
+        err = capsys.readouterr().err
+        assert "cannot read config" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", [("simulate", "--snapshot-dir"),
+                                               ("measure", "--out-dir")])
+    def test_out_dir_naming_a_file_is_usage_error(self, small_cfg, tmp_path, capsys,
+                                                  command, flag):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert command_surface([command, "-c", small_cfg, flag, str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot make output directory" in err and "Traceback" not in err
+
+    def test_both_time_flags_are_usage_error(self, small_cfg, capsys):
+        argv = ["simulate", "-c", small_cfg, "--times", "1,2", "--times-theta", "1"]
+        assert command_surface(argv) == 1
+        err = capsys.readouterr().err
+        assert "not allowed with argument" in err and "Traceback" not in err
 
     def test_compare_missing_file_is_usage_error(self, tmp_path, capsys):
         assert command_surface(["compare", str(tmp_path / "none"),

@@ -14,7 +14,14 @@ from scipy.special import pdtr, pdtrc
 
 from magdot import fokker_planck, integrator
 from magdot.fokker_planck import FPConfig, equilibrium_profile, solve_fp
-from magdot.integrator import Generator, StiffnessError, integrate, join_chains
+from magdot.integrator import (
+    Chain,
+    Generator,
+    NumericalError,
+    StiffnessError,
+    integrate,
+    join_chains,
+)
 from magdot.master import (
     chain,
     evolve,
@@ -22,6 +29,7 @@ from magdot.master import (
     stationary_distribution,
     transition_rates,
 )
+from magdot.model import ModelParams
 
 from conftest import dense_generator, random_params, relax_time, small_params
 
@@ -69,13 +77,13 @@ class TestGenerator:
                 join_chains([chain(d, Generator(*r)) for r in rates])
 
     def test_join_chains_refuses_other_checks(self):
-        # a master chain and an FP chain differ in cell weight and mass
-        # tolerance, so no one check serves both
+        # a master chain and an FP chain differ in cell weight, so no one L1
+        # bound serves both
         p = small_params(n=20)
         rt = transition_rates(p)
         master_chain = chain(initial_distribution(p), Generator(rt.up, rt.down))
         fp_chain = fokker_planck.chain(p, "gaussian", FPConfig(cells=100))
-        with pytest.raises(ValueError, match="weight and mass tolerance"):
+        with pytest.raises(ValueError, match="share their weight"):
             join_chains([master_chain, fp_chain])
 
     def test_poisson_window_against_mpmath(self):
@@ -169,6 +177,24 @@ class TestIntegrate:
     def test_step_underflow_raises(self):
         with pytest.raises(StiffnessError, match="underflow"):
             self.run([self.th], h_cap=lambda t: 1e-20 * self.th)
+
+    def test_negative_rate_raises_instead_of_clipping(self):
+        # a negative down rate makes P(0, 1) = -0.8: the first product leaves a
+        # negative entry, which the integrator reports rather than mends
+        ch = Chain(Generator([0.5, 0.0], [0.0, -0.4]), np.array([0.0, 1.0]), 1.0,
+                   lambda v, t: v)
+        with pytest.raises(NumericalError, match="negative entry .* at t = 1"):
+            integrate(ch, 0.0, [1.0], 1e-9)
+
+    def test_early_negative_full_memory_rates_leave_no_negative_weight(self):
+        # full-memory rates dip below zero early in this run (-1.7e-3 at t = 1);
+        # the states stay nonnegative, so the run completes
+        p = ModelParams(n_spins=50, temp_bath=0.3, coupling_g=0.2, debye_cutoff=10.0)
+        assert transition_rates(p, "full-memory", 1.0).down.min() < 0.0
+        res = evolve(initial_distribution(p), p, 5.0, mode="full-memory",
+                     snapshot_times=[1.0, 2.0, 5.0])
+        assert min(s.weights.min() for s in res.snapshots) >= 0.0
+        assert res.final.total() == pytest.approx(1.0, abs=integrator.MASS_TOL)
 
 
 @random_params

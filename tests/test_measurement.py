@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from magdot import measurement
-from magdot.fokker_planck import FP_MASS_TOL, FPConfig, gaussian_field, solve_fp
-from magdot.integrator import Generator, NumericalError, join_chains
-from magdot.master import MASS_TOL, evolve, initial_distribution
+from magdot.fokker_planck import FPConfig, gaussian_field, solve_fp
+from magdot.integrator import MASS_TOL, Generator, NumericalError, join_chains
+from magdot.master import evolve, initial_distribution
 from magdot.measurement import (
     SpinState,
     _evolve_sectors,
@@ -20,7 +20,7 @@ from magdot.special import erfc
 from conftest import random_params, relax_time, small_params
 
 TOL = 1e-9
-FP_CELLS = FPConfig(cells=200, tol=TOL)
+FP_CELLS = FPConfig(cells=200)
 
 
 def own_run_l1(final, sp, t_end, engine):
@@ -29,7 +29,7 @@ def own_run_l1(final, sp, t_end, engine):
     if engine == "master":
         own = evolve(initial_distribution(sp, "gaussian"), sp, t_end, tol=TOL).final
         return float(np.abs(final.weights - own.weights).sum())
-    own = solve_fp(sp, gaussian_field(sp, FP_CELLS), [t_end], FP_CELLS)[0]
+    own = solve_fp(sp, gaussian_field(sp, FP_CELLS), [t_end], FP_CELLS, tol=TOL)[0]
     return float(np.abs(final.values - own.values).sum() * own.dm)
 
 
@@ -171,11 +171,18 @@ class TestRunMeasurement:
                               fp_config=FP_CELLS, init_kind="gaussian")
         up, down = rep.sectors["up"], rep.sectors["down"]
         assert abs(up.p_correct - down.p_correct) > 0.1
-        mass_tol = MASS_TOL if engine == "master" else FP_MASS_TOL
         for name, sec in rep.sectors.items():
-            assert sec.p_correct + sec.p_wrong == pytest.approx(1.0, abs=mass_tol)
+            assert sec.p_correct + sec.p_wrong == pytest.approx(1.0, abs=MASS_TOL)
             assert own_run_l1(sec.final, replace(p, sector=name), t_end, engine) <= TOL
         assert 0 < rep.n_steps <= rep.n_terms
+
+    def test_fp_engine_honours_tol(self):
+        # a looser tol cuts the Poisson windows short on the FP engine too
+        p = small_params(n=200, g=0.1)
+        t_end = 3.0 * derived_scales(p).theta
+        terms = [run_measurement(SpinState(1.0, 0.0), p, t_end, engine="fp", tol=tol,
+                                 fp_config=FP_CELLS).n_terms for tol in (1e-4, 1e-9)]
+        assert terms[0] < terms[1]
 
     def test_mass_moved_between_sectors_is_caught(self, monkeypatch):
         # a hop across the junction keeps the total mass but moves it from
