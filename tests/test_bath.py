@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,13 +157,74 @@ class TestWindowed:
         assert bath._GL15_X.tobytes() == x.tobytes()
         assert bath._GL15_W.tobytes() == w.tobytes()
 
+    def test_node_chunk_memory(self):
+        # a scalar frequency gets _NODE_CHUNK nodes per K evaluation; the
+        # trigamma recurrence must stay one node array wide, not 16.  Peak
+        # measured 194,528 B; the bound is 10% above the 204,472 B of the
+        # two-trigamma form
+        spec = KernelSpec(temp_bath=0.65, debye_cutoff=1e6)
+        windowed_spectral(spec, 0.3, 1.0)
+        tracemalloc.start()
+        try:
+            windowed_spectral(spec, 0.3, 12.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 204_472
+
     def test_panel_budget_error(self, monkeypatch):
         monkeypatch.setattr(bath, "_MAX_NODES", 100)
         with pytest.raises(KernelConvergenceError):
             windowed_spectral(SPEC, 1.0, 80.0, tol=1e-10)
 
 
+def worst_error_against_mpmath(spec, s):
+    """Largest |K - K_ref| / |K_ref| over the times s, where K_ref is the
+    trigamma pair (T^2/8 pi) [psi'(1 + c - i tau) + psi'(c + i tau)] itself,
+    evaluated by mpmath at 40 digits without the recurrence and conjugation
+    identities that autocorrelation uses."""
+    mpmath = pytest.importorskip("mpmath")
+    got = autocorrelation(spec, s)
+    worst = 0.0
+    with mpmath.workdps(40):
+        temp = mpmath.mpf(spec.temp_bath)
+        c = temp / (mpmath.mpf(spec.hbar) * mpmath.mpf(spec.debye_cutoff))
+        for si, ki in zip(s, got):
+            tau = mpmath.mpf(float(si)) * temp / mpmath.mpf(spec.hbar)
+            ref = temp**2 / (8 * mpmath.pi) * (
+                mpmath.psi(1, 1 + c - 1j * tau) + mpmath.psi(1, c + 1j * tau))
+            worst = max(worst, float(abs(ki - ref) / abs(ref)))
+    return worst
+
+
 class TestAutocorrelation:
+    # bounds are about 3x the worst errors measured on this grid over the three
+    # temperatures: 1.7e-13, 1.1e-12, 8.5e-11 and 5.0e-9 for Gamma = 10, 100,
+    # 1e4 and 1e6 (Re K cancels between its two terms as s grows)
+    @pytest.mark.parametrize("cutoff, bound", [
+        (10.0, 5e-13), (100.0, 3e-12), (1e4, 2.5e-10), (1e6, 1.5e-8)])
+    def test_matches_mpmath_trigamma_pair(self, cutoff, bound):
+        s = np.geomspace(1e-9, 1e3, 13)
+        s = np.concatenate([[0.0], s, -s])
+        for temp in (0.3, 0.65, 2.0):
+            spec = KernelSpec(temp_bath=temp, debye_cutoff=cutoff)
+            assert worst_error_against_mpmath(spec, s) <= bound
+
+    def test_trigamma_matches_mpmath(self):
+        # worst measured error 2.7e-16; the quad oracle passes 0-d inputs
+        mpmath = pytest.importorskip("mpmath")
+        im = np.array([0.0, 1e-3, 1.0, 15.0, 16.0, 1e3, 1e5])
+        z = np.array([1.0, 1.5, 17.0])[:, None] + 1j * np.concatenate([im, -im])
+        got = bath._trigamma(z)
+        assert got.shape == z.shape
+        for zi, gi in zip(z.ravel(), got.ravel()):
+            scalar = bath._trigamma(zi)
+            assert scalar.shape == ()
+            with mpmath.workdps(40):
+                ref = mpmath.psi(1, mpmath.mpc(zi.real, zi.imag))
+                for val in (gi, complex(scalar)):
+                    assert float(abs(val - ref) / abs(ref)) <= 1e-15
+
     def test_hermitian_symmetry(self):
         for s in (0.03, 0.7, 4.0):
             assert autocorrelation(SPEC, -s) == pytest.approx(
