@@ -8,10 +8,13 @@ carried as occupation counts.  The step count is drawn one step at a time
 through the Poisson hazard h_j = P(K = j | K >= j): at step j each active
 walker leaves with probability h_j and otherwise moves, so one four-way
 multinomial per state (leave, up, down, stay) does both, and the walkers
-that leave at step j made exactly j moves.  The final states are shuffled
-into launch slots.  A block costs O(N Lambda t) whatever its size.  Block b
-draws from a counter-based Philox stream keyed by (seed, b), so results are
-reproducible for a given seed and mergeable in trajectory order.
+that leave at step j made exactly j moves.  A block holds 2^18 walkers, so
+its launch slots take 2 MB of int64.  A full block writes its final states
+into its slice of the result and shuffles them there; a partial last block
+does the same in one block-long buffer and keeps its first slots.  A block
+costs O(N Lambda t) in steps, whatever its size, plus an O(block) shuffle.
+Block b draws from a counter-based Philox stream keyed by (seed, b), so
+results are reproducible for a given seed and mergeable in trajectory order.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .model import ModelParams, repeller
 
 __all__ = ["TrajectoryEnsemble", "poisson_hazards", "sample_trajectories"]
 
-_BLOCK = 2**16
+_BLOCK = 2**18
 _TAIL_NATS = 700.0  # the hazard table drops a Poisson tail below e^-700
 
 
@@ -75,8 +78,11 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
     Initial states are drawn from `init` (default: exact paramagnet).
     Deterministic for a fixed seed.
     """
+    if isinstance(n_traj, bool) or not isinstance(n_traj, (int, np.integer)):
+        raise ValueError(f"n_traj must be an integer (got {n_traj!r})")
     if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
+        raise ValueError(f"n_traj must be >= 1 (got {n_traj})")
+    n_traj = int(n_traj)
     if seed < 0:
         raise ValueError(f"seed must be >= 0 (got {seed})")
     if not (math.isfinite(t_end) and t_end >= 0.0):
@@ -130,8 +136,16 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
             if not active.any():
                 break
         n_steps += j
-        states = rng.permutation(np.repeat(np.arange(n + 1), done))
-        finals[start:start + _BLOCK] = states[:n_traj - start]
+        # a full block fills its launch slots in place; a partial one fills
+        # a block-long buffer, so a walker's slot never depends on n_traj
+        full = start + _BLOCK <= n_traj
+        slots = finals[start:start + _BLOCK] if full else np.empty(_BLOCK, np.int64)
+        ends = np.cumsum(done)
+        for k in np.flatnonzero(done):
+            slots[ends[k] - done[k]:ends[k]] = k
+        rng.shuffle(slots)
+        if not full:
+            finals[start:] = slots[:n_traj - start]
 
     counts = np.bincount(finals, minlength=n + 1)
     m = params.grid

@@ -37,14 +37,21 @@ def as_density(state) -> tuple[float, np.ndarray, np.ndarray]:
     raise TypeError(f"unsupported state type {type(state)!r}")
 
 
+def _rows(row: str, m: np.ndarray, p: np.ndarray) -> str:
+    """`row % (m_i, p_i)` for every i, joined: one `%` over the whole state.
+
+    `row` holds two `FMT` fields; `tolist()` gives Python floats, which
+    format exactly as numpy's float64 does.
+    """
+    return (row * len(m)) % tuple(np.column_stack((m, p)).ravel().tolist())
+
+
 def write_long_csv(path: str, states) -> None:
     with open(path, "w") as fh:
         fh.write("t,m,P\n")
         for state in states:
             t, m, p = as_density(state)
-            ts = FMT % t
-            for mi, pi in zip(m, p):
-                fh.write(f"{ts},{FMT % mi},{FMT % pi}\n")
+            fh.write(_rows(f"{FMT % t},{FMT},{FMT}\n", m, p))
 
 
 def write_split_csv(out_dir: str, states) -> list[str]:
@@ -56,8 +63,7 @@ def write_split_csv(out_dir: str, states) -> list[str]:
         with open(path, "w") as fh:
             fh.write(f"# t={FMT % t}\n")
             fh.write("m,P\n")
-            for mi, pi in zip(m, p):
-                fh.write(f"{FMT % mi},{FMT % pi}\n")
+            fh.write(_rows(f"{FMT},{FMT}\n", m, p))
         paths.append(path)
     return paths
 

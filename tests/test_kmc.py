@@ -7,12 +7,14 @@ and exactly at N = 3, where a few uniformized steps decide the law.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.special import pdtrc
 
+from magdot import kmc
 from magdot.kmc import poisson_hazards, sample_trajectories
 from magdot.master import (
     DiscreteDistribution,
@@ -25,7 +27,7 @@ from magdot.model import derived_scales
 
 from conftest import dense_generator, random_params, relax_time, small_params
 
-N_WALKERS = 2**18 + 4321  # four full blocks and a partial one
+N_WALKERS = 2**18 + 4321  # a full block and a partial one
 
 
 def rate_table(up, down):
@@ -57,12 +59,32 @@ def test_deterministic_under_seed():
 
 
 def test_block_partition_invariance_of_prefix():
-    # first block of trajectories is independent of how many follow
+    # the first trajectories are independent of how many follow: within
+    # block 0, and across a boundary, where a partial second block (buffered)
+    # meets a full one (filled in place)
     p = small_params(n=50)
     th = derived_scales(p).theta
-    a = sample_trajectories(p, 600, 0.3 * th, seed=7)
-    b = sample_trajectories(p, 5000, 0.3 * th, seed=7)
-    assert np.array_equal(a.final_states[:600], b.final_states[:600])
+    for short, long in ((600, 5000), (kmc._BLOCK + 600, 2 * kmc._BLOCK)):
+        a = sample_trajectories(p, short, 0.3 * th, seed=7)
+        b = sample_trajectories(p, long, 0.3 * th, seed=7)
+        assert np.array_equal(a.final_states[:short], b.final_states[:short])
+
+
+def test_full_block_writes_launch_slots_in_place():
+    # a full block shuffles its slots inside final_states: no block-long
+    # temporary beside the 8 * _BLOCK bytes of the result.  Peak measured
+    # 2,120,548 B; the bound is the 3,685,895 B of the repeat-and-permute
+    # form with 2^16-walker blocks
+    p = small_params(n=50)
+    t = 0.5 * derived_scales(p).theta
+    sample_trajectories(p, 10, t, seed=1)
+    tracemalloc.start()
+    try:
+        sample_trajectories(p, kmc._BLOCK, t, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_685_895
 
 
 def test_histogram_matches_master_equation():
@@ -87,6 +109,11 @@ def test_input_validation():
     p = small_params(n=20)
     with pytest.raises(ValueError):
         sample_trajectories(p, 0, 1.0)
+    for bad in (2.5, True, "10"):
+        with pytest.raises(ValueError, match="n_traj must be an integer"):
+            sample_trajectories(p, bad, 1.0)
+    ens = sample_trajectories(p, np.int64(5), 1.0)
+    assert ens.n_traj == 5 and ens.final_states.shape == (5,)
 
 
 def test_rejects_negative_seed_and_bad_end_time():
@@ -187,9 +214,9 @@ def test_reports_uniform_rate_and_steps():
     p = small_params(n=50)
     rt = transition_rates(p)
     t = 0.5 * derived_scales(p).theta
-    ens = sample_trajectories(p, 3 * 2**16, t, seed=4)
+    ens = sample_trajectories(p, 3 * kmc._BLOCK, t, seed=4)
     assert ens.uniform_rate == (rt.up + rt.down).max()
-    # per block, the largest of 2^16 Poisson(Lambda t) step counts
+    # per block, the largest of 2^18 Poisson(Lambda t) step counts
     mean = ens.uniform_rate * t
     assert 3 * mean < ens.n_steps < 3 * (mean + 7.0 * math.sqrt(mean) + 7.0)
     frozen = sample_trajectories(p, 10, t, rates=zero_rates(50))
