@@ -48,7 +48,7 @@ fracs = [0.0, 0.5, 1.0, 2.25, 3.0, 4.0, 5.0]
 run = evolve(initial_distribution(params, "exact-paramagnet"), params,
              5 * theta, snapshot_times=[f * theta for f in fracs])
 
-cm = CharMap(params, "exact-quadrature")
+cm = CharMap(params)
 print("\n t/theta   center    characteristic   width*sqrt(N)   next order")
 for frac, snap in zip(fracs, run.snapshots):
     center = snap.median()

@@ -2,14 +2,11 @@
 splitting probabilities and the named time scales.
 
 These are the independent oracles against which the numerical solvers are
-checked.  Three characteristic models are available:
-
-* "exact-quadrature": integrates dm'/v(m') with the fixed-point poles
-  subtracted analytically (log terms in closed form), so travel times stay
-  accurate arbitrarily close to the fixed points;
-* "linearized": the exponential flow of the drift linearized about m = 0;
-* "cubic-v": the closed-form flow of the cubic drift model, valid between
-  the two ferromagnetic attractors for a small repeller offset.
+checked.  `CharMap` follows the exact characteristics of the drift: it
+integrates dm'/v(m') with the fixed-point poles subtracted analytically (log
+terms in closed form), so travel times stay accurate arbitrarily close to
+the fixed points.  The "gaussian-linear" and "gaussian-cubic" densities of
+`closed_form_P` carry their own closed-form backward maps.
 
 scipy is imported inside the functions that need it (the exact flow, the
 second-maximum onset and the width oracle), so that `import magdot` and
@@ -34,7 +31,7 @@ from .model import (
     drift_zeros,
     field_h,
 )
-from .special import erfc
+from .special import GL15_W, GL15_X, erfc
 
 __all__ = [
     "CharMap",
@@ -55,8 +52,6 @@ __all__ = [
     "time_scales",
     "classify_regime",
 ]
-
-_MODELS = ("exact-quadrature", "linearized", "cubic-v")
 
 
 class CharacteristicsError(RuntimeError):
@@ -121,11 +116,10 @@ class _ExactFlow:
 
         # cumulative Gauss-Legendre panels over the closed basin
         edges = np.linspace(lo, hi, self._GRID + 1)
-        xg, wg = np.polynomial.legendre.leggauss(15)
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
-        nodes = mid[:, None] + half[:, None] * xg[None, :]
-        panel = half * (f_reg(nodes) @ wg)
+        nodes = mid[:, None] + half[:, None] * GL15_X[None, :]
+        panel = half * (f_reg(nodes) @ GL15_W)
         q = np.concatenate([[0.0], np.cumsum(panel)])
         from scipy.interpolate import CubicSpline
         self._q_reg = CubicSpline(edges, q)
@@ -160,21 +154,9 @@ class _ExactFlow:
 
 @dataclass(frozen=True)
 class CharMap:
-    """Forward/inverse characteristic maps for one drift model."""
+    """Forward/inverse maps and travel times along the exact drift flow."""
 
     params: ModelParams
-    model: str = "exact-quadrature"
-
-    def __post_init__(self):
-        if self.model not in _MODELS:
-            raise ValueError(f"model must be one of {_MODELS}")
-
-    # -- shared scale helpers ------------------------------------------
-
-    def _scales(self) -> DerivedScales:
-        return derived_scales(self.params)
-
-    # -- exact model ----------------------------------------------------
 
     def _flow_for(self, *points: float) -> _ExactFlow:
         zeros = _cached_zeros(self.params)
@@ -196,53 +178,18 @@ class CharMap:
         poles = [(z, s) for z, s in zeros if z == lo or z == hi]
         return _cached_flow(self.params, lo, hi, tuple(poles))
 
-    # -- public maps ------------------------------------------------------
-
     def forward(self, mu: float, t: float) -> float:
         """m(mu, t): characteristic through mu advanced by t."""
         mu, t = float(mu), float(t)
-        if self.model == "exact-quadrature":
-            return self._flow_for(mu).advect(mu, t)
-        ds = self._scales()
-        if self.model == "linearized":
-            e = math.exp(t / ds.theta)
-            return mu * e - ds.m_repel * (e - 1.0)
-        # cubic model: exact inversion of the printed backward map, so the
-        # forward/backward pair composes to the identity; collapses to the
-        # printed forward form when the repeller offset vanishes
-        m_f, m_p = ds.m_ferro, ds.m_repel
-        if abs(mu) >= m_f:
-            raise CharacteristicsError("cubic map defined for |m| < m_F")
-        if t == 0.0:
-            return mu
-        e = math.exp(-t / ds.theta)
-        w = mu - m_p
-        a = e * e * m_f**2 + w * w * (1.0 - e * e)
-        b = 2.0 * m_p * w * w * (1.0 - e * e)
-        c = w * w * ((1.0 - e * e) * m_p**2 - m_f**2)
-        sgn = 1.0 if w >= 0 else -1.0
-        y = (-b + sgn * math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-        return m_p + y
+        return self._flow_for(mu).advect(mu, t)
 
     def inverse(self, m: float, t: float) -> float:
         """mu(m, t): the starting point whose characteristic reaches m at t."""
         m, t = float(m), float(t)
-        if self.model == "exact-quadrature":
-            return self._flow_for(m).advect(m, -t)
-        ds = self._scales()
-        if self.model == "linearized":
-            e = math.exp(t / ds.theta)
-            return m / e + ds.m_repel * (1.0 - 1.0 / e)
-        if abs(m) >= ds.m_ferro:
-            raise CharacteristicsError("cubic map defined for |m| < m_F")
-        return float(_cubic_inverse_printed(ds, m, t))
+        return self._flow_for(m).advect(m, -t)
 
     def travel_time(self, mu: float, m: float) -> float:
-        """t such that the characteristic through mu reaches m; only the
-        exact-quadrature model has one, any other is ValueError."""
-        if self.model != "exact-quadrature":
-            raise ValueError(f"travel_time needs the exact-quadrature model, "
-                             f"not {self.model!r}")
+        """t such that the characteristic through mu reaches m."""
         mu, m = float(mu), float(m)
         return self._flow_for(mu, m).travel(mu, m)
 
@@ -268,10 +215,9 @@ def _cubic_inverse_printed(ds: DerivedScales, m, t: float):
 
         mu = m_P + (m - m_P) e^{-t/theta} m_F / sqrt(m_F^2 - m^2(1-e^{-2t/theta}))
 
-    This is *not* the exact inverse of the forward map (they agree only to
-    first order in m_P/m_F), but it is the form the transported-Gaussian
-    density is built from, and it tracks the true flow markedly better than
-    the exactly-inverted forward map does.
+    It is the exact backward flow of the cubic drift m(m_F^2 - m^2) when the
+    repeller offset m_P vanishes, and holds to first order in m_P/m_F
+    otherwise; the transported-Gaussian density is built from it.
     """
     m = np.asarray(m, dtype=float)
     e = math.exp(-t / ds.theta)
@@ -308,7 +254,7 @@ def closed_form_P(params: ModelParams, m, t: float, model: str = "gaussian-cubic
     m0, d0 = params.m_offset, params.delta0
 
     if model == "drift-only":
-        cmap = CharMap(params, "exact-quadrature")
+        cmap = CharMap(params)
         if t == 0.0:
             mu = m_arr.copy()
         else:
@@ -319,8 +265,8 @@ def closed_form_P(params: ModelParams, m, t: float, model: str = "gaussian-cubic
     elif model == "gaussian-linear":
         c = _diffusion_c(params, t, theta)
         width2 = c + d0 * d0
-        cmap = CharMap(params, "linearized")
-        mu = np.array([cmap.inverse(x, t) for x in m_arr])
+        e = math.exp(t / theta)
+        mu = m_arr / e + ds.m_repel * (1.0 - 1.0 / e)
         out = (math.sqrt(n / (2.0 * math.pi * width2))
                * np.exp(-0.5 * n * (mu - m0) ** 2 / width2)
                * math.exp(-t / theta))

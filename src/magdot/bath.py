@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .special import GL15_W, GL15_X
+
 __all__ = [
     "KernelSpec",
     "KernelConvergenceError",
@@ -42,24 +44,6 @@ __all__ = [
     "windowed_spectral",
     "autocorrelation",
 ]
-
-# 15-point Gauss-Legendre rule on [-1, 1]: numpy.polynomial.legendre.leggauss(15)
-# to the bit (a test compares them), written out so that importing the module
-# does not load numpy.polynomial
-_GL15_X = np.array([
-    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
-    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
-    -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
-    0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
-    0.9372733924007058, 0.9879925180204854,
-])
-_GL15_W = np.array([
-    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
-    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
-    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
-    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
-    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
-])
 
 _NODE_CHUNK = 32768  # cap on simultaneous frequency x node products (256 kB each array)
 _MAX_NODES = 1 << 20  # node budget of one windowed transform
@@ -106,8 +90,8 @@ def _window_integral(spec, omega, edges):
     frequency x node products are formed at most _NODE_CHUNK at a time.
     """
     half = 0.5 * np.diff(edges)
-    s = ((edges[:-1] + half)[:, None] + half[:, None] * _GL15_X).ravel()
-    wt = 2.0 * (half[:, None] * _GL15_W).ravel()
+    s = ((edges[:-1] + half)[:, None] + half[:, None] * GL15_X).ravel()
+    wt = 2.0 * (half[:, None] * GL15_W).ravel()
     out = np.zeros(omega.size)
     step = max(1, _NODE_CHUNK // omega.size)
     for i in range(0, s.size, step):
@@ -148,7 +132,7 @@ def windowed_spectral(spec: KernelSpec, omega, t: float, tol: float = 1e-8):
             start, t, math.ceil((t - start) / width) + 1)[1:]])
         todo, coarse = np.arange(flat.size), None
         while todo.size:
-            if _GL15_X.size * (edges.size - 1) > _MAX_NODES:
+            if GL15_X.size * (edges.size - 1) > _MAX_NODES:
                 raise KernelConvergenceError(
                     f"windowed kernel quadrature needs more than {_MAX_NODES} nodes "
                     f"for {todo.size} frequencies (tol {tol:.1e}, Gamma*t = {cut * t:.3g})")

@@ -130,10 +130,8 @@ def _cmd_analytic(args) -> int:
         cfg.times_theta = [float(x) for x in args.times_theta.split(",")]
         cfg.times = []
     params = cfg.model_params()
-    ds = derived_scales(params)
-    times = cfg.resolve_times(ds.theta)
-    if not times:
-        raise UsageError("analytic needs output times")
+    times = _output_times(cfg, "analytic")
+    ds = derived_scales(params)  # rejects T >= J before the output directory is made
     model = args.model
     if model == "gaussian-cubic":
         # stay off the attractor skin, where the transport Jacobian diverges

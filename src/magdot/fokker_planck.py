@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import Chain, Generator, integrate
-from .model import ModelParams, diffusion_w, drift_v, fixed_points, refined_peak
+from .model import ModelParams, diffusion_w, drift_v, refined_peak
 
 __all__ = [
     "ContinuumField",
@@ -117,38 +117,17 @@ def gaussian_field(params: ModelParams, cfg: FPConfig = FPConfig()) -> Continuum
     return ContinuumField(mesh=mesh, values=vals, time=0.0)
 
 
-def equilibrium_profile(params: ModelParams, branch: str = "global",
+def equilibrium_profile(params: ModelParams,
                         cfg: FPConfig = FPConfig()) -> ContinuumField:
-    """Equilibrium shapes: the mesh-exact exponential profile or one Gaussian well.
-
-    branch "global": exp of the cumulative face-midpoint integral of N v/w,
-    which is the exact stationary state of the solve_fp operator on the same
-    mesh.  Branches "plus"/"minus": the Gaussian of width delta_F/sqrt(N)
-    centered on the corresponding stable magnetization; rejected when the
-    curvature expression is not positive there.
-    """
-    mesh = _mesh(cfg.cells)
-    if branch == "global":
-        _, _, pe = _face_rates(params, cfg.cells)
-        log_p = np.concatenate([[0.0], np.cumsum(pe)])
-        log_p -= log_p.max()
-        vals = np.exp(log_p)
-    elif branch in ("plus", "minus"):
-        params.require_ferromagnetic()
-        roots = [fp.m for fp in fixed_points(params) if fp.stable]
-        pick = [r for r in roots if (r > 0 if branch == "plus" else r < 0)]
-        if not pick:
-            raise ValueError(f"no stable {branch} branch for these parameters")
-        m_f = pick[0] if branch == "minus" else pick[-1]
-        inv_df2 = 1.0 / (1.0 - m_f * m_f) - params.coupling_j / params.temp_bath
-        if inv_df2 <= 0:
-            raise ValueError(f"equilibrium width undefined on branch {branch}")
-        n = params.n_spins
-        vals = np.exp(-0.5 * n * inv_df2 * (mesh - m_f) ** 2)
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
+    """The mesh-exact equilibrium: exp of the cumulative face-midpoint
+    integral of N v/w, which is the exact stationary state of the solve_fp
+    operator on the same mesh."""
+    _, _, pe = _face_rates(params, cfg.cells)
+    log_p = np.concatenate([[0.0], np.cumsum(pe)])
+    log_p -= log_p.max()
+    vals = np.exp(log_p)
     vals /= vals.sum() * (2.0 / cfg.cells)
-    return ContinuumField(mesh=mesh, values=vals, time=0.0)
+    return ContinuumField(mesh=_mesh(cfg.cells), values=vals, time=0.0)
 
 
 def chain(params: ModelParams, init: ContinuumField | str = "gaussian",

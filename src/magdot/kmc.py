@@ -76,15 +76,18 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
     Sampling is short-memory only: the rates (default: the short-memory
     `transition_rates`) do not depend on time and must be finite and >= 0.
     Initial states are drawn from `init` (default: exact paramagnet).
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed, an integer in [0, 2**64).
     """
     if isinstance(n_traj, bool) or not isinstance(n_traj, (int, np.integer)):
         raise ValueError(f"n_traj must be an integer (got {n_traj!r})")
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1 (got {n_traj})")
     n_traj = int(n_traj)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0 (got {seed})")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer (got {seed!r})")
+    seed = int(seed)
+    if not 0 <= seed < 2**64:  # one uint64 word of the Philox key
+        raise ValueError(f"seed must be >= 0 and < 2**64 (got {seed})")
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and >= 0 (got {t_end})")
     n = params.n_spins

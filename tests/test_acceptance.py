@@ -116,7 +116,7 @@ def test_criterion_1_fixed_points():
 
 def test_criterion_2_figure1(fig1_run):
     p, th, by_frac, _ = fig1_run
-    cm = CharMap(p, "exact-quadrature")
+    cm = CharMap(p)
     ds = derived_scales(p)
     worst = 0.0
     single = True

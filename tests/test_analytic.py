@@ -9,6 +9,7 @@ from scipy.special import gammaln, polygamma
 
 from magdot.analytic import (
     _bose_taylor,
+    _cubic_inverse_printed,
     CharacteristicsError,
     CharMap,
     classify_regime,
@@ -33,9 +34,6 @@ from magdot.master import (
 from magdot.model import ModelParams, derived_scales, diffusion_w, drift_v
 from magdot.snapshots import l1_distance
 
-MODELS = ("exact-quadrature", "linearized", "cubic-v")
-
-
 @pytest.fixture(scope="module")
 def fig1_master_run(fig1_params):
     ds = derived_scales(fig1_params)
@@ -47,17 +45,15 @@ def fig1_master_run(fig1_params):
 
 
 class TestCharacteristics:
-    @pytest.mark.parametrize("model", MODELS)
-    def test_identity_at_zero_time(self, fig1_params, model):
-        cm = CharMap(fig1_params, model)
+    def test_identity_at_zero_time(self, fig1_params):
+        cm = CharMap(fig1_params)
         for mu in (-0.4, 0.05, 0.6):
             assert cm.forward(mu, 0.0) == pytest.approx(mu, abs=1e-12)
             assert cm.inverse(mu, 0.0) == pytest.approx(mu, abs=1e-12)
 
-    @pytest.mark.parametrize("model", MODELS)
-    def test_round_trip(self, fig1_params, model):
+    def test_round_trip(self, fig1_params):
         ds = derived_scales(fig1_params)
-        cm = CharMap(fig1_params, model)
+        cm = CharMap(fig1_params)
         for mu0, frac in ((0.05, 2.0), (0.2, 1.0), (-0.05, 0.5)):
             t = frac * ds.theta
             m = cm.forward(mu0, t)
@@ -67,40 +63,37 @@ class TestCharacteristics:
         # quadrature travel 0 -> 0.95 m_F vs the closed-form registration
         # time (derived in the cubic model): 2% window
         ds = derived_scales(fig1_params)
-        cm = CharMap(fig1_params, "exact-quadrature")
+        cm = CharMap(fig1_params)
         tt = cm.travel_time(0.0, 0.95 * ds.m_ferro)
         want = time_scales(fig1_params).tau_reg
         assert abs(tt - want) / want < 0.02
 
     def test_travel_time_forward_consistency(self, fig1_params):
         ds = derived_scales(fig1_params)
-        cm = CharMap(fig1_params, "exact-quadrature")
+        cm = CharMap(fig1_params)
         t = 1.7 * ds.theta
         m = cm.forward(0.02, t)
         assert cm.travel_time(0.02, m) == pytest.approx(t, rel=1e-9)
 
     def test_cross_basin_rejected(self, fig1_params):
-        cm = CharMap(fig1_params, "exact-quadrature")
+        cm = CharMap(fig1_params)
         with pytest.raises(CharacteristicsError):
             cm.travel_time(-0.3, 0.3)  # astride the repeller at -0.145
 
-    @pytest.mark.parametrize("model", ["linearized", "cubic-v"])
-    def test_travel_time_needs_exact_model(self, fig1_params, model):
-        with pytest.raises(ValueError, match="exact-quadrature"):
-            CharMap(fig1_params, model).travel_time(0.02, 0.3)
-
     def test_fixed_point_start_rejected(self, fig2_params):
-        cm = CharMap(fig2_params, "exact-quadrature")
+        cm = CharMap(fig2_params)
         with pytest.raises(CharacteristicsError):
             cm.forward(0.0, 1.0)  # m = 0 is the repeller when g = 0
 
     def test_linearized_matches_exact_near_origin(self, fig1_params):
+        # the gaussian-linear density peaks on the linearized flow from the
+        # origin; at 0.2 theta it sits 1.7e-5 from the exact characteristic
         ds = derived_scales(fig1_params)
-        ex = CharMap(fig1_params, "exact-quadrature")
-        lin = CharMap(fig1_params, "linearized")
         t = 0.2 * ds.theta
-        assert lin.forward(0.01, t) == pytest.approx(ex.forward(0.01, t),
-                                                     abs=2e-4)
+        m_c = CharMap(fig1_params).forward(0.0, t)
+        mesh = np.linspace(m_c - 1e-3, m_c + 1e-3, 2001)
+        dens = closed_form_P(fig1_params, mesh, t, "gaussian-linear")
+        assert mesh[np.argmax(dens)] == pytest.approx(m_c, abs=2e-4)
 
 
 class TestClosedFormP:
@@ -113,13 +106,12 @@ class TestClosedFormP:
         assert np.abs(got - want).max() < 1e-8
 
     def test_peak_tracks_characteristic(self, fig1_params):
-        # the maximum of the transported Gaussian sits where the inverse map
-        # returns the initial center
+        # the maximum of the transported Gaussian sits where the printed
+        # backward map returns the initial center
         ds = derived_scales(fig1_params)
-        cm = CharMap(fig1_params, "cubic-v")
         t = 3 * ds.theta
-        m_star = cm.forward(0.0, t)
-        assert abs(cm.inverse(m_star, t)) < 1e-6
+        m_star = brentq(lambda m: _cubic_inverse_printed(ds, m, t),
+                        ds.m_repel, ds.m_ferro, xtol=1e-15)
         mesh = np.linspace(m_star - 0.05, m_star + 0.05, 4001)
         dens = closed_form_P(fig1_params, mesh, t, "gaussian-cubic")
         # full-profile argmax leads the transported center by the Jacobian
@@ -462,7 +454,7 @@ class TestLocalWidthEstimator:
         n = p.n_spins
         ds = derived_scales(p)
         t = frac * ds.theta
-        cm = CharMap(p, "exact-quadrature")
+        cm = CharMap(p)
         j, temp = p.coupling_j, p.temp_bath
         w2 = temp / (j - temp) * (1.0 - math.exp(-2.0 * t / ds.theta)) \
             + p.delta0**2

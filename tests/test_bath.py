@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from magdot import bath
+from magdot import bath, special
 from magdot.bath import (
     KernelConvergenceError,
     KernelSpec,
@@ -154,8 +154,8 @@ class TestWindowed:
         # the 1e6 cutoff case of test_matches_oracle_within_tol to 1.82e-11
         # against its 1.625e-11 tolerance
         x, w = np.polynomial.legendre.leggauss(15)
-        assert bath._GL15_X.tobytes() == x.tobytes()
-        assert bath._GL15_W.tobytes() == w.tobytes()
+        assert special.GL15_X.tobytes() == x.tobytes()
+        assert special.GL15_W.tobytes() == w.tobytes()
 
     def test_node_chunk_memory(self):
         # a scalar frequency gets _NODE_CHUNK nodes per K evaluation; the

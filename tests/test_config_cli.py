@@ -217,6 +217,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "seed must be >= 0" in err and "Traceback" not in err
 
+    def test_seed_beyond_64_bits_is_error(self, small_cfg, tmp_path, capsys):
+        out = ["--out-dir", str(tmp_path / "o")]
+        assert command_surface(["sample", "-c", small_cfg,
+                                "--seed", str(2**64)] + out) == 1
+        err = capsys.readouterr().err
+        assert "seed must be >= 0 and < 2**64" in err and "Traceback" not in err
+
     def test_zero_trajectories_is_not_replaced_by_config(self, small_cfg, tmp_path,
                                                           capsys):
         assert command_surface(["sample", "-c", small_cfg, "--trajectories", "0",
@@ -336,6 +343,18 @@ class TestCli:
                                     else "--snapshot-dir", str(tmp_path / "o")]) == 1
             err = capsys.readouterr().err
             assert "T < J" in err and "t_end" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sample", "measure", "analytic"])
+    def test_run_without_times_is_usage_error(self, command, tmp_path, capsys):
+        cfg = tmp_path / "notimes.cfg"
+        cfg.write_text(SMALL.replace("times_theta = 0.5,1.5\n", ""))
+        out = tmp_path / "o"
+        assert command_surface([command, "-c", str(cfg),
+                                "--snapshot-dir" if command == "simulate"
+                                else "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{command} needs output times" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_sweep_without_times_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "notimes.cfg"

@@ -10,7 +10,7 @@ from magdot.fokker_planck import (
     solve_fp,
 )
 from magdot.master import evolve, initial_distribution
-from magdot.model import ParameterError, derived_scales, fixed_points
+from magdot.model import fixed_points
 from magdot.snapshots import l1_distance
 
 from conftest import small_params
@@ -43,7 +43,7 @@ class TestEquilibriumProfile:
     def test_global_profile_is_stationary(self):
         p = small_params(n=200)
         cfg = FPConfig(cells=500)
-        eq = equilibrium_profile(p, "global", cfg)
+        eq = equilibrium_profile(p, cfg)
         out = solve_fp(p, eq, [10 * theta(p)], cfg)[0]
         assert np.abs(out.values - eq.values).sum() * out.dm < 1e-8
 
@@ -53,7 +53,7 @@ class TestEquilibriumProfile:
         from magdot.model import diffusion_w, drift_v
         p = small_params(n=200)
         cells = 500
-        eq = equilibrium_profile(p, "global", FPConfig(cells=cells))
+        eq = equilibrium_profile(p, FPConfig(cells=cells))
         dm = 2.0 / cells
         faces = -1.0 + dm * np.arange(1, cells)
         pe = drift_v(p, faces) * dm / (diffusion_w(p, faces) / 200)
@@ -67,28 +67,13 @@ class TestEquilibriumProfile:
         # own zeros (where the profile peaks) and the mean-field roots
         p = small_params(n=1000)
         cfg = FPConfig(cells=800)
-        eq = equilibrium_profile(p, "global", cfg)
+        eq = equilibrium_profile(p, cfg)
         stable = [fp.m for fp in fixed_points(p) if fp.stable]
         m = eq.mesh
         for root in stable:
             window = (m > root - 0.1) & (m < root + 0.1)
             local = m[window][np.argmax(eq.values[window])]
             assert abs(local - root) <= eq.dm + 1e-12
-
-    def test_branch_gaussians(self, fig2_params):
-        cfg = FPConfig(cells=2000)
-        ds = derived_scales(fig2_params)
-        plus = equilibrium_profile(fig2_params, "plus", cfg)
-        minus = equilibrium_profile(fig2_params, "minus", cfg)
-        assert plus.peak() == pytest.approx(ds.m_ferro, abs=1e-9)
-        assert plus.std() == pytest.approx(ds.delta_ferro / math.sqrt(1000),
-                                           rel=1e-3)
-        assert np.allclose(plus.values, minus.values[::-1], atol=1e-9)
-
-    def test_branches_rejected_without_ferromagnetism(self):
-        p = small_params(temp=2.0)
-        with pytest.raises((ValueError, ParameterError)):
-            equilibrium_profile(p, "plus")
 
 
 class TestSolve:

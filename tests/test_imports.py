@@ -82,7 +82,7 @@ def test_oracles_import_scipy_where_used():
         from magdot import (CharMap, ModelParams, derived_scales, width_maximum,
                             suzuki_second_max_onset)
         p = ModelParams(n_spins=1000, temp_bath=0.65, coupling_g=0.05, debye_cutoff=1e6)
-        cm = CharMap(p, "exact-quadrature")
+        cm = CharMap(p)
         print(repr([cm.inverse(0.5, 2000.0), cm.inverse(-0.3, 500.0),
                     *width_maximum(p), *suzuki_second_max_onset(p),
                     derived_scales(p).theta]))

@@ -279,7 +279,7 @@ def test_stationary_distribution_is_fixed_point(params):
 @random_params
 def test_global_profile_is_fixed_point_of_solve_fp(params):
     cfg = FPConfig(cells=200)
-    eq = equilibrium_profile(params, "global", cfg)
+    eq = equilibrium_profile(params, cfg)
     out = solve_fp(params, eq, [10.0 * relax_time(params)], cfg)[0]
     assert np.abs(out.values - eq.values).sum() * out.dm < 1e-10
 

@@ -126,6 +126,24 @@ def test_rejects_negative_seed_and_bad_end_time():
     assert ens.n_steps == 0
 
 
+def test_seed_must_be_an_integer_below_2_64():
+    # a float seed was truncated to the stream of its integer part, and
+    # 2**64 overflowed the uint64 Philox key with a bare OverflowError
+    p = small_params(n=20)
+    for bad in (2.5, 2.0, True, "3", np.float64(2.0)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_trajectories(p, 10, 1.0, seed=bad)
+    for bad in (2**64, 2**70):
+        with pytest.raises(ValueError, match=r"seed must be >= 0 and < 2\*\*64"):
+            sample_trajectories(p, 10, 1.0, seed=bad)
+    sample_trajectories(p, 10, 1.0, seed=2**64 - 1)
+    for seed in (np.uint64(7), np.int32(7)):
+        ens = sample_trajectories(p, 10, 1.0, seed=seed)
+        assert ens.seed == 7
+        assert np.array_equal(ens.final_states,
+                              sample_trajectories(p, 10, 1.0, seed=7).final_states)
+
+
 def test_rejects_negative_rates():
     # at short times the windowed kernel, and so a full-memory rate, can be
     # negative; a jump process cannot carry it
