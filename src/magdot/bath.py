@@ -26,6 +26,13 @@ time, with one set of K(s) values shared by a whole array of frequencies.  K
 is analytic off the imaginary axis and its nearest pole sits at s = i/Gamma,
 so panels double in width away from s = 0.  Tests check the result against
 an independent scipy `quad` of the same integral.
+
+A `WindowedKernel` carries (t, Ktilde_t) for fixed frequencies and adds only
+the slice [t_prev, t] when read at a later t, so a run that reads the kernel
+at ascending times integrates [0, t] once, not once per reading.  Its
+Ktilde_t is the sum of its slices; each slice meets `tol` on its own, so the
+error estimate of Ktilde_t is the sum of the slices' estimates.
+`windowed_spectral` is one slice [0, t].
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ __all__ = [
     "KernelConvergenceError",
     "spectral_density",
     "windowed_spectral",
+    "WindowedKernel",
     "autocorrelation",
 ]
 
@@ -84,7 +92,8 @@ def spectral_density(spec: KernelSpec, omega):
 
 
 def _window_integral(spec, omega, edges):
-    """2 int_0^t [cos(ws) Re K(s) + sin(ws) Im K(s)] ds by GL15 on each panel.
+    """2 int [cos(ws) Re K(s) + sin(ws) Im K(s)] ds over the span of `edges`,
+    by GL15 on each panel.
 
     K(s) is evaluated once per node and shared by every frequency; the
     frequency x node products are formed at most _NODE_CHUNK at a time.
@@ -101,49 +110,91 @@ def _window_integral(spec, omega, edges):
     return out
 
 
+class WindowedKernel:
+    """Ktilde_t(omega) for a fixed array of frequencies, accumulated over
+    ascending t.
+
+    Ktilde_t2 = Ktilde_t1 + 2 int_t1^t2 [cos(ws) Re K + sin(ws) Im K] ds, so
+    `at(t)` integrates only the slice [t_prev, t] since the previous call and
+    adds it on; a t below the previous one is ValueError.  Every slice is cut
+    from one global panel mesh on [0, inf): it doubles from 1/Gamma (the
+    distance of K's nearest pole from the real axis) up to about hbar/T, then
+    stays uniform, no wider than min(hbar/2T, pi/max|omega|).  The slice's
+    panels are bisected until, for each omega, two successive meshes agree to
+    `tol` relative to max(|Ktilde(omega)|, hbar*T/4), so the error estimate of
+    Ktilde_t is the sum of its slices' estimates.  A slice raises
+    KernelConvergenceError, and leaves the kernel at t_prev, before
+    evaluating a mesh of more than _MAX_NODES nodes.
+    """
+
+    def __init__(self, spec: KernelSpec, omega, tol: float = 1e-8):
+        if not (0.0 < tol <= 1e-2):
+            raise ValueError("tol must lie in (0, 1e-2]")
+        w = np.asarray(omega, dtype=float)
+        self.spec, self.tol, self.t = spec, tol, 0.0
+        self._shape, self._omega = w.shape, w.ravel()
+        self._value = np.zeros(self._omega.size)
+        if self._omega.size:
+            hb, temp, cut = spec.hbar, spec.temp_bath, spec.debye_cutoff
+            self._target = tol * np.maximum(np.abs(spectral_density(spec, self._omega)),
+                                            0.25 * hb * temp)
+            self._width = min(0.5 * hb / temp,
+                              math.pi / max(np.abs(self._omega).max(), 1e-300))
+            top = 2.0 * self._width
+            geo = 2.0 ** np.arange(max(math.floor(math.log2(top * cut)) + 1, 0)) / cut
+            self._geo = np.concatenate([[0.0], geo[geo <= top]])
+
+    def at(self, t: float):
+        """Ktilde_t(omega), shaped like omega (a float for a scalar omega)."""
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        if t < self.t:
+            raise ValueError(f"t = {t:.6g} lies below the last window t = {self.t:.6g}")
+        if t > self.t and self._omega.size:
+            self._value += self._slice(self.t, t)
+        self.t = float(t)
+        out = self._value.reshape(self._shape)
+        return out.copy() if out.ndim else float(out)
+
+    def _edges(self, a: float, b: float) -> np.ndarray:
+        """Edges of the global mesh inside (a, b), between a and b."""
+        geo, width = self._geo, self._width
+        start = geo[-1]
+        j = np.arange(max(math.floor((a - start) / width), 0) + 1,
+                      math.ceil((b - start) / width))
+        inner = np.concatenate([geo, start + width * j])
+        return np.concatenate([[a], inner[(inner > a) & (inner < b)], [b]])
+
+    def _slice(self, a: float, b: float) -> np.ndarray:
+        """2 int_a^b [cos(ws) Re K + sin(ws) Im K] ds for every omega."""
+        out = np.empty(self._omega.size)
+        edges = self._edges(a, b)
+        todo, coarse = np.arange(self._omega.size), None
+        while todo.size:
+            if GL15_X.size * (edges.size - 1) > _MAX_NODES:
+                raise KernelConvergenceError(
+                    f"windowed kernel quadrature needs more than {_MAX_NODES} nodes "
+                    f"for {todo.size} frequencies on [{a:.6g}, {b:.6g}] (tol {self.tol:.1e}, "
+                    f"Gamma*t = {self.spec.debye_cutoff * b:.3g})")
+            fine = _window_integral(self.spec, self._omega[todo], edges)
+            if coarse is not None:
+                ok = np.abs(fine - coarse) <= self._target[todo]
+                out[todo[ok]] = fine[ok]
+                todo, fine = todo[~ok], fine[~ok]
+            coarse = fine
+            edges = np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
+        return out
+
+
 def windowed_spectral(spec: KernelSpec, omega, t: float, tol: float = 1e-8):
     """Ktilde_t(omega): the spectral function seen through a time window [-t, t].
 
     Equals 0 at t = 0 and converges to spectral_density(omega) for
     t >> max(hbar/T, 1/Gamma).  A scalar omega gives a float, an array an
-    array of the same shape.  The panel mesh on [0, t] doubles from 1/Gamma
-    (the distance of K's nearest pole from the real axis) up to hbar/T, then
-    stays uniform, no wider than min(hbar/2T, pi/max|omega|).  The mesh is
-    bisected until, for each omega, two successive meshes agree to `tol`
-    relative to max(|Ktilde(omega)|, hbar*T/4); raises KernelConvergenceError
-    before evaluating a mesh of more than _MAX_NODES nodes.
+    array of the same shape.  One slice [0, t] of a `WindowedKernel`, with
+    its mesh, its tolerance and its KernelConvergenceError.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if not (0.0 < tol <= 1e-2):
-        raise ValueError("tol must lie in (0, 1e-2]")
-    w = np.asarray(omega, dtype=float)
-    flat = w.ravel()
-    out = np.zeros(flat.size)
-    if t > 0.0 and flat.size:
-        hb, temp, cut = spec.hbar, spec.temp_bath, spec.debye_cutoff
-        target = tol * np.maximum(np.abs(spectral_density(spec, flat)), 0.25 * hb * temp)
-        width = min(0.5 * hb / temp, math.pi / max(np.abs(flat).max(), 1e-300))
-        top = min(t, 2.0 * width)
-        geo = 2.0 ** np.arange(max(math.floor(math.log2(top * cut)) + 1, 0)) / cut
-        geo = geo[geo <= top]
-        start = geo[-1] if geo.size else 0.0
-        edges = np.concatenate([[0.0], geo, np.linspace(
-            start, t, math.ceil((t - start) / width) + 1)[1:]])
-        todo, coarse = np.arange(flat.size), None
-        while todo.size:
-            if GL15_X.size * (edges.size - 1) > _MAX_NODES:
-                raise KernelConvergenceError(
-                    f"windowed kernel quadrature needs more than {_MAX_NODES} nodes "
-                    f"for {todo.size} frequencies (tol {tol:.1e}, Gamma*t = {cut * t:.3g})")
-            fine = _window_integral(spec, flat[todo], edges)
-            if coarse is not None:
-                ok = np.abs(fine - coarse) <= target[todo]
-                out[todo[ok]] = fine[ok]
-                todo, fine = todo[~ok], fine[~ok]
-            coarse = fine
-            edges = np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
-    return out.reshape(w.shape) if w.ndim else float(out[0])
+    return WindowedKernel(spec, omega, tol).at(t)
 
 
 # -- closed-form autocorrelation ------------------------------------------

@@ -64,9 +64,13 @@ class ContinuumField:
         mu = self.mean()
         return float(math.sqrt(((self.mesh - mu) ** 2 @ self.values) / self.values.sum()))
 
-    def peak(self) -> float:
+    def peak(self, region: tuple[float, float] | None = None) -> float:
         """Location of the maximum density, parabolic-refined in ln P."""
-        return refined_peak(self.mesh, self.values)
+        m, p = self.mesh, self.values
+        if region is not None:
+            sel = (m >= region[0]) & (m <= region[1])
+            m, p = m[sel], p[sel]
+        return refined_peak(m, p)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import KernelSpec, spectral_density, windowed_spectral
+from .bath import KernelSpec, WindowedKernel, spectral_density
 from .integrator import Chain, Generator, NumericalError, StiffnessError, integrate
 from .model import ModelParams, omega_pm, refined_peak
 
@@ -200,6 +200,34 @@ def initial_distribution(params: ModelParams, kind: str = "exact-paramagnet"
     return DiscreteDistribution(n_spins=n, weights=w, time=0.0)
 
 
+def _rate_builder(params: ModelParams, mode: str, kernel_tol: float):
+    """Function of t that returns the RateTable of `transition_rates` at t.
+
+    A full-memory builder holds one WindowedKernel, so each table adds only
+    the window slice since the previous one: t must not decrease from call
+    to call.
+    """
+    spec = KernelSpec(temp_bath=params.temp_bath, debye_cutoff=params.debye_cutoff,
+                      hbar=params.hbar)
+    m = params.grid
+    omega = np.stack(omega_pm(params, m))
+    pref = params.gamma * params.n_spins / params.hbar**2
+    if mode == "short-memory":
+        k_pm = spectral_density(spec, omega)
+        kernel = lambda t: k_pm
+    elif mode == "full-memory":
+        kernel = WindowedKernel(spec, omega, kernel_tol).at
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    def build(t):
+        k_p, k_m = kernel(t)
+        return RateTable(m=m, up=pref * k_p * (1.0 - m), down=pref * k_m * (1.0 + m),
+                         mode=mode, time=t)
+
+    return build
+
+
 def transition_rates(params: ModelParams, mode: str = "short-memory",
                      t: float | None = None, kernel_tol: float = 1e-8) -> RateTable:
     """Jump rates of the balance equation on the full grid.
@@ -208,24 +236,9 @@ def transition_rates(params: ModelParams, mode: str = "short-memory",
     the boundaries.  In full-memory mode the kernel is evaluated through the
     window at time `t` (required), which propagates quadrature failures.
     """
-    spec = KernelSpec(temp_bath=params.temp_bath, debye_cutoff=params.debye_cutoff,
-                      hbar=params.hbar)
-    n = params.n_spins
-    m = params.grid
-    om_p, om_m = omega_pm(params, m)
-    pref = params.gamma * n / params.hbar**2
-
-    if mode == "short-memory":
-        k_p, k_m = spectral_density(spec, om_p), spectral_density(spec, om_m)
-    elif mode == "full-memory":
-        if t is None:
-            raise ValueError("full-memory rates need the current time t")
-        k_p, k_m = windowed_spectral(spec, np.stack([om_p, om_m]), t, tol=kernel_tol)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    return RateTable(m=m, up=pref * k_p * (1.0 - m), down=pref * k_m * (1.0 + m),
-                     mode=mode, time=t)
+    if mode == "full-memory" and t is None:
+        raise ValueError("full-memory rates need the current time t")
+    return _rate_builder(params, mode, kernel_tol)(t)
 
 
 def stationary_distribution(params: ModelParams) -> DiscreteDistribution:
@@ -288,17 +301,21 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
     error of at most tol, and checked for positivity and mass.  Full-memory mode
     builds the rate table at every reported state, holds it until the next,
     and caps the interval at 0.1 hbar/T + 0.05 t, the scale on which the
-    windowed kernel still varies.
+    windowed kernel still varies.  One `bath.WindowedKernel` serves the run:
+    the table at t reads Ktilde_t as the sum of the window slices between
+    successive report points, each integrated to `kernel_tol`, so the
+    kernel's error estimate at t is the sum of the slices' estimates.
     """
     snapshot_times = sorted(snapshot_times) if snapshot_times else []
     if snapshot_times and snapshot_times[-1] > t_end * (1 + 1e-12):
         raise ValueError("snapshot times must not exceed t_end")
 
     full_memory = mode == "full-memory"
+    rates_at = _rate_builder(params, mode, kernel_tol)
     rates = []  # Lambda of every generator built
 
     def gen(t=None):
-        rt = transition_rates(params, mode=mode, t=t, kernel_tol=kernel_tol)
+        rt = rates_at(t)
         g = Generator(rt.up, rt.down)
         rates.append(g.rate)
         return g

@@ -10,6 +10,7 @@ from magdot import bath, special
 from magdot.bath import (
     KernelConvergenceError,
     KernelSpec,
+    WindowedKernel,
     autocorrelation,
     spectral_density,
     windowed_spectral,
@@ -176,6 +177,36 @@ class TestWindowed:
         monkeypatch.setattr(bath, "_MAX_NODES", 100)
         with pytest.raises(KernelConvergenceError):
             windowed_spectral(SPEC, 1.0, 80.0, tol=1e-10)
+
+
+class TestWindowedKernel:
+    def test_time_must_not_decrease(self):
+        k = WindowedKernel(SPEC, [0.3, 1.0])
+        k.at(2.0)
+        assert np.array_equal(k.at(2.0), windowed_spectral(SPEC, [0.3, 1.0], 2.0))
+        with pytest.raises(ValueError):
+            k.at(1.0)
+
+    def test_budget_error_keeps_the_last_window(self, monkeypatch):
+        k = WindowedKernel(SPEC, 1.0, tol=1e-10)
+        before = k.at(1.0)
+        monkeypatch.setattr(bath, "_MAX_NODES", 100)
+        with pytest.raises(KernelConvergenceError):
+            k.at(80.0)
+        assert k.t == 1.0 and k.at(1.0) == before
+
+    def test_one_over_t_approach(self):
+        # K(s) ~ a/s^2 at long times, so Ktilde_t(0) - Ktilde(0) ~ -2a/t.
+        # Measured t (Ktilde_t(0) - Ktilde(0)) = -1.034466e-3, -1.034497e-3
+        # and -1.034505e-3 at t = 100, 200, 400 (a spread of 3.8e-5 of its
+        # value, the O(1/t^2) correction); the bound is 1e-4
+        k = WindowedKernel(SPEC, 0.0)
+        k0 = spectral_density(SPEC, 0.0)
+        gap = {t: k.at(t) - k0 for t in (100.0, 200.0, 400.0)}
+        assert [gap[100.0], gap[200.0], gap[400.0]] == pytest.approx(
+            [-1.03e-5, -5.2e-6, -2.6e-6], rel=1e-2)
+        scaled = [t * g for t, g in gap.items()]
+        assert max(scaled) - min(scaled) <= 1e-4 * abs(scaled[0])
 
 
 def worst_error_against_mpmath(spec, s):

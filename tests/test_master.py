@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import polygamma
 
-from magdot import master
+from magdot import bath, master
 from magdot.master import (
     DiscreteDistribution,
     NumericalError,
@@ -216,20 +217,49 @@ class TestFullMemory:
         assert res.n_steps > 5
 
     def test_one_rate_build_per_accepted_step(self, monkeypatch):
+        # a full-memory table is built around one windowed-kernel reading
         builds = []
-        real = master.transition_rates
+        real = bath.WindowedKernel.at
 
-        def counting(*args, **kwargs):
-            builds.append(kwargs["t"])
-            return real(*args, **kwargs)
+        def counting(self, t):
+            builds.append(t)
+            return real(self, t)
 
-        monkeypatch.setattr(master, "transition_rates", counting)
+        monkeypatch.setattr(bath.WindowedKernel, "at", counting)
         p = small_params(n=32, debye_cutoff=10.0)
         res = evolve(initial_distribution(p, "exact-paramagnet"), p, 3.0,
                      mode="full-memory")
         # one table at the start and one after each accepted step but the last
         assert len(builds) == res.n_steps
         assert len(set(builds)) == len(builds) and builds[0] == 0.0
+
+    @pytest.mark.parametrize("cutoff, bound", [(100.0, 1e-5), (1e6, 1e-3)])
+    def test_accumulated_kernel_matches_fresh_transforms(self, cutoff, bound):
+        # one WindowedKernel read at the report times of a run against a
+        # transform from s = 0 at each; measured worst 4.4e-7 (cutoff 100)
+        # and 3.2e-5 (cutoff 1e6) of the tol scale, roundoff of the slice sums
+        p = ModelParams(n_spins=50, temp_bath=0.65, coupling_g=0.05, debye_cutoff=cutoff)
+        times = evolve(initial_distribution(p), p, 20.0, mode="full-memory",
+                       record_free_energy=True).free_energy_times
+        spec = bath.KernelSpec(p.temp_bath, p.debye_cutoff)
+        omega = np.stack(omega_pm(p, p.grid))
+        scale = 1e-8 * np.maximum(bath.spectral_density(spec, omega), 0.25 * p.temp_bath)
+        k = bath.WindowedKernel(spec, omega)
+        assert len(times) > 40
+        for t in times:
+            err = np.abs(k.at(t) - bath.windowed_spectral(spec, omega, t)) / scale
+            assert err.max() <= bound
+
+    def test_accumulated_run_matches_rebuilt_run(self, monkeypatch):
+        # measured L1 6.6e-17 between the two runs
+        p = ModelParams(n_spins=50, temp_bath=0.65, coupling_g=0.05, debye_cutoff=100.0)
+        d = initial_distribution(p)
+        acc = evolve(d, p, 2.0, mode="full-memory")
+        monkeypatch.setattr(master, "WindowedKernel", lambda spec, omega, tol: SimpleNamespace(
+            at=lambda t: bath.windowed_spectral(spec, omega, t, tol)))
+        fresh = evolve(d, p, 2.0, mode="full-memory")
+        assert (fresh.n_steps, fresh.n_terms) == (acc.n_steps, acc.n_terms)
+        assert np.abs(fresh.final.weights - acc.final.weights).sum() <= 1e-12
 
     def test_full_memory_approaches_short_memory_run(self):
         # after a few bath memory times the windowed rates have converged,
