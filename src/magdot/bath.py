@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 _NODE_CHUNK = 32768  # cap on simultaneous frequency x node products (256 kB each array)
-_MAX_NODES = 1 << 20  # node budget of one windowed transform
+_MAX_NODES = 1 << 20  # node budget of one window slice
 
 
 class KernelConvergenceError(RuntimeError):
