@@ -192,7 +192,9 @@ def windowed_spectral(spec: KernelSpec, omega, t: float, tol: float = 1e-8):
     Equals 0 at t = 0 and converges to spectral_density(omega) for
     t >> max(hbar/T, 1/Gamma).  A scalar omega gives a float, an array an
     array of the same shape.  One slice [0, t] of a `WindowedKernel`, with
-    its mesh, its tolerance and its KernelConvergenceError.
+    its mesh, its tolerance and its KernelConvergenceError, so `tol` bounds
+    the error estimate once here, where a kernel read at k ascending times
+    sums k slice estimates.
     """
     return WindowedKernel(spec, omega, tol).at(t)
 

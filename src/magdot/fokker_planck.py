@@ -64,13 +64,9 @@ class ContinuumField:
         mu = self.mean()
         return float(math.sqrt(((self.mesh - mu) ** 2 @ self.values) / self.values.sum()))
 
-    def peak(self, region: tuple[float, float] | None = None) -> float:
+    def peak(self) -> float:
         """Location of the maximum density, parabolic-refined in ln P."""
-        m, p = self.mesh, self.values
-        if region is not None:
-            sel = (m >= region[0]) & (m <= region[1])
-            m, p = m[sel], p[sel]
-        return refined_peak(m, p)
+        return refined_peak(self.mesh, self.values)
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,24 @@ class TestFullMemory:
             err = np.abs(k.at(t) - bath.windowed_spectral(spec, omega, t)) / scale
             assert err.max() <= bound
 
+    @pytest.mark.parametrize("cutoff, bound", [(100.0, 1e-5), (1e6, 1e-3)])
+    def test_kernel_summed_over_a_drift_time_run(self, cutoff, bound):
+        # the same comparison after the 156 slices of a run to 2 theta;
+        # measured 4.0e-7 (cutoff 100) and 1.4e-4 (cutoff 1e6) of the tol
+        # scale, and the same after 50, 100 and 150 slices
+        p = ModelParams(n_spins=20, temp_bath=0.65, coupling_g=0.05, debye_cutoff=cutoff)
+        times = evolve(initial_distribution(p), p, 2 * derived_scales(p).theta,
+                       mode="full-memory", record_free_energy=True).free_energy_times
+        spec = bath.KernelSpec(p.temp_bath, p.debye_cutoff)
+        omega = np.stack(omega_pm(p, p.grid))
+        scale = 1e-8 * np.maximum(bath.spectral_density(spec, omega), 0.25 * p.temp_bath)
+        k = bath.WindowedKernel(spec, omega)
+        assert len(times) >= 150
+        for t in times:
+            acc = k.at(t)
+        err = np.abs(acc - bath.windowed_spectral(spec, omega, times[-1])) / scale
+        assert err.max() <= bound
+
     def test_accumulated_run_matches_rebuilt_run(self, monkeypatch):
         # measured L1 6.6e-17 between the two runs
         p = ModelParams(n_spins=50, temp_bath=0.65, coupling_g=0.05, debye_cutoff=100.0)
