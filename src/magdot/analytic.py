@@ -1,5 +1,6 @@
 """Closed-form layer: characteristics, transported Gaussians, scaling profile,
-splitting probabilities and the named time scales.
+splitting probabilities and the named time scales.  hbar = 1: times are in
+hbar/J.
 
 These are the independent oracles against which the numerical solvers are
 checked.  `CharMap` follows the exact characteristics of the drift: it
@@ -179,12 +180,30 @@ class CharMap:
         return _cached_flow(self.params, lo, hi, tuple(poles))
 
     def forward(self, mu: float, t: float) -> float:
-        """m(mu, t): characteristic through mu advanced by t."""
+        """m(mu, t): characteristic through mu advanced by t.
+
+        CharacteristicsError if within t it reaches an end of (-1, 1) that
+        is not a drift zero: at small N the drift can point out there.
+        """
         mu, t = float(mu), float(t)
-        return self._flow_for(mu).advect(mu, t)
+        flow = self._flow_for(mu)
+        poles = [z for z, _ in flow.poles]
+        for end in (flow.lo, flow.hi):
+            if end in poles:
+                continue
+            exit_t = flow.travel(mu, end)
+            if 0.0 < exit_t <= t:
+                raise CharacteristicsError(
+                    f"the characteristic from {mu} leaves (-1, 1) at m = {end} "
+                    f"at t = {exit_t:.6g}, within t = {t:.6g}")
+        return flow.advect(mu, t)
 
     def inverse(self, m: float, t: float) -> float:
-        """mu(m, t): the starting point whose characteristic reaches m at t."""
+        """mu(m, t): the starting point whose characteristic reaches m at t.
+
+        Where the backward flow from m leaves (-1, 1) within t, the result
+        saturates next to that end, as the drift-only `closed_form_P` expects.
+        """
         m, t = float(m), float(t)
         return self._flow_for(m).advect(m, -t)
 
@@ -432,8 +451,8 @@ def _jump_rate_taylor(params: ModelParams, m: float):
     K(w) = (hbar T/4) f(hbar w/T) exp(-|w|/Gamma) and f(y) = y/(e^y - 1).
     """
     t, j, n = params.temp_bath, params.coupling_j, params.n_spins
-    pref = params.gamma * t / (4.0 * params.hbar)
-    debye = t / (params.hbar * params.debye_cutoff)
+    pref = params.gamma * t / 4.0
+    debye = t / params.debye_cutoff
     powers = np.arange(_ORDER)
     fact = np.array([math.factorial(k) for k in powers], dtype=float)
     out = []
@@ -596,24 +615,24 @@ def time_scales(params: ModelParams) -> TimeScales:
                       t_flat=t_flat, tau_relax=tau_relax)
 
 
-def classify_regime(params: ModelParams, lambda_threshold: float = 3.0,
-                    g0: float = 0.0) -> RegimeReport:
+DETERMINISTIC_LAMBDA = 3.0  # |lambda| from which `classify_regime` says deterministic
+
+
+def classify_regime(params: ModelParams, g0: float = 0.0) -> RegimeReport:
     """Regime label plus the two measurement-condition ratios.
 
-    deterministic for |lambda| >= threshold, active-bifurcation for
+    deterministic for |lambda| >= DETERMINISTIC_LAMBDA, active-bifurcation for
     |lambda| <= 1, marginal in between.  stray_bias_ratio compares the
     squared pre-measurement bias (stray field g0 plus offset m0) against
     delta^2/N; it must be small for the paramagnet to survive until the
     coupling is switched on.  coupling_ratio is the same ratio built from
     the measurement coupling g; it must be large for faithful registration.
     """
-    if lambda_threshold <= 0:
-        raise ValueError("lambda_threshold must be positive")
     ds = derived_scales(params)
     ts = time_scales(params)
     p_plus, p_minus = split_probabilities(params)
     lam = ds.lam
-    if abs(lam) >= lambda_threshold:
+    if abs(lam) >= DETERMINISTIC_LAMBDA:
         label = "deterministic"
     elif abs(lam) <= 1.0:
         label = "active-bifurcation"

@@ -1,6 +1,7 @@
 """Phonon bath spectral function and its finite-time windowed transform.
 
-The bath enters the magnet dynamics only through
+hbar = 1: times are in hbar/J and frequencies in J/hbar.  The bath enters
+the magnet dynamics only through
 
     Ktilde(w)   = (hbar^2 w / 4) exp(-|w|/Gamma) / (exp(hbar w / T) - 1)
     Ktilde_t(w) = int dw' Ktilde(w') sin((w'-w) t) / (pi (w'-w))
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import GL15_W, GL15_X
+from .special import GL15_W, GL15_X, bernoulli
 
 __all__ = [
     "KernelSpec",
@@ -65,7 +66,6 @@ class KernelConvergenceError(RuntimeError):
 class KernelSpec:
     temp_bath: float
     debye_cutoff: float
-    hbar: float = 1.0
 
     def __post_init__(self):
         if self.temp_bath <= 0:
@@ -80,14 +80,9 @@ def spectral_density(spec: KernelSpec, omega):
     Nonnegative for all real w: numerator and denominator flip sign together.
     """
     w = np.asarray(omega, dtype=float)
-    hb, t, cut = spec.hbar, spec.temp_bath, spec.debye_cutoff
-    x = hb * w / t
-    small = np.abs(x) < 1e-8
-    xs = np.where(small, 1.0, x)
-    # w/(e^x - 1) = (T/hbar) * x/expm1(x); overflow in expm1 gives 0, correct
-    with np.errstate(over="ignore"):
-        ratio = np.where(small, 1.0 - x / 2.0, xs / np.expm1(xs))
-    out = 0.25 * hb * t * ratio * np.exp(-np.abs(w) / cut)
+    t, cut = spec.temp_bath, spec.debye_cutoff
+    # w/(e^(w/T) - 1) = T B(w/T)
+    out = 0.25 * t * bernoulli(w / t) * np.exp(-np.abs(w) / cut)
     return out if out.ndim else float(out)
 
 
@@ -135,10 +130,10 @@ class WindowedKernel:
         self._shape, self._omega = w.shape, w.ravel()
         self._value = np.zeros(self._omega.size)
         if self._omega.size:
-            hb, temp, cut = spec.hbar, spec.temp_bath, spec.debye_cutoff
+            temp, cut = spec.temp_bath, spec.debye_cutoff
             self._target = tol * np.maximum(np.abs(spectral_density(spec, self._omega)),
-                                            0.25 * hb * temp)
-            self._width = min(0.5 * hb / temp,
+                                            0.25 * temp)
+            self._width = min(0.5 / temp,
                               math.pi / max(np.abs(self._omega).max(), 1e-300))
             top = 2.0 * self._width
             geo = 2.0 ** np.arange(max(math.floor(math.log2(top * cut)) + 1, 0)) / cut
@@ -230,7 +225,7 @@ def autocorrelation(spec: KernelSpec, s):
     + i s T/hbar: the trigamma pair of the module docstring as one trigamma.
     """
     s = np.asarray(s, dtype=float)
-    t, hb, cut = spec.temp_bath, spec.hbar, spec.debye_cutoff
-    z = t / (hb * cut) + 1j * (s * t / hb)
+    t, cut = spec.temp_bath, spec.debye_cutoff
+    z = t / cut + 1j * (s * t)
     val = (t * t / (8.0 * math.pi)) * (2.0 * _trigamma(1.0 + z).real + 1.0 / (z * z))
     return val if val.ndim else complex(val)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .analytic import CharacteristicsError, closed_form_P
 from .bath import KernelConvergenceError
-from .config import ConfigError, RunConfig, parse_config
-from .fokker_planck import FPConfig, gaussian_field, solve_fp
+from .config import ConfigError, RunConfig, parse_config, parse_sweep
+from .fokker_planck import ContinuumField, FPConfig, gaussian_field, solve_fp
 from .kmc import sample_trajectories
 from .master import (
     NumericalError,
@@ -141,13 +141,8 @@ def _cmd_analytic(args) -> int:
         mesh = np.linspace(-0.999999, 0.999999, args.points)
     out = _out_dir(cfg.out_dir, args.out_dir)
     path = os.path.join(out, f"analytic_{model}.csv")
-    with open(path, "w") as fh:
-        fh.write("t,m,P\n")
-        for t in times:
-            vals = closed_form_P(params, mesh, t, model)
-            ts = FMT % t
-            for mi, pi in zip(mesh, vals):
-                fh.write(f"{ts},{FMT % mi},{FMT % pi}\n")
+    write_long_csv(path, [ContinuumField(mesh, closed_form_P(params, mesh, t, model), t)
+                          for t in times])
     print(path)
     return 0
 
@@ -209,22 +204,12 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-def _sweep_config(cfg_text: str, axis: str, value: float) -> RunConfig:
-    return parse_config(cfg_text + f"\n{axis} = {FMT % value}\n")
-
-
-def _sweep_entry(payload):
-    cfg_text, axis, value, index, out_dir = payload
-    report = _measure(_sweep_config(cfg_text, axis, value), "sweep")
+def _sweep_row(cfg: RunConfig, value: float) -> str:
+    report = _measure(cfg, "sweep")
     up = report.sectors["up"]
-    row = (f"{FMT % value},{FMT % report.regime.lam},"
-           f"{FMT % up.p_correct},{FMT % up.p_wrong},{FMT % up.peak_m},"
-           f"{report.regime.classification},{report.faithful}")
-    entry_path = os.path.join(out_dir, f"sweep_entry_{index:03d}.csv")
-    with open(entry_path, "w") as fh:
-        fh.write("value,lambda,p_correct,p_wrong,peak_m,classification,faithful\n")
-        fh.write(row + "\n")
-    return index, row
+    return (f"{FMT % value},{FMT % report.regime.lam},"
+            f"{FMT % up.p_correct},{FMT % up.p_wrong},{FMT % up.peak_m},"
+            f"{report.regime.classification},{report.faithful}")
 
 
 def _cmd_sweep(args) -> int:
@@ -232,26 +217,20 @@ def _cmd_sweep(args) -> int:
     cfg = parse_config(cfg_text)
     axis, values = cfg.sweep_axis, cfg.sweep_values
     if args.axis:
-        axis, _, raw = args.axis.partition("=")
-        axis = axis.strip()
-        values = [float(x) for x in raw.split(",") if x.strip()]
+        axis, values = parse_sweep(args.axis, None)  # not a line of the config
     if not axis or not values:
         raise UsageError("sweep needs an axis: --axis key=v1,v2,... or a "
                          "`sweep = key=v1,v2` config line")
-    for v in values:  # fail on a missing time or T >= J before any run starts
-        _output_times(_sweep_config(cfg_text, axis, v), "sweep")
+    cfgs = [parse_config(cfg_text + f"\n{axis} = {FMT % v}\n") for v in values]
+    for c in cfgs:  # fail on a missing time or T >= J before any run starts
+        _output_times(c, "sweep")
     out = _out_dir(cfg.out_dir, args.out_dir)
-    payloads = [(cfg_text, axis, v, i, out) for i, v in enumerate(values)]
     workers = args.workers or cfg.workers
-    rows: list[str | None] = [None] * len(values)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, row in pool.map(_sweep_entry, payloads):
-                rows[index] = row
+            rows = list(pool.map(_sweep_row, cfgs, values))
     else:
-        for payload in payloads:
-            index, row = _sweep_entry(payload)
-            rows[index] = row
+        rows = list(map(_sweep_row, cfgs, values))
     path = os.path.join(out, "sweep.csv")
     with open(path, "w") as fh:
         fh.write(f"{axis},lambda,p_correct,p_wrong,peak_m,classification,faithful\n")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .model import ModelParams, ParameterError
 
-__all__ = ["RunConfig", "ConfigError", "parse_config"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "parse_sweep"]
 
 ENV_OUT_DIR = "MAGDOT_OUTDIR"
 
@@ -31,7 +31,6 @@ class RunConfig:
     temp_bath: float = 0.0             # required
     coupling_g: float = 0.0            # required (0 is legal; see g_given)
     coupling_j: float = 1.0
-    hbar: float = 1.0
     gamma: float = 1e-3
     debye_cutoff: float = 100.0
     temp_init: float = math.inf
@@ -65,7 +64,6 @@ class RunConfig:
             temp_init=self.temp_init,
             gamma=self.gamma,
             debye_cutoff=self.debye_cutoff,
-            hbar=self.hbar,
             sector=self.sector,
             m_offset=self.m_offset,
         )
@@ -83,7 +81,6 @@ _KEY_MAP = {
     "T": ("temp_bath", float),
     "g": ("coupling_g", float),
     "J": ("coupling_j", float),
-    "hbar": ("hbar", float),
     "gamma": ("gamma", float),
     "Gamma": ("debye_cutoff", float),
     "T0": ("temp_init", float),
@@ -130,7 +127,7 @@ def _parse_float(text: str) -> float:
     return float(text)
 
 
-def _parse_value(kind, raw: str, lineno: int, key: str):
+def _parse_value(kind, raw: str, lineno: int | None, key: str):
     try:
         if kind is int:
             return int(raw)
@@ -143,6 +140,15 @@ def _parse_value(kind, raw: str, lineno: int, key: str):
     except ValueError:
         raise ConfigError(lineno, f"cannot parse value {raw!r} for key {key!r}")
     raise AssertionError(kind)
+
+
+def parse_sweep(spec: str, line: int | None) -> tuple[str, list]:
+    """(axis, values) of a `key=v1,v2,...` sweep; errors name `line` unless None."""
+    axis, _, vals = spec.partition("=")
+    axis = axis.strip()
+    if axis not in _KEY_MAP or axis == "sweep":
+        raise ConfigError(line, f"unknown sweep axis {axis!r}")
+    return axis, _parse_value("floatlist", vals, line, "sweep")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -161,12 +167,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(lineno, f"unknown key {key!r}")
         attr, kind = _KEY_MAP[key]
         if key == "sweep":
-            axis, _, vals = raw.partition("=")
-            axis = axis.strip()
-            if axis not in _KEY_MAP or axis == "sweep":
-                raise ConfigError(lineno, f"unknown sweep axis {axis!r}")
-            cfg.sweep_axis = axis
-            cfg.sweep_values = _parse_value("floatlist", vals, lineno, key)
+            cfg.sweep_axis, cfg.sweep_values = parse_sweep(raw, lineno)
             seen.add("sweep")
             continue
         value = _parse_value(kind, raw, lineno, key)

@@ -5,11 +5,12 @@ exponentially fitted (Chang-Cooper style) face fluxes:
 
     J_f = (D_f/dm) [ B(-p_f) P_left - B(p_f) P_right ],   p_f = v_f dm / D_f
 
-with B(x) = x/(e^x - 1).  The fitting makes the discrete stationary state
-exactly the mesh exponential of the face-midpoint integral of N v/w, keeps
-cell couplings nonnegative at any Peclet number, and reduces to upwinding in
-the drift-dominated limit.  Boundaries are zero-flux: the drift points
-inward at m = +/-1 and probability cannot leave the physical interval.
+with B(x) = x/(e^x - 1), `special.bernoulli`.  The fitting makes the
+discrete stationary state exactly the mesh exponential of the face-midpoint
+integral of N v/w, keeps cell couplings nonnegative at any Peclet number,
+and reduces to upwinding in the drift-dominated limit.  Boundaries are
+zero-flux: the drift points inward at m = +/-1 and probability cannot leave
+the physical interval.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .integrator import Chain, Generator, integrate
 from .model import ModelParams, diffusion_w, drift_v, refined_peak
+from .special import bernoulli
 
 __all__ = [
     "ContinuumField",
@@ -83,14 +85,6 @@ def _mesh(cells: int) -> np.ndarray:
     return -1.0 + dm * (np.arange(cells) + 0.5)
 
 
-def _bernoulli(x):
-    """B(x) = x / (e^x - 1), series through the origin."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-8
-    xs = np.where(small, 1.0, x)
-    return np.where(small, 1.0 - 0.5 * x + x * x / 12.0, xs / np.expm1(xs))
-
-
 def _face_rates(params: ModelParams, cells: int):
     """Per-cell hop rates (up, down) of the finite-volume operator."""
     dm = 2.0 / cells
@@ -101,8 +95,8 @@ def _face_rates(params: ModelParams, cells: int):
     e_f = d_f / dm**2
     up = np.zeros(cells)
     down = np.zeros(cells)
-    up[:-1] = e_f * _bernoulli(-pe)   # cell j -> j+1 through face j+1
-    down[1:] = e_f * _bernoulli(pe)   # cell j -> j-1 through face j
+    up[:-1] = e_f * bernoulli(-pe)   # cell j -> j+1 through face j+1
+    down[1:] = e_f * bernoulli(pe)   # cell j -> j-1 through face j
     return up, down, pe
 
 

@@ -6,6 +6,7 @@ two transition frequencies, either instantaneously (short-memory) or through
 the finite-time window (full-memory).  The generator is conservative by
 construction: the gain coefficient into a row equals the loss coefficient of
 the neighbouring row, so total probability is preserved to roundoff.
+hbar = 1: times are in hbar/J.
 """
 
 from __future__ import annotations
@@ -207,11 +208,10 @@ def _rate_builder(params: ModelParams, mode: str, kernel_tol: float):
     the window slice since the previous one: t must not decrease from call
     to call.
     """
-    spec = KernelSpec(temp_bath=params.temp_bath, debye_cutoff=params.debye_cutoff,
-                      hbar=params.hbar)
+    spec = KernelSpec(temp_bath=params.temp_bath, debye_cutoff=params.debye_cutoff)
     m = params.grid
     omega = np.stack(omega_pm(params, m))
-    pref = params.gamma * params.n_spins / params.hbar**2
+    pref = params.gamma * params.n_spins
     if mode == "short-memory":
         k_pm = spectral_density(spec, omega)
         kernel = lambda t: k_pm
@@ -334,7 +334,7 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
     ch = chain(dist, gen if full_memory else gen())
     states, n_steps, n_terms = integrate(
         ch, dist.time, [min(s, t_end) for s in snapshot_times] + [t_end], tol,
-        h_cap=(lambda t: 0.1 * params.hbar / params.temp_bath + 0.05 * t)
+        h_cap=(lambda t: 0.1 / params.temp_bath + 0.05 * t)
         if full_memory else None, on_step=on_step)
     fe_t, fe_v = np.array(fe).T if record_free_energy else (None, None)
     return EvolveResult(

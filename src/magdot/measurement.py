@@ -6,7 +6,7 @@ distributions must each conserve their Born weight.  The measured spin's s_z
 is conserved, so no hop connects the sectors: both are advanced together as
 one block-diagonal birth-death chain.  Off-diagonal (coherence)
 dynamics is reported only through its time scales and suppression ratios;
-no coherence trajectory is computed here.
+no coherence trajectory is computed here.  hbar = 1: times are in hbar/J.
 """
 
 from __future__ import annotations
@@ -194,10 +194,10 @@ def offdiagonal_scales(params: ModelParams, g_spread: float = 0.0
         raise ValueError("offdiagonal scales need a positive coupling g")
     if g_spread < 0:
         raise ValueError("g_spread must be nonnegative")
-    n, hb = params.n_spins, params.hbar
-    tau_red = hb / (math.sqrt(2.0 * n) * g)
-    t_rec = math.pi * hb / (2.0 * g)
-    bath_ratio = params.gamma * n * hb * hb * params.debye_cutoff**2 / (g * g)
+    n = params.n_spins
+    tau_red = 1.0 / (math.sqrt(2.0 * n) * g)
+    t_rec = math.pi / (2.0 * g)
+    bath_ratio = params.gamma * n * params.debye_cutoff**2 / (g * g)
     spread_ratio = g_spread / g * math.sqrt(n) if g_spread > 0 else 0.0
     if params.temp_bath < params.coupling_j:
         ds = derived_scales(_mirrored_for_scales(params))

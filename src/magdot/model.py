@@ -1,9 +1,10 @@
 """Model parameters and the pointwise functions of the magnet dynamics.
 
-Conventions: hbar = 1, k_B absorbed into temperatures, Ising coupling J = 1
-canonically.  The pointer variable m is the mean magnetization of the N
-apparatus spins; the measured spin enters only through the sign of the
-coupling g (sector "up" keeps +g, sector "down" flips it).
+Conventions: hbar = 1, so times are in hbar/J; k_B absorbed into
+temperatures, Ising coupling J = 1 canonically.  The pointer variable m is
+the mean magnetization of the N apparatus spins; the measured spin enters
+only through the sign of the coupling g (sector "up" keeps +g, sector
+"down" flips it).
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class ModelParams:
     coupling_g  spin-apparatus coupling g, signed; the sector flips it
     gamma       magnet-bath coupling, must be << 1
     debye_cutoff  Debye frequency cutoff of the bath kernel
-    hbar        fixed to 1 by convention
     sector      "up" (+g) or "down" (-g)
     m_offset    m0, mean of the initial magnetization distribution
     delta0      initial width parameter; derived from temp_init if None
@@ -75,7 +75,6 @@ class ModelParams:
     temp_init: float = _INF
     gamma: float = 1e-3
     debye_cutoff: float = 100.0
-    hbar: float = 1.0
     sector: str = "up"
     m_offset: float = 0.0
     delta0: float | None = None
@@ -89,8 +88,6 @@ class ModelParams:
             raise ParameterError("gamma must be positive")
         if self.debye_cutoff <= 0:
             raise ParameterError("debye_cutoff must be positive")
-        if self.hbar <= 0:
-            raise ParameterError("hbar must be positive")
         if self.sector not in ("up", "down"):
             raise ParameterError(f"sector must be 'up' or 'down', got {self.sector!r}")
         if abs(self.m_offset) > 1:
@@ -183,7 +180,7 @@ def drift_v(params: ModelParams, m):
     m = np.asarray(m, dtype=float)
     h = field_h(params, m)
     t = params.temp_bath
-    out = (params.gamma / params.hbar) * (
+    out = params.gamma * (
         h * (1.0 + 1.0 / params.n_spins) - m * t * x_coth_x(h / t)
     )
     return out if out.ndim else float(out)
@@ -206,7 +203,7 @@ def drift_v_prime(params: ModelParams, m):
         2.0 * x / 3.0 - 4.0 * x**3 / 45.0,
         cth - x * (cth * cth - 1.0),
     )
-    out = (params.gamma / params.hbar) * (
+    out = params.gamma * (
         j * (1.0 + 1.0 / params.n_spins) - t * phi - m * j * dphi
     )
     return out if out.ndim else float(out)
@@ -217,7 +214,7 @@ def diffusion_w(params: ModelParams, m):
     m = np.asarray(m, dtype=float)
     h = field_h(params, m)
     t = params.temp_bath
-    out = (params.gamma / params.hbar) * (t * x_coth_x(h / t) - m * h)
+    out = params.gamma * (t * x_coth_x(h / t) - m * h)
     return out if out.ndim else float(out)
 
 
@@ -228,10 +225,7 @@ def omega_pm(params: ModelParams, m):
     """
     h = field_h(params, m)
     shift = 2.0 * params.coupling_j / params.n_spins
-    return (
-        (-2.0 * h - shift) / params.hbar,
-        (+2.0 * h - shift) / params.hbar,
-    )
+    return -2.0 * h - shift, +2.0 * h - shift
 
 
 def refined_peak(m: np.ndarray, p: np.ndarray) -> float:
@@ -322,7 +316,7 @@ def derived_scales(params: ModelParams) -> DerivedScales:
     """
     params.require_ferromagnetic()
     j, t = params.coupling_j, params.temp_bath
-    theta = params.hbar / (params.gamma * (j - t))
+    theta = 1.0 / (params.gamma * (j - t))
     stable_pos = [fp.m for fp in fixed_points(params) if fp.stable and fp.m > 0]
     if not stable_pos:
         raise ParameterError("no positive stable magnetization for these parameters")

@@ -1,7 +1,8 @@
 """Error functions on floats and numpy arrays, from the standard library's
 `math.erfc` so that the oracles that run in every measurement stay off
-scipy, and the 15-point Gauss-Legendre rule that the bath kernel and the
-exact characteristics share."""
+scipy; the Bernoulli function x/(e^x - 1) that the bath spectrum and the
+Fokker-Planck face fluxes share; and the 15-point Gauss-Legendre rule that
+the bath kernel and the exact characteristics share."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import math
 
 import numpy as np
 
-__all__ = ["GL15_W", "GL15_X", "erf", "erfc"]
+__all__ = ["GL15_W", "GL15_X", "bernoulli", "erf", "erfc"]
 
 # 15-point Gauss-Legendre rule on [-1, 1]: numpy.polynomial.legendre.leggauss(15)
 # to the bit (a test compares them), written out so that importing magdot
@@ -28,6 +29,16 @@ GL15_W = np.array([
     0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
     0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
 ])
+
+
+def bernoulli(x):
+    """B(x) = x / (e^x - 1), series through the origin; an overflowing
+    expm1 gives the correct limit 0 without a warning."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-8
+    xs = np.where(small, 1.0, x)
+    with np.errstate(over="ignore"):
+        return np.where(small, 1.0 - 0.5 * x + x * x / 12.0, xs / np.expm1(xs))
 
 
 def erfc(x):

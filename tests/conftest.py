@@ -75,7 +75,7 @@ def random_params(test):
 
 def relax_time(p):
     """theta for T < J, the paramagnetic relaxation time for T > J."""
-    return p.hbar / (p.gamma * abs(p.coupling_j - p.temp_bath))
+    return 1.0 / (p.gamma * abs(p.coupling_j - p.temp_bath))
 
 
 def dense_generator(up, down):

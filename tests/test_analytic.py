@@ -85,6 +85,20 @@ class TestCharacteristics:
         with pytest.raises(CharacteristicsError):
             cm.forward(0.0, 1.0)  # m = 0 is the repeller when g = 0
 
+    @pytest.mark.parametrize("n, temp, g", [(9, 0.386, 0.097), (7, 0.501, 0.148)])
+    def test_forward_through_an_open_edge_rejected(self, n, temp, g):
+        # at small N the 1/N term of the drift points outward at m = +/-1, so
+        # the characteristics from +/-0.9 leave (-1, 1) within theta; the
+        # backward map keeps saturating there
+        p = ModelParams(n_spins=n, temp_bath=temp, coupling_g=g, sector="down")
+        th = derived_scales(p).theta
+        cm = CharMap(p)
+        for mu in (-0.9, 0.9):
+            with pytest.raises(CharacteristicsError, match="leaves"):
+                cm.forward(mu, th)
+            assert 0.0 < cm.travel_time(mu, 0.999999 * math.copysign(1.0, mu)) < th
+            assert abs(cm.inverse(mu, th)) < 1.0
+
     def test_linearized_matches_exact_near_origin(self, fig1_params):
         # the gaussian-linear density peaks on the linearized flow from the
         # origin; at 0.2 theta it sits 1.7e-5 from the exact characteristic
@@ -485,13 +499,12 @@ class TestClassifyRegime:
         r2 = classify_regime(fig2_params)
         assert r2.classification == "active-bifurcation"
         assert r2.p_plus == 0.5 and r2.p_minus == 0.5
-
-    def test_threshold_boundaries(self, fig1_params):
-        assert classify_regime(fig1_params,
-                               lambda_threshold=1.5).classification \
-            == "deterministic"
-        with pytest.raises(ValueError):
-            classify_regime(fig1_params, lambda_threshold=0.0)
+        # doubling g doubles lambda past 3, in either sector
+        strong = replace(fig1_params, coupling_g=0.1)
+        for p in (strong, strong.flipped()):
+            r3 = classify_regime(p)
+            assert abs(r3.lam) == pytest.approx(3.78, abs=1e-2)
+            assert r3.classification == "deterministic"
 
     def test_stray_bias_ratio(self, fig1_params):
         r = classify_regime(fig1_params, g0=0.05)

@@ -47,7 +47,7 @@ def windowed_time_domain(spec, omega, t):
 
 def tol_scale(spec, omega, tol=1e-8):
     """The absolute error windowed_spectral allows at `tol`."""
-    return tol * max(spectral_density(spec, omega), 0.25 * spec.hbar * spec.temp_bath)
+    return tol * max(spectral_density(spec, omega), 0.25 * spec.temp_bath)
 
 
 class TestSpectralDensity:
@@ -219,9 +219,9 @@ def worst_error_against_mpmath(spec, s):
     worst = 0.0
     with mpmath.workdps(40):
         temp = mpmath.mpf(spec.temp_bath)
-        c = temp / (mpmath.mpf(spec.hbar) * mpmath.mpf(spec.debye_cutoff))
+        c = temp / mpmath.mpf(spec.debye_cutoff)
         for si, ki in zip(s, got):
-            tau = mpmath.mpf(float(si)) * temp / mpmath.mpf(spec.hbar)
+            tau = mpmath.mpf(float(si)) * temp
             ref = temp**2 / (8 * mpmath.pi) * (
                 mpmath.psi(1, 1 + c - 1j * tau) + mpmath.psi(1, c + 1j * tau))
             worst = max(worst, float(abs(ki - ref) / abs(ref)))

@@ -20,7 +20,6 @@ class TestParseConfig:
         assert cfg.temp_bath == 0.65
         assert cfg.coupling_g == 0.05
         assert cfg.coupling_j == 1.0
-        assert cfg.hbar == 1.0
         assert cfg.gamma == 1e-3
         assert cfg.debye_cutoff == 100.0
         assert math.isinf(cfg.temp_init)
@@ -38,7 +37,7 @@ class TestParseConfig:
             parse_config("N = -5\nT = 0.65\ng = 0\n")
 
     def test_unknown_key_with_line_number(self):
-        for key in ("frobnicate", "lambda_threshold"):
+        for key in ("frobnicate", "lambda_threshold", "hbar"):
             with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
                 parse_config(f"N = 10\n{key} = 3\nT = 0.65\ng = 0\n")
 
@@ -275,6 +274,22 @@ class TestCli:
         assert len(lines) == 4
         values = [float(row.split(",")[0]) for row in lines[1:]]
         assert values == [0.06, 0.1, 0.08]  # input order, not sorted
+        assert os.listdir(out) == ["sweep.csv"]
+
+    @pytest.mark.parametrize("axis, message", [
+        ("foo=1,2", "unknown sweep axis 'foo'"),
+        ("sweep=1", "unknown sweep axis 'sweep'"),
+        ("g=0.1,x", "cannot parse value"),
+    ])
+    def test_bad_sweep_axis_names_no_line(self, small_cfg, tmp_path, capsys,
+                                          axis, message):
+        # --axis is not a line of the config, so its errors name none
+        out = tmp_path / "sw"
+        assert command_surface(["sweep", "-c", small_cfg, "--axis", axis,
+                                "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "line" not in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_analytic_csv(self, small_cfg, tmp_path, capsys):
         out = str(tmp_path / "an")

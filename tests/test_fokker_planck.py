@@ -1,23 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from magdot.fokker_planck import (
     FPConfig,
+    chain,
     equilibrium_profile,
     gaussian_field,
     solve_fp,
 )
 from magdot.master import evolve, initial_distribution
-from magdot.model import fixed_points
+from magdot.model import ModelParams, fixed_points
 from magdot.snapshots import l1_distance
 
-from conftest import small_params
-
-
-def theta(p):
-    return p.hbar / (p.gamma * (p.coupling_j - p.temp_bath))
+from conftest import relax_time, small_params
 
 
 class TestFields:
@@ -32,6 +30,16 @@ class TestFields:
         with pytest.raises(ValueError):
             FPConfig(cells=50)
 
+    def test_large_n_chain_builds_without_warnings(self):
+        # at N = 1e6 the outer faces' Peclet numbers overflow e^x, where
+        # B(x) = x/(e^x - 1) is 0; building the chain may not warn
+        p = ModelParams(n_spins=10**6, temp_bath=0.65, coupling_g=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gen = chain(p, "gaussian", FPConfig(cells=2000)).gen
+        assert np.all(np.isfinite(gen.up)) and np.all(np.isfinite(gen.down))
+        assert gen.up[0] > 0.0 and gen.down[1] == 0.0  # inward only at m = -1
+
     def test_mismatched_mesh_rejected(self):
         p = small_params()
         f = gaussian_field(p, FPConfig(cells=400))
@@ -44,7 +52,7 @@ class TestEquilibriumProfile:
         p = small_params(n=200)
         cfg = FPConfig(cells=500)
         eq = equilibrium_profile(p, cfg)
-        out = solve_fp(p, eq, [10 * theta(p)], cfg)[0]
+        out = solve_fp(p, eq, [10 * relax_time(p)], cfg)[0]
         assert np.abs(out.values - eq.values).sum() * out.dm < 1e-8
 
     def test_global_profile_matches_face_integral(self):
@@ -80,7 +88,7 @@ class TestSolve:
     def test_symmetry_preserved(self):
         p = small_params(n=200, g=0.0)
         cfg = FPConfig(cells=500)
-        th = theta(p)
+        th = relax_time(p)
         outs = solve_fp(p, gaussian_field(p, cfg), [0.5 * th, 2 * th], cfg)
         for f in outs:
             assert np.abs(f.values - f.values[::-1]).max() < 1e-10
@@ -88,13 +96,13 @@ class TestSolve:
     def test_mass_conservation(self):
         p = small_params(n=200)
         cfg = FPConfig(cells=500)
-        out = solve_fp(p, gaussian_field(p, cfg), [2 * theta(p)], cfg)[0]
+        out = solve_fp(p, gaussian_field(p, cfg), [2 * relax_time(p)], cfg)[0]
         assert out.total() == pytest.approx(1.0, abs=1e-10)
 
     def test_positivity(self):
         p = small_params(n=200)
         cfg = FPConfig(cells=500)
-        out = solve_fp(p, gaussian_field(p, cfg), [3 * theta(p)], cfg)[0]
+        out = solve_fp(p, gaussian_field(p, cfg), [3 * relax_time(p)], cfg)[0]
         assert out.values.min() >= 0.0
 
     def test_times_must_ascend(self):
@@ -106,7 +114,7 @@ class TestSolve:
     def test_matches_master_equation(self):
         p = small_params(n=200)
         cfg = FPConfig(cells=1000)
-        th = theta(p)
+        th = relax_time(p)
         times = [0.5 * th, 2 * th]
         fp_out = solve_fp(p, gaussian_field(p, cfg), times, cfg)
         res = evolve(initial_distribution(p, "exact-paramagnet"), p, times[-1],
@@ -120,7 +128,7 @@ class TestSolve:
         l1 = {}
         for n in (250, 1000):
             p = small_params(n=n)
-            th = theta(p)
+            th = relax_time(p)
             f = solve_fp(p, gaussian_field(p, cfg), [th], cfg)[0]
             s = evolve(initial_distribution(p, "exact-paramagnet"), p, th).final
             l1[n] = l1_distance(f.mesh, f.values, s.grid, s.density())
@@ -128,7 +136,7 @@ class TestSolve:
 
     def test_mesh_refinement_order(self):
         p = small_params(n=200)
-        th = theta(p)
+        th = relax_time(p)
         sols = {}
         for cells in (250, 500, 1000, 2000):
             cfg = FPConfig(cells=cells)

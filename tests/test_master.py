@@ -17,11 +17,7 @@ from magdot.master import (
 )
 from magdot.model import ModelParams, derived_scales, omega_pm
 
-from conftest import small_params
-
-
-def theta(p):
-    return p.hbar / (p.gamma * (p.coupling_j - p.temp_bath))
+from conftest import relax_time, small_params
 
 
 class TestInitialDistribution:
@@ -122,7 +118,7 @@ class TestFreeEnergy:
 
     def test_stationary_maximizes_functional(self):
         p = small_params(n=100)
-        th = theta(p)
+        th = relax_time(p)
         d = initial_distribution(p, "exact-paramagnet")
         res = evolve(d, p, 3 * th, record_free_energy=True)
         st_val = free_energy(stationary_distribution(p), p).functional
@@ -138,7 +134,7 @@ class TestEvolve:
 
     def test_mass_conservation_and_h_theorem(self):
         p = small_params(n=150)
-        th = theta(p)
+        th = relax_time(p)
         d = initial_distribution(p, "exact-paramagnet")
         res = evolve(d, p, 4 * th, record_free_energy=True)
         assert abs(res.final.total() - 1.0) < 1e-10
@@ -148,12 +144,12 @@ class TestEvolve:
     def test_stationarity_invariance(self):
         p = small_params(n=150)
         st = stationary_distribution(p)
-        out = evolve(st, p, 10 * theta(p)).final
+        out = evolve(st, p, 10 * relax_time(p)).final
         assert np.abs(out.weights - st.weights).sum() < 1e-8
 
     def test_symmetry_preserved_for_unbiased_runs(self):
         p = small_params(n=100, g=0.0)
-        th = theta(p)
+        th = relax_time(p)
         d = initial_distribution(p, "exact-paramagnet")
         res = evolve(d, p, 2 * th, snapshot_times=[0.5 * th, 1 * th, 2 * th])
         for s in res.snapshots:
@@ -167,7 +163,7 @@ class TestEvolve:
 
     def test_snapshots_at_requested_times(self):
         p = small_params(n=80)
-        th = theta(p)
+        th = relax_time(p)
         want = [0.3 * th, 1.1 * th, 2.0 * th]
         res = evolve(initial_distribution(p, "exact-paramagnet"), p, 2 * th,
                      snapshot_times=want)
@@ -332,7 +328,7 @@ class TestDistributionStats:
     def test_local_width_region_picks_one_of_two_peaks(self, fig2_params):
         # at g = 0 the median of the whole distribution sits in the valley
         d = evolve(initial_distribution(fig2_params), fig2_params,
-                   10 * theta(fig2_params)).final
+                   10 * relax_time(fig2_params)).final
         with pytest.raises(ValueError, match="not concave"):
             d.local_width()
         want = derived_scales(fig2_params).delta_ferro / math.sqrt(fig2_params.n_spins)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from magdot import model
+from magdot.bath import KernelSpec
 from magdot.model import (
     ModelParams,
     ParameterError,
@@ -276,6 +277,13 @@ class TestValidation:
     def test_rejects_subcritical_quench(self):
         with pytest.raises(ParameterError):
             ModelParams(n_spins=10, temp_bath=0.65, coupling_g=0.0, temp_init=0.9)
+
+    def test_hbar_is_a_unit_not_a_parameter(self):
+        # hbar = 1 sets the time unit; neither the model nor the bath takes it
+        with pytest.raises(TypeError, match="hbar"):
+            ModelParams(n_spins=10, temp_bath=0.65, coupling_g=0.0, hbar=1.0)
+        with pytest.raises(TypeError, match="hbar"):
+            KernelSpec(0.65, 100.0, hbar=1.0)
 
     def test_grid_endpoints_exact(self):
         g = small_params(n=1000).grid

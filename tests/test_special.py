@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from magdot.special import erf, erfc
+from magdot.special import bernoulli, erf, erfc
 
 
 def erfc_quadrature(x: float) -> float:
@@ -47,3 +47,16 @@ def test_array_input():
     out = erfc(xs)
     assert out.shape == xs.shape
     assert out[1] == erfc(1.0)
+
+
+def test_bernoulli_series_and_limits():
+    # below |x| = 1e-8 the x^2/12 term is under half an ulp of 1 - x/2, so
+    # the series gives the bits of the two-term one the bath spectrum used
+    x = np.random.default_rng(7).uniform(-1e-8, 1e-8, 40_000)
+    assert np.array_equal(bernoulli(x), 1.0 - x / 2.0)
+    big = np.array([-800.0, -30.0, 0.0, 1e-3, 30.0, 709.0, 710.0, 1e5])
+    with np.errstate(all="raise"):
+        got = bernoulli(big)
+    want = [800.0, 30.0 / -math.expm1(-30.0), 1.0, 1e-3 / math.expm1(1e-3),
+            30.0 / math.expm1(30.0), 709.0 / math.expm1(709.0), 0.0, 0.0]
+    assert got.tolist() == want
