@@ -7,14 +7,13 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 import numpy as np
 
 from .analytic import CharacteristicsError, closed_form_P
 from .bath import KernelConvergenceError
-from .config import ConfigError, RunConfig, parse_config, parse_sweep
+from .config import ConfigError, RunConfig, parse_config, parse_sweep, sweep_configs
 from .fokker_planck import ContinuumField, FPConfig, gaussian_field, solve_fp
 from .kmc import sample_trajectories
 from .master import (
@@ -213,20 +212,21 @@ def _sweep_row(cfg: RunConfig, value: float) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    cfg_text = _read_config(args.config)
-    cfg = parse_config(cfg_text)
+    cfg = _load_config(args.config)
     axis, values = cfg.sweep_axis, cfg.sweep_values
     if args.axis:
         axis, values = parse_sweep(args.axis, None)  # not a line of the config
     if not axis or not values:
         raise UsageError("sweep needs an axis: --axis key=v1,v2,... or a "
                          "`sweep = key=v1,v2` config line")
-    cfgs = [parse_config(cfg_text + f"\n{axis} = {FMT % v}\n") for v in values]
+    cfgs = sweep_configs(cfg, axis, values, None)  # parse_config checked its own line
     for c in cfgs:  # fail on a missing time or T >= J before any run starts
         _output_times(c, "sweep")
     out = _out_dir(cfg.out_dir, args.out_dir)
     workers = args.workers or cfg.workers
     if workers > 1:
+        import concurrent.futures  # with logging, 9-15 ms that a serial run never needs
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, cfgs, values))
     else:

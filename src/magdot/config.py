@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .model import ModelParams, ParameterError
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "parse_sweep"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "parse_sweep", "sweep_configs"]
 
 ENV_OUT_DIR = "MAGDOT_OUTDIR"
 
@@ -151,10 +151,68 @@ def parse_sweep(spec: str, line: int | None) -> tuple[str, list]:
     return axis, _parse_value("floatlist", vals, line, "sweep")
 
 
+def _set_key(cfg: RunConfig, key: str, raw: str, lineno: int | None) -> None:
+    """Parse `key = raw` into cfg; errors and the key's own invariants name lineno."""
+    attr, kind = _KEY_MAP[key]
+    value = _parse_value(kind, raw, lineno, key)
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ConfigError(
+            lineno, f"{key} must be one of {_CHOICES[key]}, got {value!r}")
+    if key == "N" and value < 2:
+        raise ConfigError(lineno, f"invariant violated: N >= 2 (got {value})")
+    if key == "T" and value <= 0:
+        raise ConfigError(lineno, "invariant violated: T > 0")
+    if key == "gamma" and value <= 0:
+        raise ConfigError(lineno, "invariant violated: gamma > 0")
+    if key == "Gamma" and value <= 0:
+        raise ConfigError(lineno, "invariant violated: Gamma > 0")
+    if key == "cells" and value < 100:
+        raise ConfigError(lineno, "invariant violated: cells >= 100")
+    if key == "tol" and not (0 < value):
+        raise ConfigError(lineno, "invariant violated: tol > 0")
+    if key == "seed" and value < 0:
+        raise ConfigError(lineno, "invariant violated: seed >= 0")
+    if key in ("times", "times_theta"):
+        _check_times(key, value, lineno)
+    setattr(cfg, attr, value)
+
+
+def _check_joint(cfg: RunConfig) -> None:
+    """Invariants that tie keys together; their errors name no line."""
+    if cfg.times and cfg.times_theta:
+        raise ConfigError(None, "give either times or times_theta, not both")
+    if not math.isinf(cfg.temp_init) and cfg.temp_init <= cfg.coupling_j:
+        raise ConfigError(None, "invariant violated: finite T0 must exceed J")
+    try:
+        cfg.model_params()
+    except ParameterError as exc:
+        raise ConfigError(None, str(exc)) from exc
+
+
+def sweep_configs(cfg: RunConfig, axis: str, values: list,
+                  line: int | None) -> list[RunConfig]:
+    """One copy of cfg per sweep value, with `axis` set to it and validated.
+
+    An invalid value raises ConfigError naming the value, and `line`, the
+    config's `sweep =` line, unless it is None.
+    """
+    cfgs = []
+    for v in values:
+        try:
+            c = replace(cfg)
+            _set_key(c, axis, "%.17g" % v, None)  # 17 digits read back to v
+            _check_joint(c)
+        except ConfigError as exc:
+            raise ConfigError(line, f"sweep value {axis}={v:g}: {exc}") from None
+        cfgs.append(c)
+    return cfgs
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a configuration document."""
+    """Parse and fully validate a configuration document, sweep values included."""
     cfg = RunConfig()
     seen: set[str] = set()
+    sweep_line = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -165,46 +223,19 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if key not in _KEY_MAP:
             raise ConfigError(lineno, f"unknown key {key!r}")
-        attr, kind = _KEY_MAP[key]
         if key == "sweep":
             cfg.sweep_axis, cfg.sweep_values = parse_sweep(raw, lineno)
-            seen.add("sweep")
-            continue
-        value = _parse_value(kind, raw, lineno, key)
-        if key in _CHOICES and value not in _CHOICES[key]:
-            raise ConfigError(
-                lineno, f"{key} must be one of {_CHOICES[key]}, got {value!r}")
-        # invariants checked against the line that sets the value
-        if key == "N" and value < 2:
-            raise ConfigError(lineno, f"invariant violated: N >= 2 (got {value})")
-        if key == "T" and value <= 0:
-            raise ConfigError(lineno, "invariant violated: T > 0")
-        if key == "gamma" and value <= 0:
-            raise ConfigError(lineno, "invariant violated: gamma > 0")
-        if key == "Gamma" and value <= 0:
-            raise ConfigError(lineno, "invariant violated: Gamma > 0")
-        if key == "cells" and value < 100:
-            raise ConfigError(lineno, "invariant violated: cells >= 100")
-        if key == "tol" and not (0 < value):
-            raise ConfigError(lineno, "invariant violated: tol > 0")
-        if key == "seed" and value < 0:
-            raise ConfigError(lineno, "invariant violated: seed >= 0")
-        if key in ("times", "times_theta"):
-            _check_times(key, value, lineno)
-        setattr(cfg, attr, value)
+            sweep_line = lineno
+        else:
+            _set_key(cfg, key, raw, lineno)
         seen.add(key)
 
     for required in ("N", "T", "g"):
         if required not in seen:
             raise ConfigError(None, f"missing required key {required!r}")
-    if cfg.times and cfg.times_theta:
-        raise ConfigError(None, "give either times or times_theta, not both")
-    if not math.isinf(cfg.temp_init) and cfg.temp_init <= cfg.coupling_j:
-        raise ConfigError(None, "invariant violated: finite T0 must exceed J")
     if not cfg.out_dir:
         cfg.out_dir = os.environ.get(ENV_OUT_DIR, ".")
-    try:
-        cfg.model_params()
-    except ParameterError as exc:
-        raise ConfigError(None, str(exc)) from exc
+    _check_joint(cfg)
+    if sweep_line is not None:
+        sweep_configs(cfg, cfg.sweep_axis, cfg.sweep_values, sweep_line)
     return cfg

@@ -3,18 +3,16 @@
 Independent oracle for `evolve`: exact simulation of the birth-death chain by
 uniformization.  With Lambda = max_k(up_k + down_k), every walker makes a
 Poisson(Lambda t) number of steps, each up, down or stay with probabilities
-up_k/Lambda, down_k/Lambda and the rest.  Walkers are i.i.d., so a block is
-carried as occupation counts.  The step count is drawn one step at a time
-through the Poisson hazard h_j = P(K = j | K >= j): at step j each active
-walker leaves with probability h_j and otherwise moves, so one four-way
-multinomial per state (leave, up, down, stay) does both, and the walkers
-that leave at step j made exactly j moves.  A block holds 2^18 walkers, so
-its launch slots take 2 MB of int64.  A full block writes its final states
-into its slice of the result and shuffles them there; a partial last block
-does the same in one block-long buffer and keeps its first slots.  A block
-costs O(N Lambda t) in steps, whatever its size, plus an O(block) shuffle.
-Block b draws from a counter-based Philox stream keyed by (seed, b), so
-results are reproducible for a given seed and mergeable in trajectory order.
+up_k/Lambda, down_k/Lambda and the rest.  Walkers are i.i.d., so all of them
+are carried as one vector of occupation counts over the N + 1 states.  The
+step count is drawn one step at a time through the Poisson hazard
+h_j = P(K = j | K >= j): at step j each active walker leaves with
+probability h_j and otherwise moves, so one four-way multinomial per state
+(leave, up, down, stay) does both, and the walkers that leave at step j made
+exactly j moves.  A run costs O(N Lambda t) in time and O(N) in memory,
+whatever the number of walkers.  The draws come from a counter-based Philox
+stream keyed by (seed, 0), so the counts are deterministic for a given
+(seed, n_traj); a smaller request is not a prefix of a larger one.
 """
 
 from __future__ import annotations
@@ -24,24 +22,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .master import DiscreteDistribution, RateTable, transition_rates
+from .master import (
+    DiscreteDistribution,
+    RateTable,
+    initial_distribution,
+    transition_rates,
+)
 from .model import ModelParams, repeller
 
 __all__ = ["TrajectoryEnsemble", "poisson_hazards", "sample_trajectories"]
 
-_BLOCK = 2**18
 _TAIL_NATS = 700.0  # the hazard table drops a Poisson tail below e^-700
 
 
 @dataclass
 class TrajectoryEnsemble:
     histogram: DiscreteDistribution
-    final_states: np.ndarray       # grid index per trajectory, in launch order
+    counts: np.ndarray             # int64 walkers ending in each of the N + 1 states
     up_fraction: float             # share ending above the repeller, ties half
     n_traj: int
     seed: int
     uniform_rate: float            # Lambda, the rate of the uniformizing clock
-    n_steps: int                   # steps applied to the counts, over all blocks
+    n_steps: int                   # steps applied to the count vector
 
 
 def poisson_hazards(x: float) -> np.ndarray:
@@ -76,7 +78,8 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
     Sampling is short-memory only: the rates (default: the short-memory
     `transition_rates`) do not depend on time and must be finite and >= 0.
     Initial states are drawn from `init` (default: exact paramagnet).
-    Deterministic for a fixed seed, an integer in [0, 2**64).
+    Deterministic for a given (seed, n_traj), the seed an integer in
+    [0, 2**64).  `n_steps` is the number of steps the count vector took.
     """
     if isinstance(n_traj, bool) or not isinstance(n_traj, (int, np.integer)):
         raise ValueError(f"n_traj must be an integer (got {n_traj!r})")
@@ -94,7 +97,6 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
     if rates is None:
         rates = transition_rates(params, mode="short-memory")
     if init is None:
-        from .master import initial_distribution
         init = initial_distribution(params, "exact-paramagnet")
     if np.shape(rates.up) != (n + 1,) or np.shape(rates.down) != (n + 1,):
         raise ValueError(f"rates must cover the N + 1 = {n + 1} states of params "
@@ -118,48 +120,31 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
     hazards = poisson_hazards(lam * t_end)
     weights = init.weights / init.weights.sum()
 
-    finals = np.empty(n_traj, dtype=np.int64)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0],
+                                                            dtype=np.uint64)))
+    active = rng.multinomial(n_traj, weights)
+    counts = np.zeros(n + 1, dtype=np.int64)
     pvals = np.empty((n + 1, 4))  # leave, up, down, stay
-    n_steps = 0
-    for b, start in enumerate(range(0, n_traj, _BLOCK)):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b],
-                                                                dtype=np.uint64)))
-        # always simulate a full block so trajectory i is the same walker no
-        # matter how many trajectories were requested in total
-        active = rng.multinomial(_BLOCK, weights)
-        done = np.zeros(n + 1, dtype=np.int64)
-        for j, h in enumerate(hazards):  # a walker leaving at step j made j moves
-            pvals[:, 0] = h
-            np.multiply(moves, 1.0 - h, out=pvals[:, 1:])
-            step = rng.multinomial(active, pvals)
-            done += step[:, 0]
-            active = step[:, 3].copy()
-            active[1:] += step[:-1, 1]
-            active[:-1] += step[1:, 2]
-            if not active.any():
-                break
-        n_steps += j
-        # a full block fills its launch slots in place; a partial one fills
-        # a block-long buffer, so a walker's slot never depends on n_traj
-        full = start + _BLOCK <= n_traj
-        slots = finals[start:start + _BLOCK] if full else np.empty(_BLOCK, np.int64)
-        ends = np.cumsum(done)
-        for k in np.flatnonzero(done):
-            slots[ends[k] - done[k]:ends[k]] = k
-        rng.shuffle(slots)
-        if not full:
-            finals[start:] = slots[:n_traj - start]
+    for j, h in enumerate(hazards):  # a walker leaving at step j made j moves
+        pvals[:, 0] = h
+        np.multiply(moves, 1.0 - h, out=pvals[:, 1:])
+        step = rng.multinomial(active, pvals)
+        counts += step[:, 0]
+        active = step[:, 3].copy()
+        active[1:] += step[:-1, 1]
+        active[:-1] += step[1:, 2]
+        if not active.any():
+            break
 
-    counts = np.bincount(finals, minlength=n + 1)
     m = params.grid
     up_fraction = float(counts[m > m_repel].sum()
                         + 0.5 * counts[m == m_repel].sum()) / n_traj
     return TrajectoryEnsemble(
         histogram=DiscreteDistribution(n_spins=n, weights=counts / n_traj, time=t_end),
-        final_states=finals,
+        counts=counts,
         up_fraction=up_fraction,
         n_traj=n_traj,
         seed=seed,
         uniform_rate=lam,
-        n_steps=n_steps,
+        n_steps=j,
     )

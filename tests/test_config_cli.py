@@ -171,6 +171,22 @@ class TestCli:
         assert read(d1) == read(d2)
         assert read(d1) != read(d3)
 
+    def test_sample_is_determined_by_seed_and_trajectories(self, small_cfg, tmp_path,
+                                                           capsys):
+        # one count vector per (seed, trajectories): the same pair writes the
+        # same bytes and summary, and another walker count draws other counts
+        runs = []
+        for name, n in (("a", "1000"), ("b", "1000"), ("c", "1001")):
+            out = str(tmp_path / name)
+            assert command_surface(["sample", "-c", small_cfg, "--seed", "5",
+                                    "--trajectories", n, "--out-dir", out]) == 0
+            summary = capsys.readouterr().out.splitlines()[-1]
+            runs.append((open(os.path.join(out, "sample_histogram.csv")).read(),
+                         summary))
+        assert runs[0] == runs[1]
+        assert runs[0][1].startswith("trajectories=1000 seed=5 ")
+        assert runs[2][0] != runs[0][0]
+
     def test_simulate_reports_steps_terms_and_uniform_rate(self, small_cfg, tmp_path,
                                                            capsys):
         assert command_surface(["simulate", "-c", small_cfg,
@@ -290,6 +306,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err and "line" not in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("axis, message", [
+        ("N=1", "sweep value N=1: invariant violated: N >= 2 (got 1)"),
+        ("T=-1", "sweep value T=-1: invariant violated: T > 0"),
+        ("N=2.5", "sweep value N=2.5: cannot parse value '2.5' for key 'N'"),
+    ])
+    def test_bad_sweep_value_names_the_value_not_a_line(self, small_cfg, tmp_path,
+                                                        capsys, axis, message):
+        # the config has 7 lines; each value was once parsed as an eighth
+        out = tmp_path / "sw"
+        assert command_surface(["sweep", "-c", small_cfg, "--axis", axis,
+                                "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "line" not in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_bad_sweep_line_value_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SMALL.replace("cells = 400\n", "sweep = N=1,200\n"))
+        for argv in (["sweep", "-c", str(cfg)],
+                     ["sweep", "-c", str(cfg), "--axis", "g=0.06"]):
+            assert command_surface(argv + ["--out-dir", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert "line 6: sweep value N=1: invariant violated: N >= 2" in err
+            assert "Traceback" not in err
+        # a value is checked against keys set below the sweep line too
+        with pytest.raises(ConfigError, match="line 4: sweep value J=2: .*T0"):
+            parse_config(FIG1_MINIMAL + "sweep = J=0.9,2\nT0 = 1.5\n")
 
     def test_analytic_csv(self, small_cfg, tmp_path, capsys):
         out = str(tmp_path / "an")

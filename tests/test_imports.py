@@ -1,7 +1,8 @@
 """`import magdot` and every solver and CLI path load numpy only.
 
-scipy is imported inside the closed-form oracles that need it, and
-numpy.polynomial is not loaded by `import magdot`.  Each check runs in a
+scipy is imported inside the closed-form oracles that need it,
+numpy.polynomial is not loaded by `import magdot`, and neither
+concurrent.futures nor logging by `import magdot.cli`.  Each check runs in a
 fresh interpreter, so a module imported by another test cannot hide an
 import.
 """
@@ -63,6 +64,18 @@ def test_solver_and_cli_paths_load_no_scipy(tmp_path):
                      ["sweep", "-c", cfg, "--axis", "g=0.04,0.08", "--out-dir", out]):
             assert command_surface(argv) == 0, argv
         print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_cli_import_loads_no_process_pool_or_logging():
+    """concurrent.futures (and the logging it pulls in) is imported only
+    where `sweep --workers` makes a pool."""
+    out = run_fresh("""
+        import sys
+        import magdot.cli
+        print(sorted(m for m in sys.modules
+                     if m.split(".")[0] in ("concurrent", "logging")))
     """)
     assert out.splitlines()[-1] == "[]"
 

@@ -14,7 +14,6 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import pdtrc
 
-from magdot import kmc
 from magdot.kmc import poisson_hazards, sample_trajectories
 from magdot.master import (
     DiscreteDistribution,
@@ -27,7 +26,7 @@ from magdot.model import derived_scales
 
 from conftest import dense_generator, random_params, relax_time, small_params
 
-N_WALKERS = 2**18 + 4321  # a full block and a partial one
+N_WALKERS = 2**18 + 4321
 
 
 def rate_table(up, down):
@@ -45,7 +44,7 @@ def test_frozen_walkers_with_zero_rates():
     init = initial_distribution(p, "exact-paramagnet")
     # nobody moves: histogram is a sample of the initial distribution only
     ens2 = sample_trajectories(p, 50, t_end=0.0, seed=0, rates=zero_rates(20))
-    assert np.array_equal(ens.final_states, ens2.final_states)
+    assert np.array_equal(ens.counts, ens2.counts)
 
 
 def test_deterministic_under_seed():
@@ -54,37 +53,35 @@ def test_deterministic_under_seed():
     a = sample_trajectories(p, 500, 0.5 * th, seed=42)
     b = sample_trajectories(p, 500, 0.5 * th, seed=42)
     c = sample_trajectories(p, 500, 0.5 * th, seed=43)
-    assert np.array_equal(a.final_states, b.final_states)
-    assert not np.array_equal(a.final_states, c.final_states)
+    assert np.array_equal(a.counts, b.counts)
+    assert not np.array_equal(a.counts, c.counts)
+    assert a.counts.dtype == np.int64 and a.counts.sum() == 500
 
 
-def test_block_partition_invariance_of_prefix():
-    # the first trajectories are independent of how many follow: within
-    # block 0, and across a boundary, where a partial second block (buffered)
-    # meets a full one (filled in place)
-    p = small_params(n=50)
-    th = derived_scales(p).theta
-    for short, long in ((600, 5000), (kmc._BLOCK + 600, 2 * kmc._BLOCK)):
-        a = sample_trajectories(p, short, 0.3 * th, seed=7)
-        b = sample_trajectories(p, long, 0.3 * th, seed=7)
-        assert np.array_equal(a.final_states[:short], b.final_states[:short])
+def test_counts_pinned_at_two_to_the_18_walkers():
+    # 2^18 walkers on the (seed, 0) stream draw what the earlier sampler's
+    # first 2^18-walker block drew, so these counts were taken from it
+    p = small_params(n=12)
+    ens = sample_trajectories(p, 2**18, 0.5 * derived_scales(p).theta, seed=3)
+    assert ens.counts.tolist() == [6796, 13560, 17972, 21027, 22468, 23251, 24342,
+                                   25102, 25711, 26069, 24497, 20307, 11042]
+    assert ens.n_steps == 20
+    np.testing.assert_array_equal(ens.histogram.weights, ens.counts / 2**18)
 
 
-def test_full_block_writes_launch_slots_in_place():
-    # a full block shuffles its slots inside final_states: no block-long
-    # temporary beside the 8 * _BLOCK bytes of the result.  Peak measured
-    # 2,120,548 B; the bound is the 3,685,895 B of the repeat-and-permute
-    # form with 2^16-walker blocks
+def test_memory_does_not_grow_with_walkers():
+    # one count vector over N + 1 states: 2^22 walkers at N = 50 peak at
+    # 22,673 B; a per-walker int64 array alone would be 32 MiB
     p = small_params(n=50)
     t = 0.5 * derived_scales(p).theta
     sample_trajectories(p, 10, t, seed=1)
     tracemalloc.start()
     try:
-        sample_trajectories(p, kmc._BLOCK, t, seed=1)
+        sample_trajectories(p, 2**22, t, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3_685_895
+    assert peak <= 65_536
 
 
 def test_histogram_matches_master_equation():
@@ -113,7 +110,7 @@ def test_input_validation():
         with pytest.raises(ValueError, match="n_traj must be an integer"):
             sample_trajectories(p, bad, 1.0)
     ens = sample_trajectories(p, np.int64(5), 1.0)
-    assert ens.n_traj == 5 and ens.final_states.shape == (5,)
+    assert ens.n_traj == 5 and ens.counts.shape == (21,) and ens.counts.sum() == 5
 
 
 def test_rejects_negative_seed_and_bad_end_time():
@@ -140,8 +137,8 @@ def test_seed_must_be_an_integer_below_2_64():
     for seed in (np.uint64(7), np.int32(7)):
         ens = sample_trajectories(p, 10, 1.0, seed=seed)
         assert ens.seed == 7
-        assert np.array_equal(ens.final_states,
-                              sample_trajectories(p, 10, 1.0, seed=7).final_states)
+        assert np.array_equal(ens.counts,
+                              sample_trajectories(p, 10, 1.0, seed=7).counts)
 
 
 def test_rejects_negative_rates():
@@ -181,7 +178,7 @@ def assert_sampled_from(ens, p):
     within 5 standard deviations above its expected value (the noise floor)."""
     n = ens.n_traj
     var = n * p * (1.0 - p)
-    counts = np.bincount(ens.final_states, minlength=p.size)
+    counts = ens.counts
     # + 3 walkers: a state with n p << 1 is not Gaussian
     assert np.all(np.abs(counts - n * p) <= 5.0 * np.sqrt(var) + 3.0)
     floor = np.sqrt(2.0 * var / np.pi).sum() / n
@@ -219,23 +216,14 @@ def test_exact_at_three_spins():
             assert_sampled_from(ens, expm(a * t) @ init.weights)
 
 
-def test_launch_order_is_uncorrelated():
-    # walkers are i.i.d., so neighbouring launch slots carry independent states
-    p = small_params(n=50)
-    n = 50_000
-    ens = sample_trajectories(p, n, 0.5 * derived_scales(p).theta, seed=2)
-    x = ens.final_states - ens.final_states.mean()
-    assert abs((x[:-1] * x[1:]).mean() / x.var()) < 5.0 / math.sqrt(n)
-
-
 def test_reports_uniform_rate_and_steps():
     p = small_params(n=50)
     rt = transition_rates(p)
     t = 0.5 * derived_scales(p).theta
-    ens = sample_trajectories(p, 3 * kmc._BLOCK, t, seed=4)
+    ens = sample_trajectories(p, 3 * 2**18, t, seed=4)
     assert ens.uniform_rate == (rt.up + rt.down).max()
-    # per block, the largest of 2^18 Poisson(Lambda t) step counts
+    # the largest of 3 * 2^18 Poisson(Lambda t) step counts
     mean = ens.uniform_rate * t
-    assert 3 * mean < ens.n_steps < 3 * (mean + 7.0 * math.sqrt(mean) + 7.0)
+    assert mean < ens.n_steps < mean + 7.0 * math.sqrt(mean) + 7.0
     frozen = sample_trajectories(p, 10, t, rates=zero_rates(50))
     assert frozen.uniform_rate == 0.0 and frozen.n_steps == 0
