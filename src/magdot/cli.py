@@ -219,7 +219,7 @@ def _cmd_sweep(args) -> int:
     if not axis or not values:
         raise UsageError("sweep needs an axis: --axis key=v1,v2,... or a "
                          "`sweep = key=v1,v2` config line")
-    cfgs = sweep_configs(cfg, axis, values, None)  # parse_config checked its own line
+    cfgs = sweep_configs(cfg, axis, values, None)  # parse_config checked a sweep line
     for c in cfgs:  # fail on a missing time or T >= J before any run starts
         _output_times(c, "sweep")
     out = _out_dir(cfg.out_dir, args.out_dir)

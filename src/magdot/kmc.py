@@ -83,8 +83,8 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
     """
     if isinstance(n_traj, bool) or not isinstance(n_traj, (int, np.integer)):
         raise ValueError(f"n_traj must be an integer (got {n_traj!r})")
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1 (got {n_traj})")
+    if not 1 <= n_traj < 2**63:  # the count vector is int64
+        raise ValueError(f"n_traj must be >= 1 and < 2**63 (got {n_traj})")
     n_traj = int(n_traj)
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer (got {seed!r})")

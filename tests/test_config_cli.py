@@ -314,7 +314,7 @@ class TestCli:
     ])
     def test_bad_sweep_value_names_the_value_not_a_line(self, small_cfg, tmp_path,
                                                         capsys, axis, message):
-        # the config has 7 lines; each value was once parsed as an eighth
+        # --axis is not a line of the config: an error names the value instead
         out = tmp_path / "sw"
         assert command_surface(["sweep", "-c", small_cfg, "--axis", axis,
                                 "--out-dir", str(out)]) == 1

@@ -111,6 +111,12 @@ def test_input_validation():
             sample_trajectories(p, bad, 1.0)
     ens = sample_trajectories(p, np.int64(5), 1.0)
     assert ens.n_traj == 5 and ens.counts.shape == (21,) and ens.counts.sum() == 5
+    # one count vector carries any int64 number of walkers, and no more
+    big = sample_trajectories(p, 2**63 - 1, 1.0)
+    assert big.counts.sum() == 2**63 - 1
+    for bad in (2**63, 10**20):
+        with pytest.raises(ValueError, match=r"n_traj must be >= 1 and < 2\*\*63"):
+            sample_trajectories(p, bad, 1.0)
 
 
 def test_rejects_negative_seed_and_bad_end_time():
