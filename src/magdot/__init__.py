@@ -19,7 +19,6 @@ from .bath import KernelSpec, spectral_density, windowed_spectral, autocorrelati
 from .master import (
     DiscreteDistribution,
     FreeEnergyReport,
-    RateTable,
     EvolveResult,
     initial_distribution,
     transition_rates,
@@ -53,7 +52,7 @@ from .analytic import (
     time_scales,
     classify_regime,
 )
-from .special import erf, erfc
+from .special import erfc
 from .measurement import (
     SpinState,
     MeasurementReport,

@@ -75,10 +75,6 @@ class RegimeReport:
     p_plus: float
     p_minus: float
     tau_reg: float
-    tau_relax: float
-    t_flat: float
-    t_width_max: float
-    delta_max: float
     stray_bias_ratio: float      # squared pre-measurement bias over its ceiling
     coupling_ratio: float        # squared coupling bias over the same scale
 
@@ -649,10 +645,6 @@ def classify_regime(params: ModelParams, g0: float = 0.0) -> RegimeReport:
         p_plus=p_plus,
         p_minus=p_minus,
         tau_reg=ts.tau_reg,
-        tau_relax=ts.tau_relax,
-        t_flat=ts.t_flat,
-        t_width_max=ts.t_width_max,
-        delta_max=ts.delta_max,
         stray_bias_ratio=stray,
         coupling_ratio=coupling,
     )

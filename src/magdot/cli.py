@@ -13,7 +13,8 @@ import numpy as np
 
 from .analytic import CharacteristicsError, closed_form_P
 from .bath import KernelConvergenceError
-from .config import ConfigError, RunConfig, parse_config, parse_sweep, sweep_configs
+from .config import (ConfigError, RunConfig, parse_config, parse_sweep, set_key,
+                     sweep_configs)
 from .fokker_planck import ContinuumField, FPConfig, gaussian_field, solve_fp
 from .kmc import sample_trajectories
 from .master import (
@@ -58,6 +59,14 @@ def _out_dir(cfg_dir: str, override: str | None) -> str:
     except OSError as exc:
         raise UsageError(f"cannot make output directory {out}: {exc}") from exc
     return out
+
+
+def _short_memory_only(cfg: RunConfig, command: str) -> None:
+    """The sampler cannot carry time-dependent rates, nor `join_chains` join
+    them, so `sample`, `measure` and `sweep` refuse a full-memory config."""
+    if cfg.mode != "short-memory":
+        raise UsageError(f"{command} runs short-memory rates only; "
+                         f"mode = {cfg.mode} is for simulate")
 
 
 def _output_times(cfg: RunConfig, command: str) -> list:
@@ -152,9 +161,11 @@ def _cmd_sample(args) -> int:
         cfg.trajectories = args.trajectories
     if args.seed is not None:
         cfg.seed = args.seed
+    _short_memory_only(cfg, "sample")
     params = cfg.model_params()
     t_end = _output_times(cfg, "sample")[-1]
-    ens = sample_trajectories(params, cfg.trajectories, t_end, seed=cfg.seed)
+    ens = sample_trajectories(params, cfg.trajectories, t_end, seed=cfg.seed,
+                              init=initial_distribution(params, cfg.init))
     out = _out_dir(cfg.out_dir, args.out_dir)
     path = os.path.join(out, "sample_histogram.csv")
     write_long_csv(path, [ens.histogram])
@@ -180,6 +191,7 @@ def _measure(cfg: RunConfig, command: str):
 
 def _cmd_measure(args) -> int:
     cfg = _load_config(args.config)
+    _short_memory_only(cfg, "measure")
     report = _measure(cfg, "measure")
     out = _out_dir(cfg.out_dir, args.out_dir)
     path = os.path.join(out, "measure_summary.csv")
@@ -213,6 +225,9 @@ def _sweep_row(cfg: RunConfig, value: float) -> str:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
+    _short_memory_only(cfg, "sweep")
+    if args.workers is not None:
+        set_key(cfg, "workers", args.workers, None)  # the check of a config line
     axis, values = cfg.sweep_axis, cfg.sweep_values
     if args.axis:
         axis, values = parse_sweep(args.axis, None)  # not a line of the config
@@ -223,11 +238,10 @@ def _cmd_sweep(args) -> int:
     for c in cfgs:  # fail on a missing time or T >= J before any run starts
         _output_times(c, "sweep")
     out = _out_dir(cfg.out_dir, args.out_dir)
-    workers = args.workers or cfg.workers
-    if workers > 1:
+    if cfg.workers > 1:
         import concurrent.futures  # with logging, 9-15 ms that a serial run never needs
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_sweep_row, cfgs, values))
     else:
         rows = list(map(_sweep_row, cfgs, values))
@@ -334,7 +348,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="parameter sweep of measurement runs")
     p.add_argument("-c", "--config", required=True)
     p.add_argument("--axis", help="key=v1,v2,...")
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", help="worker processes, >= 1 (default: the config's)")
     p.add_argument("--out-dir", dest="out_dir")
 
     p = sub.add_parser("compare", help="L1 comparison of snapshot runs")

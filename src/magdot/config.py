@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 
 from .model import ModelParams, ParameterError
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "parse_sweep", "sweep_configs"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "parse_sweep", "set_key",
+           "sweep_configs"]
 
 ENV_OUT_DIR = "MAGDOT_OUTDIR"
 
@@ -151,7 +152,7 @@ def parse_sweep(spec: str, line: int | None) -> tuple[str, list]:
     return axis, _parse_value("floatlist", vals, line, "sweep")
 
 
-def _set_key(cfg: RunConfig, key: str, raw: str, lineno: int | None) -> None:
+def set_key(cfg: RunConfig, key: str, raw: str, lineno: int | None) -> None:
     """Parse `key = raw` into cfg; errors and the key's own invariants name lineno."""
     attr, kind = _KEY_MAP[key]
     value = _parse_value(kind, raw, lineno, key)
@@ -168,6 +169,8 @@ def _set_key(cfg: RunConfig, key: str, raw: str, lineno: int | None) -> None:
         raise ConfigError(lineno, "invariant violated: Gamma > 0")
     if key == "cells" and value < 100:
         raise ConfigError(lineno, "invariant violated: cells >= 100")
+    if key == "workers" and value < 1:
+        raise ConfigError(lineno, f"invariant violated: workers >= 1 (got {value})")
     if key == "tol" and not (0 < value):
         raise ConfigError(lineno, "invariant violated: tol > 0")
     if key == "seed" and value < 0:
@@ -200,7 +203,7 @@ def sweep_configs(cfg: RunConfig, axis: str, values: list,
     for v in values:
         try:
             c = replace(cfg)
-            _set_key(c, axis, "%.17g" % v, None)  # 17 digits read back to v
+            set_key(c, axis, "%.17g" % v, None)  # 17 digits read back to v
             _check_joint(c)
         except ConfigError as exc:
             raise ConfigError(line, f"sweep value {axis}={v:g}: {exc}") from None
@@ -227,7 +230,7 @@ def parse_config(text: str) -> RunConfig:
             cfg.sweep_axis, cfg.sweep_values = parse_sweep(raw, lineno)
             sweep_line = lineno
         else:
-            _set_key(cfg, key, raw, lineno)
+            set_key(cfg, key, raw, lineno)
         seen.add(key)
 
     for required in ("N", "T", "g"):

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .master import (
-    DiscreteDistribution,
-    RateTable,
-    initial_distribution,
-    transition_rates,
-)
+from .master import DiscreteDistribution, initial_distribution, transition_rates
 from .model import ModelParams, repeller
 
 __all__ = ["TrajectoryEnsemble", "poisson_hazards", "sample_trajectories"]
@@ -71,12 +66,13 @@ def poisson_hazards(x: float) -> np.ndarray:
 
 
 def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
-                        seed: int = 0, rates: RateTable | None = None,
+                        seed: int = 0, rates=None,
                         init: DiscreteDistribution | None = None) -> TrajectoryEnsemble:
     """Sample n_traj jump-process trajectories up to t_end.
 
-    Sampling is short-memory only: the rates (default: the short-memory
-    `transition_rates`) do not depend on time and must be finite and >= 0.
+    Sampling is short-memory only: the rates, any object with hop-rate
+    arrays `up` and `down` over the N + 1 states (default: the short-memory
+    `transition_rates`), do not depend on time and must be finite and >= 0.
     Initial states are drawn from `init` (default: exact paramagnet).
     Deterministic for a given (seed, n_traj), the seed an integer in
     [0, 2**64).  `n_steps` is the number of steps the count vector took.
@@ -109,8 +105,8 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
         k = int(np.argmax(bad))
         raise ValueError(
             f"rates must be finite and >= 0, got up = {rates.up[k]:.3e}, "
-            f"down = {rates.down[k]:.3e} at m = {params.grid[k]:+.4f}; a "
-            f"{rates.mode} table cannot be sampled as a jump process")
+            f"down = {rates.down[k]:.3e} at m = {params.grid[k]:+.4f}; such "
+            f"rates cannot be sampled as a jump process")
     m_repel = repeller(params) if params.temp_bath < params.coupling_j else 0.0
 
     total = rates.up + rates.down

@@ -23,7 +23,6 @@ from .model import ModelParams, omega_pm, refined_peak
 __all__ = [
     "DiscreteDistribution",
     "FreeEnergyReport",
-    "RateTable",
     "EvolveResult",
     "StiffnessError",
     "NumericalError",
@@ -143,18 +142,6 @@ class FreeEnergyReport:
 
 
 @dataclass
-class RateTable:
-    """Jump rates of the balance equation; the gain into the row at m is
-    down at m + 2/N plus up at m - 2/N."""
-
-    m: np.ndarray
-    up: np.ndarray    # rate of m -> m + 2/N
-    down: np.ndarray  # rate of m -> m - 2/N
-    mode: str = "short-memory"
-    time: float | None = None
-
-
-@dataclass
 class EvolveResult:
     final: DiscreteDistribution
     snapshots: list[DiscreteDistribution] = field(default_factory=list)
@@ -189,8 +176,6 @@ def initial_distribution(params: ModelParams, kind: str = "exact-paramagnet"
         w = np.exp(logw)
         w /= w.sum()
     elif kind == "gaussian":
-        if params.delta0 is None or params.delta0 <= 0:
-            raise ValueError("gaussian initial state needs delta0 > 0")
         m = params.grid
         logw = -0.5 * n * ((m - params.m_offset) / params.delta0) ** 2
         logw -= logw.max()
@@ -202,9 +187,9 @@ def initial_distribution(params: ModelParams, kind: str = "exact-paramagnet"
 
 
 def _rate_builder(params: ModelParams, mode: str, kernel_tol: float):
-    """Function of t that returns the RateTable of `transition_rates` at t.
+    """Function of t that returns the Generator of `transition_rates` at t.
 
-    A full-memory builder holds one WindowedKernel, so each table adds only
+    A full-memory builder holds one WindowedKernel, so each call adds only
     the window slice since the previous one: t must not decrease from call
     to call.
     """
@@ -222,15 +207,16 @@ def _rate_builder(params: ModelParams, mode: str, kernel_tol: float):
 
     def build(t):
         k_p, k_m = kernel(t)
-        return RateTable(m=m, up=pref * k_p * (1.0 - m), down=pref * k_m * (1.0 + m),
-                         mode=mode, time=t)
+        return Generator(pref * k_p * (1.0 - m), pref * k_m * (1.0 + m))
 
     return build
 
 
 def transition_rates(params: ModelParams, mode: str = "short-memory",
-                     t: float | None = None, kernel_tol: float = 1e-8) -> RateTable:
-    """Jump rates of the balance equation on the full grid.
+                     t: float | None = None, kernel_tol: float = 1e-8) -> Generator:
+    """Jump rates of the balance equation on the full grid, as the generator
+    that moves weight from m to m + 2/N at rate up and to m - 2/N at rate
+    down.
 
     The (1 -/+ m) occupation factors vanish identically at m = +/-1, closing
     the boundaries.  In full-memory mode the kernel is evaluated through the
@@ -299,10 +285,10 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
     snapshot times, which it lands on exactly, and at least one per
     MAX_JUMPS jumps) is read off a Poisson series of exp(hA) with an L1
     error of at most tol, and checked for positivity and mass.  Full-memory mode
-    builds the rate table at every reported state, holds it until the next,
+    builds the generator at every reported state, holds it until the next,
     and caps the interval at 0.1 hbar/T + 0.05 t, the scale on which the
     windowed kernel still varies.  One `bath.WindowedKernel` serves the run:
-    the table at t reads Ktilde_t as the sum of the window slices between
+    the generator at t reads Ktilde_t as the sum of the window slices between
     successive report points, each integrated to `kernel_tol`, so the
     kernel's error estimate at t is the sum of the slices' estimates.
     """
@@ -315,8 +301,7 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
     rates = []  # Lambda of every generator built
 
     def gen(t=None):
-        rt = rates_at(t)
-        g = Generator(rt.up, rt.down)
+        g = rates_at(t)
         rates.append(g.rate)
         return g
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from . import fokker_planck, master
 from .analytic import RegimeReport, classify_regime, time_scales
 from .fokker_planck import FPConfig
-from .integrator import Generator, integrate, join_chains
+from .integrator import integrate, join_chains
 from .model import ModelParams, derived_scales, repeller
 
 __all__ = [
@@ -170,8 +170,7 @@ def _evolve_sectors(params: ModelParams, t_end: float, engine: str, tol: float,
     if engine == "master":
         kind = init_kind or "exact-paramagnet"
         chains = [master.chain(master.initial_distribution(sp, kind),
-                               Generator(rt.up, rt.down))
-                  for sp, rt in zip(sps, map(master.transition_rates, sps))]
+                               master.transition_rates(sp)) for sp in sps]
     else:
         cfg = fp_config or FPConfig()
         chains = [fokker_planck.chain(sp, init_kind or "gaussian", cfg) for sp in sps]

@@ -1,8 +1,9 @@
-"""Error functions on floats and numpy arrays, from the standard library's
-`math.erfc` so that the oracles that run in every measurement stay off
-scipy; the Bernoulli function x/(e^x - 1) that the bath spectrum and the
-Fokker-Planck face fluxes share; and the 15-point Gauss-Legendre rule that
-the bath kernel and the exact characteristics share."""
+"""The complementary error function on floats and numpy arrays, from the
+standard library's `math.erfc` so that the oracles that run in every
+measurement stay off scipy; the Bernoulli function x/(e^x - 1) that the
+bath spectrum and the Fokker-Planck face fluxes share; and the 15-point
+Gauss-Legendre rule that the bath kernel and the exact characteristics
+share."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["GL15_W", "GL15_X", "bernoulli", "erf", "erfc"]
+__all__ = ["GL15_W", "GL15_X", "bernoulli", "erfc"]
 
 # 15-point Gauss-Legendre rule on [-1, 1]: numpy.polynomial.legendre.leggauss(15)
 # to the bit (a test compares them), written out so that importing magdot
@@ -46,7 +47,3 @@ def erfc(x):
     if isinstance(x, np.ndarray):
         return np.array([math.erfc(float(v)) for v in x.ravel()]).reshape(x.shape)
     return math.erfc(float(x))
-
-
-def erf(x):
-    return 1.0 - erfc(x)

@@ -8,6 +8,8 @@ import pytest
 from magdot import bath
 from magdot.cli import command_surface
 from magdot.config import _KEY_MAP, ConfigError, parse_config
+from magdot.kmc import sample_trajectories
+from magdot.master import initial_distribution
 from magdot.snapshots import read_long_csv
 
 FIG1_MINIMAL = "N = 1000\nT = 0.65\ng = 0.05\n"
@@ -74,7 +76,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("line, invariant", [
         ("T = 0", "T > 0"), ("gamma = 0", "gamma > 0"), ("Gamma = -1", "Gamma > 0"),
-        ("cells = 99", "cells >= 100"), ("tol = 0", "tol > 0")])
+        ("cells = 99", "cells >= 100"), ("tol = 0", "tol > 0"),
+        ("workers = 0", "workers >= 1")])
     def test_invariant_names_its_line(self, line, invariant):
         with pytest.raises(ConfigError,
                            match=re.escape(f"line 4: invariant violated: {invariant}")):
@@ -186,6 +189,25 @@ class TestCli:
         assert runs[0] == runs[1]
         assert runs[0][1].startswith("trajectories=1000 seed=5 ")
         assert runs[2][0] != runs[0][0]
+
+    def test_sample_starts_from_the_config_init(self, tmp_path, capsys):
+        # `init = gaussian` with m0 = 0.5 starts the walkers off the origin,
+        # so the up fraction is the sampler's from that start
+        base = "N = 40\nT = 0.65\ng = 0.05\ntimes = 50\n"
+        gauss = base + "init = gaussian\nm0 = 0.5\n"
+        up = []
+        for i, text in enumerate((base, gauss)):
+            cfg = tmp_path / f"{i}.cfg"
+            cfg.write_text(text)
+            assert command_surface(["sample", "-c", str(cfg),
+                                    "--out-dir", str(tmp_path / str(i))]) == 0
+            summary = capsys.readouterr().out.splitlines()[-1]
+            up.append(float(dict(kv.split("=") for kv in summary.split())["up_fraction"]))
+        p = parse_config(gauss).model_params()
+        want = sample_trajectories(p, 10000, 50.0, seed=0,
+                                   init=initial_distribution(p, "gaussian"))
+        assert up[1] == want.up_fraction
+        assert up[1] > up[0]
 
     def test_simulate_reports_steps_terms_and_uniform_rate(self, small_cfg, tmp_path,
                                                            capsys):
@@ -373,6 +395,20 @@ class TestCli:
                                 "--snapshot-dir", str(tmp_path / "o")]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["sample", "measure", "sweep"])
+    def test_full_memory_is_refused_where_only_short_memory_runs(self, command,
+                                                                  tmp_path, capsys):
+        # neither the sampler nor a joined chain carries time-dependent rates
+        cfg = tmp_path / "memory.cfg"
+        cfg.write_text(FULL_MEMORY)
+        out = tmp_path / "o"
+        axis = ["--axis", "g=0.05"] if command == "sweep" else []
+        assert command_surface([command, "-c", str(cfg), "--out-dir", str(out)]
+                               + axis) == 1
+        err = capsys.readouterr().err
+        assert f"{command} runs short-memory rates only; mode = full-memory" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_kernel_budget_exhausted_is_numerical_failure(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(bath, "_MAX_NODES", 16)
@@ -458,6 +494,18 @@ class TestCli:
         assert command_surface(["sample", "-c", small_cfg, "--seed", "1"]) == 0
         capsys.readouterr()
         assert (env_dir / "sample_histogram.csv").exists()
+
+    def test_workers_below_one_is_config_error(self, small_cfg, tmp_path, capsys):
+        out = tmp_path / "sw"
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(SMALL + "workers = 0\n")
+        for argv in (["-c", str(cfg)], ["-c", small_cfg, "--workers", "-3"],
+                     ["-c", small_cfg, "--workers", "0"]):
+            assert command_surface(["sweep", "--axis", "g=0.06", "--out-dir", str(out)]
+                                   + argv) == 1
+            err = capsys.readouterr().err
+            assert "invariant violated: workers >= 1" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_sweep_worker_pool_matches_serial(self, small_cfg, tmp_path, capsys):
         serial = str(tmp_path / "s1")

@@ -15,9 +15,9 @@ from scipy.linalg import expm
 from scipy.special import pdtrc
 
 from magdot.kmc import poisson_hazards, sample_trajectories
+from magdot.integrator import Generator
 from magdot.master import (
     DiscreteDistribution,
-    RateTable,
     evolve,
     initial_distribution,
     transition_rates,
@@ -29,13 +29,8 @@ from conftest import dense_generator, random_params, relax_time, small_params
 N_WALKERS = 2**18 + 4321
 
 
-def rate_table(up, down):
-    n = up.size - 1
-    return RateTable(m=(2.0 * np.arange(n + 1) - n) / n, up=up, down=down)
-
-
 def zero_rates(n):
-    return rate_table(np.zeros(n + 1), np.zeros(n + 1))
+    return Generator(np.zeros(n + 1), np.zeros(n + 1))
 
 
 def test_frozen_walkers_with_zero_rates():
@@ -155,7 +150,7 @@ def test_rejects_negative_rates():
     assert min(rt.up.min(), rt.down.min()) < -1e-4
     with pytest.raises(ValueError, match="rates must be finite and >= 0"):
         sample_trajectories(p, 10, 1.0, rates=rt)
-    nan = rate_table(np.full(51, np.nan), np.zeros(51))
+    nan = Generator(np.full(51, np.nan), np.zeros(51))
     with pytest.raises(ValueError, match="rates must be finite and >= 0"):
         sample_trajectories(p, 10, 1.0, rates=nan)
 
@@ -209,7 +204,7 @@ def test_exact_at_three_spins():
     # Under `hop` every step moves (total rate Lambda everywhere), so the
     # parity of a walker's final state is the parity of its Poisson count.
     p = small_params(n=3, g=0.1, temp=0.8)
-    hop = rate_table(np.array([2.0, 1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0, 2.0]))
+    hop = Generator(np.array([2.0, 1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0, 2.0]))
     corner = DiscreteDistribution(n_spins=3, weights=np.array([1.0, 0.0, 0.0, 0.0]),
                                   time=0.0)
     for rt, init in ((transition_rates(p), initial_distribution(p)), (hop, corner)):

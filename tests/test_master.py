@@ -6,6 +6,7 @@ import pytest
 from scipy.special import polygamma
 
 from magdot import bath, master
+from magdot.integrator import Generator
 from magdot.master import (
     DiscreteDistribution,
     NumericalError,
@@ -52,12 +53,16 @@ class TestTransitionRates:
         assert rt.up[-1] == 0.0
         assert rt.down[0] == 0.0
 
+    def test_rates_are_the_integrators_generator(self, fig1_params):
+        rt = transition_rates(fig1_params)
+        assert isinstance(rt, Generator)
+        assert rt.rate == (rt.up + rt.down).max()
+
     def test_conservative_generator(self, fig1_params):
         # a flip up from m_k and the flip down from m_(k+1) exchange the same
         # quantum, so the gain into a row is the neighbouring loss rate and
         # each column of the generator sums to zero
-        rt = transition_rates(fig1_params)
-        om_p, om_m = omega_pm(fig1_params, rt.m)
+        om_p, om_m = omega_pm(fig1_params, fig1_params.grid)
         assert np.abs(om_m[1:] + om_p[:-1]).max() < 1e-12 * np.abs(om_p).max()
 
     def test_detailed_balance_against_stationary(self, fig1_params):
@@ -193,7 +198,7 @@ class TestFullMemory:
         t = 5e-4
         rt = transition_rates(p, mode="full-memory", t=t)
         a1 = (2.0 / 32) * (rt.up - rt.down)
-        m = rt.m
+        m = p.grid
         sel = (np.abs(m) < 0.9) & (m != 0.0)
         pred = -p.gamma * p.debye_cutoff**2 * t * m / math.pi
         assert np.median(a1[sel] / pred[sel]) == pytest.approx(1.0, abs=0.05)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from magdot.special import bernoulli, erf, erfc
+from magdot.special import bernoulli, erfc
 
 
 def erfc_quadrature(x: float) -> float:
@@ -35,11 +35,6 @@ def test_monotone_decreasing():
     xs = np.linspace(-3, 6, 181)
     vals = [erfc(float(x)) for x in xs]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_erf_complement():
-    for x in (-2.0, 0.3, 1.9, 3.5):
-        assert erf(x) + erfc(x) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_array_input():
