@@ -637,8 +637,9 @@ def classify_regime(params: ModelParams, g0: float = 0.0) -> RegimeReport:
     j, t = params.coupling_j, params.temp_bath
     n = params.n_spins
     denom = ds.delta_total**2 / n
-    stray = (g0 / (j - t) + params.m_offset) ** 2 / denom
-    coupling = (params.g_eff / (j - t)) ** 2 / denom
+    bias, pull = g0 / (j - t) + params.m_offset, params.g_eff / (j - t)
+    stray = bias * bias / denom  # products overflow to inf where ** raises
+    coupling = pull * pull / denom
     return RegimeReport(
         lam=lam,
         classification=label,

@@ -1,7 +1,9 @@
 """Command-line surface: simulation, analysis, comparison and figure runs.
 
-Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
-3 comparison assertion failure (`compare --assert-l1`).
+Each run command takes its parameters and output times from one run plan,
+which refuses a config key that the chosen engine cannot honour.  Exit codes:
+0 success, 1 usage/config error, 2 numerical failure (a float overflow
+included), 3 comparison assertion failure (`compare --assert-l1`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .analytic import CharacteristicsError, closed_form_P
 from .bath import KernelConvergenceError
 from .config import (ConfigError, RunConfig, parse_config, parse_sweep, set_key,
                      sweep_configs)
-from .fokker_planck import ContinuumField, FPConfig, gaussian_field, solve_fp
+from .fokker_planck import ContinuumField, FPConfig, solve_fp
 from .kmc import sample_trajectories
 from .master import (
     NumericalError,
@@ -25,7 +27,7 @@ from .master import (
 )
 from .measurement import SpinState, run_measurement
 from .model import ModelParams, ParameterError, derived_scales, fixed_points
-from .snapshots import FMT, compare_dirs, write_long_csv, write_split_csv
+from .snapshots import FMT, compare_dirs, write_long_csv
 from .svgplot import line_plot_svg
 
 __all__ = ["command_surface", "main"]
@@ -33,6 +35,11 @@ __all__ = ["command_surface", "main"]
 
 class UsageError(Exception):
     pass
+
+
+# During a command a float overflow, invalid operation or division by zero
+# raises (an ArithmeticError) and exits 2; underflow to 0 is benign.
+_FLOAT_ERRORS = dict(over="raise", invalid="raise", divide="raise")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,22 +68,26 @@ def _out_dir(cfg_dir: str, override: str | None) -> str:
     return out
 
 
-def _short_memory_only(cfg: RunConfig, command: str) -> None:
-    """The sampler cannot carry time-dependent rates, nor `join_chains` join
-    them, so `sample`, `measure` and `sweep` refuse a full-memory config."""
-    if cfg.mode != "short-memory":
-        raise UsageError(f"{command} runs short-memory rates only; "
-                         f"mode = {cfg.mode} is for simulate")
-
-
-def _output_times(cfg: RunConfig, command: str) -> list:
-    """Output times of a run; times_theta needs theta, which derived_scales
-    rejects for T >= J."""
-    theta = derived_scales(cfg.model_params()).theta if cfg.times_theta else None
+def _plan(cfg: RunConfig, command: str) -> tuple[ModelParams, list]:
+    """The parameters and output times of one run of `command` on cfg, and
+    the one place that refuses what the chosen engine cannot run: only the
+    master engine of `simulate` has full-memory rates, and `sample` draws
+    the master chain's jumps.  Every engine honours `init`.  times_theta
+    needs theta, which derived_scales rejects for T >= J.
+    """
+    if cfg.mode != "short-memory" and (command, cfg.engine) != ("simulate", "master"):
+        who = "engine = fp" if command == "simulate" else command
+        raise UsageError(f"{who} runs short-memory rates only; "
+                         f"mode = {cfg.mode} is for simulate on the master engine")
+    if command == "sample" and cfg.engine != "master":
+        raise UsageError(f"sample draws the master chain's jumps; engine = {cfg.engine} "
+                         "is for simulate, measure and sweep")
+    params = cfg.model_params()
+    theta = derived_scales(params).theta if cfg.times_theta else None
     times = cfg.resolve_times(theta)
     if not times:
         raise UsageError(f"{command} needs output times (times or times_theta)")
-    return times
+    return params, times
 
 
 # -- subcommands ----------------------------------------------------------
@@ -107,8 +118,7 @@ def _cmd_simulate(args) -> int:
     if args.times_theta:
         cfg.times_theta = [float(x) for x in args.times_theta.split(",")]
         cfg.times = []
-    params = cfg.model_params()
-    times = _output_times(cfg, "simulate")
+    params, times = _plan(cfg, "simulate")
     out = _out_dir(cfg.out_dir, args.snapshot_dir)
 
     if cfg.engine == "master":
@@ -118,14 +128,10 @@ def _cmd_simulate(args) -> int:
         states = res.snapshots
     else:
         fpc = FPConfig(cells=cfg.cells)
-        states = solve_fp(params, gaussian_field(params, fpc), times, fpc, cfg.tol)
+        states = solve_fp(params, cfg.init, times, fpc, cfg.tol)
     path = os.path.join(out, "snapshots.csv")
     write_long_csv(path, states)
-    written = [path]
-    if args.split:
-        written += write_split_csv(out, states)
-    for p in written:
-        print(p)
+    print(path)
     if cfg.engine == "master":
         print(f"steps={res.n_steps} terms={res.n_terms} "
               f"uniform_rate={FMT % res.uniform_rate}")
@@ -137,8 +143,7 @@ def _cmd_analytic(args) -> int:
     if args.times_theta:
         cfg.times_theta = [float(x) for x in args.times_theta.split(",")]
         cfg.times = []
-    params = cfg.model_params()
-    times = _output_times(cfg, "analytic")
+    params, times = _plan(cfg, "analytic")
     ds = derived_scales(params)  # rejects T >= J before the output directory is made
     model = args.model
     if model == "gaussian-cubic":
@@ -161,10 +166,8 @@ def _cmd_sample(args) -> int:
         cfg.trajectories = args.trajectories
     if args.seed is not None:
         cfg.seed = args.seed
-    _short_memory_only(cfg, "sample")
-    params = cfg.model_params()
-    t_end = _output_times(cfg, "sample")[-1]
-    ens = sample_trajectories(params, cfg.trajectories, t_end, seed=cfg.seed,
+    params, times = _plan(cfg, "sample")
+    ens = sample_trajectories(params, cfg.trajectories, times[-1], seed=cfg.seed,
                               init=initial_distribution(params, cfg.init))
     out = _out_dir(cfg.out_dir, args.out_dir)
     path = os.path.join(out, "sample_histogram.csv")
@@ -176,33 +179,35 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _measure(cfg: RunConfig, command: str):
-    """run_measurement on the parameters, times and engine of one config."""
-    params = cfg.model_params()
-    t_end = _output_times(cfg, command)[-1]
+def _measure(cfg: RunConfig, params: ModelParams, times: list):
+    """run_measurement on one config and its run plan."""
     spin = SpinState(r_up=cfg.r_up, r_down=1.0 - cfg.r_up)
     return run_measurement(
-        spin, params, t_end, engine=cfg.engine, tol=cfg.tol,
+        spin, params, times[-1], engine=cfg.engine, tol=cfg.tol,
         fp_config=FPConfig(cells=cfg.cells),
         p_wrong_bound=cfg.p_wrong_bound, g0=cfg.g0, g_spread=cfg.g_spread,
-        init_kind=cfg.init if cfg.engine == "master" else "gaussian",
+        init=cfg.init,
     )
+
+
+def _time(t: float) -> str:
+    """A time, or an empty field for one that never comes (as at g = 0)."""
+    return FMT % t if np.isfinite(t) else ""
 
 
 def _cmd_measure(args) -> int:
     cfg = _load_config(args.config)
-    _short_memory_only(cfg, "measure")
-    report = _measure(cfg, "measure")
+    report = _measure(cfg, *_plan(cfg, "measure"))
     out = _out_dir(cfg.out_dir, args.out_dir)
     path = os.path.join(out, "measure_summary.csv")
     offd = report.offdiag
     with open(path, "w") as fh:
         fh.write("sector,p_correct,p_wrong,peak_m,tau_red,tau_reg,lambda,faithful\n")
         for name, sec in report.sectors.items():
-            tr = FMT % offd.tau_red if offd else "nan"
             fh.write(
                 f"{name},{FMT % sec.p_correct},{FMT % sec.p_wrong},"
-                f"{FMT % sec.peak_m},{tr},{FMT % report.regime.tau_reg},"
+                f"{FMT % sec.peak_m},{_time(offd.tau_red if offd else np.inf)},"
+                f"{_time(report.regime.tau_reg)},"
                 f"{FMT % report.regime.lam},{report.faithful}\n")
     print(path)
     print(f"regime={report.regime.classification} lambda={FMT % report.regime.lam}")
@@ -215,8 +220,9 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-def _sweep_row(cfg: RunConfig, value: float) -> str:
-    report = _measure(cfg, "sweep")
+def _sweep_row(cfg: RunConfig, plan: tuple, value: float) -> str:
+    with np.errstate(**_FLOAT_ERRORS):  # a worker process starts without it
+        report = _measure(cfg, *plan)
     up = report.sectors["up"]
     return (f"{FMT % value},{FMT % report.regime.lam},"
             f"{FMT % up.p_correct},{FMT % up.p_wrong},{FMT % up.peak_m},"
@@ -225,7 +231,6 @@ def _sweep_row(cfg: RunConfig, value: float) -> str:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    _short_memory_only(cfg, "sweep")
     if args.workers is not None:
         set_key(cfg, "workers", args.workers, None)  # the check of a config line
     axis, values = cfg.sweep_axis, cfg.sweep_values
@@ -235,16 +240,15 @@ def _cmd_sweep(args) -> int:
         raise UsageError("sweep needs an axis: --axis key=v1,v2,... or a "
                          "`sweep = key=v1,v2` config line")
     cfgs = sweep_configs(cfg, axis, values, None)  # parse_config checked a sweep line
-    for c in cfgs:  # fail on a missing time or T >= J before any run starts
-        _output_times(c, "sweep")
+    plans = [_plan(c, "sweep") for c in cfgs]  # refuse any value before a run starts
     out = _out_dir(cfg.out_dir, args.out_dir)
     if cfg.workers > 1:
         import concurrent.futures  # with logging, 9-15 ms that a serial run never needs
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_sweep_row, cfgs, values))
+            rows = list(pool.map(_sweep_row, cfgs, plans, values))
     else:
-        rows = list(map(_sweep_row, cfgs, values))
+        rows = list(map(_sweep_row, cfgs, plans, values))
     path = os.path.join(out, "sweep.csv")
     with open(path, "w") as fh:
         fh.write(f"{axis},lambda,p_correct,p_wrong,peak_m,classification,faithful\n")
@@ -324,8 +328,6 @@ def _build_parser() -> _Parser:
     times.add_argument("--times")
     times.add_argument("--times-theta", dest="times_theta")
     p.add_argument("--snapshot-dir", dest="snapshot_dir")
-    p.add_argument("--split", action="store_true",
-                   help="also write one file per snapshot time")
 
     p = sub.add_parser("analytic", help="closed-form density profiles")
     p.add_argument("-c", "--config", required=True)
@@ -378,7 +380,8 @@ def command_surface(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with np.errstate(**_FLOAT_ERRORS):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -386,7 +389,7 @@ def command_surface(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (StiffnessError, NumericalError, KernelConvergenceError,
-            CharacteristicsError) as exc:
+            CharacteristicsError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

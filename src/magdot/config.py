@@ -11,6 +11,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 
+from .fokker_planck import MAX_CELLS
 from .model import ModelParams, ParameterError
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "parse_sweep", "set_key",
@@ -152,29 +153,38 @@ def parse_sweep(spec: str, line: int | None) -> tuple[str, list]:
     return axis, _parse_value("floatlist", vals, line, "sweep")
 
 
+# Each key's own domain: the ranges that ModelParams, SpinState, evolve and
+# FPConfig would enforce later, checked where the line is read.
+_DOMAIN = {
+    "N": (lambda v: v >= 2, "N >= 2"),
+    "T": (lambda v: v > 0, "T > 0"),
+    "gamma": (lambda v: v > 0, "gamma > 0"),
+    "Gamma": (lambda v: v > 0, "Gamma > 0"),
+    "m0": (lambda v: -1 <= v <= 1, "-1 <= m0 <= 1"),
+    "tol": (lambda v: v > 0, "tol > 0"),
+    "kernel_tol": (lambda v: 0 < v <= 1e-2, "0 < kernel_tol <= 1e-2"),
+    "cells": (lambda v: 100 <= v <= MAX_CELLS, f"cells >= 100 and <= {MAX_CELLS}"),
+    "seed": (lambda v: v >= 0, "seed >= 0"),
+    "p_wrong_bound": (lambda v: v > 0, "p_wrong_bound > 0"),
+    "g_spread": (lambda v: v >= 0, "g_spread >= 0"),
+    "r_up": (lambda v: 0 <= v <= 1, "0 <= r_up <= 1"),
+    "workers": (lambda v: v >= 1, "workers >= 1"),
+}
+
+
 def set_key(cfg: RunConfig, key: str, raw: str, lineno: int | None) -> None:
-    """Parse `key = raw` into cfg; errors and the key's own invariants name lineno."""
+    """Parse `key = raw` into cfg; errors and the key's own invariants name
+    lineno.  Every float is finite but T0, which may be +inf (a full quench)."""
     attr, kind = _KEY_MAP[key]
     value = _parse_value(kind, raw, lineno, key)
     if key in _CHOICES and value not in _CHOICES[key]:
         raise ConfigError(
             lineno, f"{key} must be one of {_CHOICES[key]}, got {value!r}")
-    if key == "N" and value < 2:
-        raise ConfigError(lineno, f"invariant violated: N >= 2 (got {value})")
-    if key == "T" and value <= 0:
-        raise ConfigError(lineno, "invariant violated: T > 0")
-    if key == "gamma" and value <= 0:
-        raise ConfigError(lineno, "invariant violated: gamma > 0")
-    if key == "Gamma" and value <= 0:
-        raise ConfigError(lineno, "invariant violated: Gamma > 0")
-    if key == "cells" and value < 100:
-        raise ConfigError(lineno, "invariant violated: cells >= 100")
-    if key == "workers" and value < 1:
-        raise ConfigError(lineno, f"invariant violated: workers >= 1 (got {value})")
-    if key == "tol" and not (0 < value):
-        raise ConfigError(lineno, "invariant violated: tol > 0")
-    if key == "seed" and value < 0:
-        raise ConfigError(lineno, "invariant violated: seed >= 0")
+    if kind is float and not math.isfinite(value) and (key, value) != ("T0", math.inf):
+        allowed = "finite or inf" if key == "T0" else "finite"
+        raise ConfigError(lineno, f"{key} must be {allowed}, got {value}")
+    if key in _DOMAIN and not _DOMAIN[key][0](value):
+        raise ConfigError(lineno, f"invariant violated: {_DOMAIN[key][1]} (got {value})")
     if key in ("times", "times_theta"):
         _check_times(key, value, lineno)
     setattr(cfg, attr, value)

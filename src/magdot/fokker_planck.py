@@ -16,7 +16,7 @@ the physical interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .special import bernoulli
 __all__ = [
     "ContinuumField",
     "FPConfig",
+    "MAX_CELLS",
     "chain",
     "solve_fp",
     "equilibrium_profile",
@@ -62,13 +63,14 @@ class ContinuumField:
     def mean(self) -> float:
         return float((self.mesh @ self.values) / self.values.sum())
 
-    def std(self) -> float:
-        mu = self.mean()
-        return float(math.sqrt(((self.mesh - mu) ** 2 @ self.values) / self.values.sum()))
-
     def peak(self) -> float:
         """Location of the maximum density, parabolic-refined in ln P."""
         return refined_peak(self.mesh, self.values)
+
+
+# A run holds about a dozen float arrays of the mesh (two dozen to measure),
+# 8 MB each at 10**6 cells: a few hundred MB, 30x the mesh that N = 10**6 needs.
+MAX_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ class FPConfig:
     cells: int = 2000
 
     def __post_init__(self):
-        if self.cells < 100:
-            raise ValueError("need at least 100 cells")
+        if not 100 <= self.cells <= MAX_CELLS:
+            raise ValueError(f"cells must lie in [100, {MAX_CELLS}]")
 
 
 def _mesh(cells: int) -> np.ndarray:
@@ -124,16 +126,21 @@ def equilibrium_profile(params: ModelParams,
     return ContinuumField(mesh=_mesh(cfg.cells), values=vals, time=0.0)
 
 
-def chain(params: ModelParams, init: ContinuumField | str = "gaussian",
+def chain(params: ModelParams, init: ContinuumField | str = "exact-paramagnet",
           cfg: FPConfig = FPConfig()) -> Chain:
     """The cell chain from `init`, weighted by the cell width.  `init` is a
-    ContinuumField on the cfg mesh, or "gaussian" for `gaussian_field`, the
-    one start kind of the FP engine; any other kind is ValueError.
+    ContinuumField on the cfg mesh or a start kind of the master engine:
+    "gaussian" is `gaussian_field`, and "exact-paramagnet" the binomial's
+    continuum limit, the Gaussian at m = 0 with delta0 = 1 whatever m0 and T0
+    are; any other kind is ValueError.
     """
-    if isinstance(init, str):
-        if init != "gaussian":
-            raise ValueError(f"the FP engine starts only from 'gaussian', not {init!r}")
+    if init == "exact-paramagnet":
+        init = gaussian_field(replace(params, temp_init=math.inf, m_offset=0.0,
+                                      delta0=None), cfg)
+    elif init == "gaussian":
         init = gaussian_field(params, cfg)
+    elif isinstance(init, str):
+        raise ValueError(f"unknown initial kind {init!r}")
     if len(init.mesh) != cfg.cells:
         raise ValueError("init field does not match cfg.cells")
     up, down, _ = _face_rates(params, cfg.cells)
@@ -141,9 +148,10 @@ def chain(params: ModelParams, init: ContinuumField | str = "gaussian",
                  lambda v, t: ContinuumField(init.mesh, v, t))
 
 
-def solve_fp(params: ModelParams, init: ContinuumField, times,
+def solve_fp(params: ModelParams, init: ContinuumField | str, times,
              cfg: FPConfig = FPConfig(), tol: float = 1e-9) -> list[ContinuumField]:
-    """Advance the drift-diffusion equation; returns fields at the asked times.
+    """Advance the drift-diffusion equation from `init`, a field or a start
+    kind of `chain` at t = 0; returns fields at the asked times.
 
     The cell hops form a birth-death generator, advanced by the master
     equation's uniformization integrator: L1 error of the density at each
@@ -152,5 +160,5 @@ def solve_fp(params: ModelParams, init: ContinuumField, times,
     """
     times = list(times)
     ch = chain(params, init, cfg)
-    states, _, _ = integrate(ch, init.time, times, tol)
+    states, _, _ = integrate(ch, 0.0 if isinstance(init, str) else init.time, times, tol)
     return [ch.wrap(v, t) for v, t in zip(states, times)]

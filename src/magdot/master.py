@@ -65,10 +65,6 @@ class DiscreteDistribution:
     def mean(self) -> float:
         return float(self.grid @ self.weights / self.total())
 
-    def variance(self) -> float:
-        mu = self.mean()
-        return float(((self.grid - mu) ** 2) @ self.weights / self.total())
-
     def density(self) -> np.ndarray:
         """Continuum normalization P(m) = (N/2) P_d(m)."""
         return 0.5 * self.n_spins * self.weights

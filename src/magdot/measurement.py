@@ -95,25 +95,26 @@ def _mirrored_for_scales(params: ModelParams) -> ModelParams:
 
 def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
                     engine: str = "master", tol: float = 1e-9,
-                    fp_config: FPConfig | None = None,
+                    fp_config: FPConfig = FPConfig(),
                     p_wrong_bound: float = 1e-3,
                     g0: float = 0.0,
                     g_spread: float = 0.0,
-                    init_kind: str | None = None) -> MeasurementReport:
+                    init: str = "exact-paramagnet") -> MeasurementReport:
     """Run both diagonal sectors and assemble the measurement verdict.
 
     Faithfulness requires all of: every sector's wrong-peak mass below
     `p_wrong_bound`, the pre-measurement bias ratio below 1, and the
     coupling ratio above 1.  A run shorter than the registration/relaxation
     horizon is flagged inconclusive (faithful is None) rather than
-    unfaithful.  With `init_kind` None each engine starts from its own
-    state: the exact paramagnet on "master", the Gaussian on "fp".
+    unfaithful.  Both engines start each sector from `init`, a start kind
+    of `master.initial_distribution` (`fokker_planck.chain` takes its
+    continuum form).
     """
     params.require_ferromagnetic()
     if engine not in ("master", "fp"):
         raise ValueError("engine must be 'master' or 'fp'")
     finals, n_steps, n_terms = _evolve_sectors(params, t_end, engine, tol,
-                                               fp_config, init_kind)
+                                               fp_config, init)
     sectors = {}
     horizon = 0.0
     for name, weight in zip(SECTORS, (spin.r_up, spin.r_down)):
@@ -156,7 +157,7 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
 
 
 def _evolve_sectors(params: ModelParams, t_end: float, engine: str, tol: float,
-                    fp_config: FPConfig | None, init_kind: str | None):
+                    fp_config: FPConfig, init: str):
     """Advance the up and down sectors of `params` from t = 0 to t_end as one
     block-diagonal chain (`join_chains`); returns each sector's final state
     by name, and the report points and products with P of the joint run.
@@ -168,12 +169,10 @@ def _evolve_sectors(params: ModelParams, t_end: float, engine: str, tol: float,
     """
     sps = [replace(params, sector=name) for name in SECTORS]
     if engine == "master":
-        kind = init_kind or "exact-paramagnet"
-        chains = [master.chain(master.initial_distribution(sp, kind),
+        chains = [master.chain(master.initial_distribution(sp, init),
                                master.transition_rates(sp)) for sp in sps]
     else:
-        cfg = fp_config or FPConfig()
-        chains = [fokker_planck.chain(sp, init_kind or "gaussian", cfg) for sp in sps]
+        chains = [fokker_planck.chain(sp, init, fp_config) for sp in sps]
     joint = join_chains(chains)
     states, n_steps, n_terms = integrate(joint, 0.0, [t_end], tol)
     return dict(zip(SECTORS, joint.wrap(states[-1], t_end))), n_steps, n_terms
@@ -196,7 +195,8 @@ def offdiagonal_scales(params: ModelParams, g_spread: float = 0.0
     n = params.n_spins
     tau_red = 1.0 / (math.sqrt(2.0 * n) * g)
     t_rec = math.pi / (2.0 * g)
-    bath_ratio = params.gamma * n * params.debye_cutoff**2 / (g * g)
+    # a product, not **, so that a huge cutoff overflows to inf, not OverflowError
+    bath_ratio = params.gamma * n * (params.debye_cutoff * params.debye_cutoff) / (g * g)
     spread_ratio = g_spread / g * math.sqrt(n) if g_spread > 0 else 0.0
     if params.temp_bath < params.coupling_j:
         ds = derived_scales(_mirrored_for_scales(params))

@@ -7,7 +7,6 @@ so files round-trip exactly and identical runs are byte-identical.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 
 import numpy as np
@@ -18,7 +17,6 @@ from .master import DiscreteDistribution
 __all__ = [
     "as_density",
     "write_long_csv",
-    "write_split_csv",
     "read_long_csv",
     "l1_distance",
     "compare_dirs",
@@ -37,35 +35,16 @@ def as_density(state) -> tuple[float, np.ndarray, np.ndarray]:
     raise TypeError(f"unsupported state type {type(state)!r}")
 
 
-def _rows(row: str, m: np.ndarray, p: np.ndarray) -> str:
-    """`row % (m_i, p_i)` for every i, joined: one `%` over the whole state.
-
-    `row` holds two `FMT` fields; `tolist()` gives Python floats, which
-    format exactly as numpy's float64 does.
-    """
-    return (row * len(m)) % tuple(np.column_stack((m, p)).ravel().tolist())
-
-
 def write_long_csv(path: str, states) -> None:
+    """`t,m,P` rows of every state, with one `%` over each whole state:
+    `tolist()` gives Python floats, which format exactly as numpy's float64
+    does."""
     with open(path, "w") as fh:
         fh.write("t,m,P\n")
         for state in states:
             t, m, p = as_density(state)
-            fh.write(_rows(f"{FMT % t},{FMT},{FMT}\n", m, p))
-
-
-def write_split_csv(out_dir: str, states) -> list[str]:
-    """One `m,P` file per snapshot with a `# t=<value>` header line."""
-    paths = []
-    for i, state in enumerate(states):
-        t, m, p = as_density(state)
-        path = os.path.join(out_dir, f"snapshot_{i:04d}.csv")
-        with open(path, "w") as fh:
-            fh.write(f"# t={FMT % t}\n")
-            fh.write("m,P\n")
-            fh.write(_rows(f"{FMT},{FMT}\n", m, p))
-        paths.append(path)
-    return paths
+            row = f"{FMT % t},{FMT},{FMT}\n"
+            fh.write((row * len(m)) % tuple(np.column_stack((m, p)).ravel().tolist()))
 
 
 def read_long_csv(path: str) -> "OrderedDict[float, tuple[np.ndarray, np.ndarray]]":

@@ -140,10 +140,10 @@ class TestCli:
         run_a = str(tmp_path / "a")
         run_b = str(tmp_path / "b")
         assert command_surface(["simulate", "-c", small_cfg,
-                                "--snapshot-dir", run_a, "--split"]) == 0
+                                "--snapshot-dir", run_a]) == 0
         assert command_surface(["simulate", "-c", small_cfg, "--engine", "fp",
                                 "--snapshot-dir", run_b]) == 0
-        assert os.path.exists(os.path.join(run_a, "snapshot_0000.csv"))
+        assert os.listdir(run_a) == ["snapshots.csv"]
         assert command_surface(["compare", run_a, "--against", run_b,
                                 "--assert-l1", "0.05"]) == 0
         assert command_surface(["compare", run_a, "--against", run_b,
@@ -395,6 +395,31 @@ class TestCli:
                                 "--snapshot-dir", str(tmp_path / "o")]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("line", [
+        "gamma = inf", "r_up = nan", "T0 = nan", "T0 = -inf", "m0 = nan", "T = inf",
+        "g = nan", "J = inf", "Gamma = nan", "tol = inf", "kernel_tol = nan",
+        "p_wrong_bound = nan", "g0 = inf", "g_spread = nan", "r_up = 1.5",
+        "r_up = -0.1", "m0 = 1.5", "kernel_tol = 0", "kernel_tol = 0.5",
+        "g_spread = -1", "p_wrong_bound = -1", "p_wrong_bound = 0",
+        "cells = 1000000000000"])
+    def test_value_out_of_its_domain_names_its_line(self, line, tmp_path, capsys):
+        # each of these ran to a traceback or to nan in the output, or was
+        # refused only later, by a solver and with no line number
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL + line + "\n")
+        assert command_surface(["fixed-points", "-c", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "error: line 8: " in err and line.split()[0] in err
+        assert "Traceback" not in err
+
+    def test_huge_debye_cutoff_measures_without_overflow(self, tmp_path, capsys):
+        # the bath ratio gamma N Gamma^2 / g^2 overflowed a float power
+        cfg = tmp_path / "cutoff.cfg"
+        cfg.write_text(SMALL.replace("Gamma = 1e6", "Gamma = 1e300"))
+        assert command_surface(["measure", "-c", str(cfg),
+                                "--out-dir", str(tmp_path / "o")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["sample", "measure", "sweep"])
     def test_full_memory_is_refused_where_only_short_memory_runs(self, command,
                                                                   tmp_path, capsys):
@@ -518,6 +543,62 @@ class TestCli:
         capsys.readouterr()
         read = lambda d: open(os.path.join(d, "sweep.csv")).read()
         assert read(serial) == read(pooled)
+
+
+RUN_BASE = ("N = 24\nT = 0.65\ng = 0.05\ngamma = 0.01\nm0 = 0.3\n"
+            "times_theta = 0.25\ncells = 200\ntrajectories = 500\n")
+
+
+def run_outputs(tmp_path, command, text):
+    """Exit code and {name: bytes} of the files that `command` writes from a
+    config of `text`."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    if out.exists():
+        for f in out.iterdir():
+            f.unlink()
+    argv = [command, "-c", str(cfg),
+            "--snapshot-dir" if command == "simulate" else "--out-dir", str(out)]
+    if command == "sweep":
+        argv += ["--axis", "g=0.04,0.06"]
+    code = command_surface(argv)
+    files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+    return code, files
+
+
+@pytest.mark.parametrize("command, both, changed, refused", [
+    ("simulate", "", "engine = fp", False),
+    ("simulate", "", "mode = full-memory", False),
+    ("simulate", "", "init = gaussian", False),
+    ("simulate", "engine = fp", "mode = full-memory", True),
+    ("simulate", "engine = fp", "init = gaussian", False),
+    ("sample", "", "engine = fp", True),
+    ("sample", "", "mode = full-memory", True),
+    ("sample", "", "init = gaussian", False),
+    ("measure", "", "engine = fp", False),
+    ("measure", "", "mode = full-memory", True),
+    ("measure", "", "init = gaussian", False),
+    ("measure", "engine = fp", "init = gaussian", False),
+    ("sweep", "", "engine = fp", False),
+    ("sweep", "", "mode = full-memory", True),
+    ("sweep", "", "init = gaussian", False),
+    ("sweep", "engine = fp", "init = gaussian", False),
+])
+def test_each_run_key_is_honoured_or_refused(tmp_path, capsys, command, both, changed,
+                                             refused):
+    # a run key set away from its default either moves the output bytes or
+    # exits 1 naming it: none is ignored (m0 = 0.3 tells the two starts apart)
+    base = RUN_BASE + both + "\n"
+    code, before = run_outputs(tmp_path, command, base)
+    assert code == 0 and before
+    code, after = run_outputs(tmp_path, command, base + changed + "\n")
+    err = capsys.readouterr().err
+    if refused:
+        assert code == 1 and not after
+        assert changed in err and "Traceback" not in err
+    else:
+        assert code == 0 and after.keys() == before.keys() and after != before
 
 
 @pytest.mark.slow

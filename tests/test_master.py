@@ -30,7 +30,7 @@ class TestInitialDistribution:
     def test_binomial_moments(self, fig1_params):
         d = initial_distribution(fig1_params, "exact-paramagnet")
         assert abs(d.mean()) < 1e-14
-        assert d.variance() == pytest.approx(1e-3, rel=1e-10)
+        assert (d.grid - d.mean()) ** 2 @ d.weights == pytest.approx(1e-3, rel=1e-10)
 
     def test_gaussian_mean_grid_oracle(self):
         p = small_params(n=1000, g=0.05, m_offset=0.1, delta0=0.5)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magdot import measurement
+from magdot import fokker_planck, measurement
 from magdot.fokker_planck import FPConfig, gaussian_field, solve_fp
 from magdot.integrator import MASS_TOL, Generator, NumericalError, join_chains
 from magdot.master import evolve, initial_distribution
@@ -168,7 +168,7 @@ class TestRunMeasurement:
         p = small_params(n=120, g=0.08, m_offset=0.2, delta0=1.0)
         t_end = 2.0 * derived_scales(p).theta
         rep = run_measurement(SpinState(0.5, 0.5), p, t_end, engine=engine, tol=TOL,
-                              fp_config=FP_CELLS, init_kind="gaussian")
+                              fp_config=FP_CELLS, init="gaussian")
         up, down = rep.sectors["up"], rep.sectors["down"]
         assert abs(up.p_correct - down.p_correct) > 0.1
         for name, sec in rep.sectors.items():
@@ -198,14 +198,23 @@ class TestRunMeasurement:
         with pytest.raises(NumericalError, match="chain 0 mass drift"):
             run_measurement(SpinState(0.5, 0.5), p, t_end=derived_scales(p).theta)
 
-    @pytest.mark.parametrize("kind", ["no-such-kind", "exact-paramagnet"])
+    @pytest.mark.parametrize("kind", ["no-such-kind", ""])
     def test_fp_refuses_a_start_it_cannot_honour(self, kind):
-        # the FP engine starts only from its Gaussian; it raises rather than
-        # ignore another kind
+        # the FP engine raises rather than ignore a kind it has no start for
         p = small_params(n=60, g=0.08)
-        with pytest.raises(ValueError, match="FP engine starts only"):
+        with pytest.raises(ValueError, match="unknown initial kind"):
             run_measurement(SpinState(0.5, 0.5), p, t_end=derived_scales(p).theta,
-                            engine="fp", fp_config=FP_CELLS, init_kind=kind)
+                            engine="fp", fp_config=FP_CELLS, init=kind)
+
+    def test_fp_exact_paramagnet_is_the_centred_unit_gaussian(self):
+        # the binomial's continuum limit, m = 0 and delta0 = 1, whatever m0
+        # and T0 are; at m0 = 0 and T0 = inf it is the default Gaussian
+        p = small_params(n=60, g=0.08)
+        want = gaussian_field(p, FP_CELLS).values
+        for kw in ({"m_offset": 0.3}, {"temp_init": 2.0, "delta0": None}, {}):
+            start = fokker_planck.chain(replace(p, **kw), "exact-paramagnet", FP_CELLS)
+            assert np.array_equal(start.p0, want)
+        assert np.array_equal(fokker_planck.chain(p, cfg=FP_CELLS).p0, want)
 
     def test_rejects_bad_engine(self):
         p = small_params(n=100, g=0.1)

@@ -1,11 +1,11 @@
-"""Snapshot CSV writers: one `%` per state gives the rows that one `FMT`
-per number gives, byte for byte, and the files read back exactly."""
+"""Snapshot CSV writer: one `%` per state gives the rows that one `FMT`
+per number gives, byte for byte, and the file reads back exactly."""
 
 import numpy as np
 
 from magdot.fokker_planck import ContinuumField
 from magdot.master import DiscreteDistribution
-from magdot.snapshots import FMT, as_density, read_long_csv, write_long_csv, write_split_csv
+from magdot.snapshots import FMT, as_density, read_long_csv, write_long_csv
 
 EDGE_WEIGHTS = [0.0, 5e-324, 1e-300, 1e300, 1.0 / 3.0, 0.1]  # zero, subnormal, extremes
 
@@ -33,10 +33,3 @@ def test_long_csv_rows_match_per_number_format(tmp_path):
         assert t == t_ref
         assert np.array_equal(m, m_ref) and np.array_equal(p, p_ref)
 
-
-def test_split_csv_rows_match_per_number_format(tmp_path):
-    paths = write_split_csv(str(tmp_path), edge_states())
-    for path, state in zip(paths, edge_states()):
-        t, m, p = as_density(state)
-        with open(path) as fh:
-            assert fh.read() == f"# t={FMT % t}\nm,P\n" + per_number("", m, p)
