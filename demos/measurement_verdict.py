@@ -19,7 +19,7 @@ from magdot import (
 params = ModelParams(n_spins=1000, temp_bath=0.65, coupling_g=0.05)
 theta = derived_scales(params).theta
 
-spin = SpinState(r_up=0.7, r_down=0.3, offdiag_mag=0.25)
+spin = SpinState(r_up=0.7, offdiag_mag=0.25)
 report = run_measurement(spin, params, t_end=6 * theta)
 
 print(f"regime: {report.regime.classification} "

@@ -591,7 +591,7 @@ def split_probabilities(params: ModelParams) -> tuple[float, float]:
 def time_scales(params: ModelParams) -> TimeScales:
     """Named times of the relaxation, in raw units (divide by theta to match
     figure axes).  The biased-regime scales diverge as the bias vanishes and
-    are +inf for b <= 0; mirror the sector first for a negative bias.
+    are +inf for b <= 0; mirror g and m0 first for a negative bias.
     t_width_max and delta_max are leading order (cubic drift, diffusion at
     the origin, b/m_F -> 0, N -> infinity); `width_maximum` gives the values
     to relative order 1/N of the master equation.
@@ -637,7 +637,7 @@ def classify_regime(params: ModelParams, g0: float = 0.0) -> RegimeReport:
     j, t = params.coupling_j, params.temp_bath
     n = params.n_spins
     denom = ds.delta_total**2 / n
-    bias, pull = g0 / (j - t) + params.m_offset, params.g_eff / (j - t)
+    bias, pull = g0 / (j - t) + params.m_offset, params.coupling_g / (j - t)
     stray = bias * bias / denom  # products overflow to inf where ** raises
     coupling = pull * pull / denom
     return RegimeReport(

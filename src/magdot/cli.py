@@ -9,15 +9,18 @@ included), 3 comparison assertion failure (`compare --assert-l1`).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from dataclasses import replace
+
 import numpy as np
 
 from .analytic import CharacteristicsError, closed_form_P
 from .bath import KernelConvergenceError
 from .config import (ConfigError, RunConfig, parse_config, parse_sweep, set_key,
                      sweep_configs)
-from .fokker_planck import ContinuumField, FPConfig, solve_fp
+from .fokker_planck import MAX_CELLS, ContinuumField, FPConfig, solve_fp
 from .kmc import sample_trajectories
 from .master import (
     NumericalError,
@@ -68,11 +71,33 @@ def _out_dir(cfg_dir: str, override: str | None) -> str:
     return out
 
 
+def _override(cfg: RunConfig, **options) -> None:
+    """Set each command-line option that was given (not None) as its config
+    line would be set, with that line's parser, domain check and message.
+    An option for one kind of output times drops the config's other kind."""
+    for key, raw in options.items():
+        if raw is not None:
+            set_key(cfg, key, raw, None)
+            if key in ("times", "times_theta"):
+                setattr(cfg, "times_theta" if key == "times" else "times", [])
+
+
+def _params(cfg: RunConfig) -> ModelParams:
+    """The config's parameters at the start its `init` names: the exact
+    paramagnet is m0 = 0 at T0 = inf whatever the config says, as in
+    `fokker_planck.chain`, so neither moves lambda or the regime there."""
+    params = cfg.model_params()
+    if cfg.init == "exact-paramagnet":
+        return replace(params, temp_init=math.inf, m_offset=0.0, delta0=None)
+    return params
+
+
 def _plan(cfg: RunConfig, command: str) -> tuple[ModelParams, list]:
-    """The parameters and output times of one run of `command` on cfg, and
-    the one place that refuses what the chosen engine cannot run: only the
-    master engine of `simulate` has full-memory rates, and `sample` draws
-    the master chain's jumps.  Every engine honours `init`.  times_theta
+    """The parameters (`_params`) and output times of one run of `command`
+    on cfg, and the one place that refuses what the chosen engine cannot
+    run: only the master engine of `simulate` has full-memory rates,
+    `sample` draws the master chain's jumps, and the master engine holds at
+    most MAX_CELLS levels, N + 1.  Every engine honours `init`.  times_theta
     needs theta, which derived_scales rejects for T >= J.
     """
     if cfg.mode != "short-memory" and (command, cfg.engine) != ("simulate", "master"):
@@ -82,9 +107,12 @@ def _plan(cfg: RunConfig, command: str) -> tuple[ModelParams, list]:
     if command == "sample" and cfg.engine != "master":
         raise UsageError(f"sample draws the master chain's jumps; engine = {cfg.engine} "
                          "is for simulate, measure and sweep")
-    params = cfg.model_params()
+    if command != "analytic" and cfg.engine == "master" and cfg.n_spins + 1 > MAX_CELLS:
+        raise UsageError(f"N = {cfg.n_spins} has more than the {MAX_CELLS} levels "
+                         "that the master engine holds; engine = fp runs it on cells")
+    params = _params(cfg)
     theta = derived_scales(params).theta if cfg.times_theta else None
-    times = cfg.resolve_times(theta)
+    times = list(cfg.times) or [x * theta for x in cfg.times_theta]
     if not times:
         raise UsageError(f"{command} needs output times (times or times_theta)")
     return params, times
@@ -94,8 +122,7 @@ def _plan(cfg: RunConfig, command: str) -> tuple[ModelParams, list]:
 
 
 def _cmd_fixed_points(args) -> int:
-    cfg = _load_config(args.config)
-    params = cfg.model_params()
+    params = _params(_load_config(args.config))
     print("m,stability")
     for fp in fixed_points(params):
         print(f"{FMT % fp.m},{'stable' if fp.stable else 'unstable'}")
@@ -110,14 +137,7 @@ def _cmd_fixed_points(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    if args.engine:
-        cfg.engine = args.engine
-    if args.times:
-        cfg.times = [float(x) for x in args.times.split(",")]
-        cfg.times_theta = []
-    if args.times_theta:
-        cfg.times_theta = [float(x) for x in args.times_theta.split(",")]
-        cfg.times = []
+    _override(cfg, engine=args.engine, times=args.times, times_theta=args.times_theta)
     params, times = _plan(cfg, "simulate")
     out = _out_dir(cfg.out_dir, args.snapshot_dir)
 
@@ -140,9 +160,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analytic(args) -> int:
     cfg = _load_config(args.config)
-    if args.times_theta:
-        cfg.times_theta = [float(x) for x in args.times_theta.split(",")]
-        cfg.times = []
+    _override(cfg, times_theta=args.times_theta)
     params, times = _plan(cfg, "analytic")
     ds = derived_scales(params)  # rejects T >= J before the output directory is made
     model = args.model
@@ -162,10 +180,7 @@ def _cmd_analytic(args) -> int:
 
 def _cmd_sample(args) -> int:
     cfg = _load_config(args.config)
-    if args.trajectories is not None:
-        cfg.trajectories = args.trajectories
-    if args.seed is not None:
-        cfg.seed = args.seed
+    _override(cfg, trajectories=args.trajectories, seed=args.seed)
     params, times = _plan(cfg, "sample")
     ens = sample_trajectories(params, cfg.trajectories, times[-1], seed=cfg.seed,
                               init=initial_distribution(params, cfg.init))
@@ -181,7 +196,7 @@ def _cmd_sample(args) -> int:
 
 def _measure(cfg: RunConfig, params: ModelParams, times: list):
     """run_measurement on one config and its run plan."""
-    spin = SpinState(r_up=cfg.r_up, r_down=1.0 - cfg.r_up)
+    spin = SpinState(r_up=cfg.r_up)
     return run_measurement(
         spin, params, times[-1], engine=cfg.engine, tol=cfg.tol,
         fp_config=FPConfig(cells=cfg.cells),
@@ -231,8 +246,7 @@ def _sweep_row(cfg: RunConfig, plan: tuple, value: float) -> str:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    if args.workers is not None:
-        set_key(cfg, "workers", args.workers, None)  # the check of a config line
+    _override(cfg, workers=args.workers)
     axis, values = cfg.sweep_axis, cfg.sweep_values
     if args.axis:
         axis, values = parse_sweep(args.axis, None)  # not a line of the config
@@ -323,7 +337,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="master-equation or Fokker-Planck run")
     p.add_argument("-c", "--config", required=True)
-    p.add_argument("--engine", choices=("master", "fp"))
+    p.add_argument("--engine", help="master or fp (default: the config's)")
     times = p.add_mutually_exclusive_group()
     times.add_argument("--times")
     times.add_argument("--times-theta", dest="times_theta")
@@ -339,11 +353,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="kinetic Monte Carlo trajectories")
     p.add_argument("-c", "--config", required=True)
-    p.add_argument("--trajectories", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--trajectories")
+    p.add_argument("--seed")
     p.add_argument("--out-dir", dest="out_dir")
 
-    p = sub.add_parser("measure", help="two-sector measurement run")
+    p = sub.add_parser("measure", help="measurement run of both spin states")
     p.add_argument("-c", "--config", required=True)
     p.add_argument("--out-dir", dest="out_dir")
 

@@ -37,7 +37,6 @@ class RunConfig:
     debye_cutoff: float = 100.0
     temp_init: float = math.inf
     m_offset: float = 0.0
-    sector: str = "up"
     engine: str = "master"
     init: str = "exact-paramagnet"
     mode: str = "short-memory"
@@ -66,16 +65,8 @@ class RunConfig:
             temp_init=self.temp_init,
             gamma=self.gamma,
             debye_cutoff=self.debye_cutoff,
-            sector=self.sector,
             m_offset=self.m_offset,
         )
-
-    def resolve_times(self, theta: float) -> list:
-        _check_times("times", self.times, None)  # command-line overrides too
-        _check_times("times_theta", self.times_theta, None)
-        if self.times:
-            return list(self.times)
-        return [x * theta for x in self.times_theta]
 
 
 _KEY_MAP = {
@@ -87,7 +78,6 @@ _KEY_MAP = {
     "Gamma": ("debye_cutoff", float),
     "T0": ("temp_init", float),
     "m0": ("m_offset", float),
-    "sector": ("sector", str),
     "engine": ("engine", str),
     "init": ("init", str),
     "mode": ("mode", str),
@@ -108,7 +98,6 @@ _KEY_MAP = {
 }
 
 _CHOICES = {
-    "sector": ("up", "down"),
     "engine": ("master", "fp"),
     "init": ("exact-paramagnet", "gaussian"),
     "mode": ("short-memory", "full-memory"),

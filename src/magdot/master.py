@@ -226,12 +226,12 @@ def transition_rates(params: ModelParams, mode: str = "short-memory",
 def stationary_distribution(params: ModelParams) -> DiscreteDistribution:
     """Binomial x Boltzmann equilibrium, exact under detailed balance.
 
-    P_d(m_k) ~ C(N,k) exp[N (g_eff m + J m^2/2)/T], assembled in log space.
+    P_d(m_k) ~ C(N,k) exp[N (g m + J m^2/2)/T], assembled in log space.
     """
     n = params.n_spins
     m = params.grid
     logw = _log_binomial(n) + n * (
-        params.g_eff * m + 0.5 * params.coupling_j * m * m
+        params.coupling_g * m + 0.5 * params.coupling_j * m * m
     ) / params.temp_bath
     w = np.exp(logw - logw.max())
     w /= w.sum()
@@ -254,7 +254,7 @@ def _entropy_energy(params: ModelParams):
     """
     m = params.grid
     log_c = _log_binomial(params.n_spins)
-    level_energy = -(params.n_spins * (params.g_eff * m + 0.5 * params.coupling_j * m * m))
+    level_energy = -params.n_spins * (params.coupling_g * m + 0.5 * params.coupling_j * m * m)
 
     def entropy_energy(w):
         pos = w > 0.0

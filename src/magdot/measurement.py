@@ -1,7 +1,9 @@
 """Composition of the two diagonal sectors into a full measurement run.
 
+The measured spin acts on the magnet only through the coupling: its up state
+is the field +g and its down state -g, and this module alone names them.
 The up sector relaxes under +g weighted by the spin's r_up population, the
-down sector under -g weighted by r_down; their conditional pointer
+down sector under -g weighted by 1 - r_up; their conditional pointer
 distributions must each conserve their Born weight.  The measured spin's s_z
 is conserved, so no hop connects the sectors: both are advanced together as
 one block-diagonal birth-death chain.  Off-diagonal (coherence)
@@ -12,7 +14,7 @@ no coherence trajectory is computed here.  hbar = 1: times are in hbar/J.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import fokker_planck, master
 from .analytic import RegimeReport, classify_regime, time_scales
@@ -29,23 +31,18 @@ __all__ = [
     "offdiagonal_scales",
 ]
 
-SECTORS = ("up", "down")
-
-
 @dataclass(frozen=True)
 class SpinState:
     """Initial state of the measured spin: diagonal populations and coherence."""
 
-    r_up: float
-    r_down: float
-    offdiag_mag: float = 0.0
+    r_up: float  # the down population is 1 - r_up
+    # keyword only, so that a call SpinState(r_up, r_down) fails, not sets it
+    offdiag_mag: float = field(default=0.0, kw_only=True)
 
     def __post_init__(self):
-        if self.r_up < 0 or self.r_down < 0:
-            raise ValueError("populations must be nonnegative")
-        if abs(self.r_up + self.r_down - 1.0) > 1e-12:
-            raise ValueError("populations must sum to 1")
-        bound = math.sqrt(self.r_up * self.r_down)
+        if not 0.0 <= self.r_up <= 1.0:
+            raise ValueError("r_up must lie in [0, 1]")
+        bound = math.sqrt(self.r_up * (1.0 - self.r_up))
         if self.offdiag_mag < 0 or self.offdiag_mag > bound + 1e-12:
             raise ValueError("coherence magnitude violates the Cauchy-Schwarz bound")
 
@@ -85,12 +82,16 @@ class MeasurementReport:
     n_terms: int  # products with P over all its Poisson series
 
 
+def _sectors(params: ModelParams) -> dict:
+    """The parameters of each sector by name: the field +g, and -g."""
+    return {"up": params, "down": replace(params, coupling_g=-params.coupling_g)}
+
+
 def _mirrored_for_scales(params: ModelParams) -> ModelParams:
-    """Frame with nonnegative effective coupling, for toward-target scales."""
-    if params.g_eff >= 0:
+    """Frame with nonnegative coupling, for toward-target scales."""
+    if params.coupling_g >= 0:
         return params
-    return replace(params, sector="up", coupling_g=-params.g_eff,
-                   m_offset=-params.m_offset)
+    return replace(params, coupling_g=-params.coupling_g, m_offset=-params.m_offset)
 
 
 def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
@@ -117,13 +118,13 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
                                                fp_config, init)
     sectors = {}
     horizon = 0.0
-    for name, weight in zip(SECTORS, (spin.r_up, spin.r_down)):
-        sp = replace(params, sector=name)
+    for (name, sp), weight in zip(_sectors(params).items(),
+                                  (spin.r_up, 1.0 - spin.r_up)):
         final = finals[name]
         below = final.mass_below(repeller(sp))
         above = final.total() - below
         # at g = 0 the sectors are symmetric and the labels bookkeeping only
-        correct, wrong = (above, below) if sp.g_eff >= 0 else (below, above)
+        correct, wrong = (above, below) if sp.coupling_g >= 0 else (below, above)
         sectors[name] = SectorOutcome(
             sector=name, born_weight=weight, p_correct=correct, p_wrong=wrong,
             peak_m=final.peak(), mass_drift=abs(final.total() - 1.0), final=final,
@@ -132,8 +133,10 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
         horizon = max(horizon, min(ts.tau_reg, ts.tau_relax))
 
     born_check = max(s.mass_drift for s in sectors.values())
-    regime = classify_regime(params, g0=g0)
-    offd = offdiagonal_scales(params, g_spread) if params.coupling_g > 0 else None
+    # the scales are read in the frame of g >= 0, the stray field g0 mirrored too
+    frame = _mirrored_for_scales(params)
+    regime = classify_regime(frame, g0=g0 if params.coupling_g >= 0 else -g0)
+    offd = offdiagonal_scales(frame, g_spread) if frame.coupling_g > 0 else None
     conclusive = t_end >= horizon
     if not conclusive:
         faithful = None
@@ -167,15 +170,15 @@ def _evolve_sectors(params: ModelParams, t_end: float, engine: str, tol: float,
     report point holds for both together, hence for each; `integrate`
     checks each sector's own mass.
     """
-    sps = [replace(params, sector=name) for name in SECTORS]
+    sps = _sectors(params)
     if engine == "master":
         chains = [master.chain(master.initial_distribution(sp, init),
-                               master.transition_rates(sp)) for sp in sps]
+                               master.transition_rates(sp)) for sp in sps.values()]
     else:
-        chains = [fokker_planck.chain(sp, init, fp_config) for sp in sps]
+        chains = [fokker_planck.chain(sp, init, fp_config) for sp in sps.values()]
     joint = join_chains(chains)
     states, n_steps, n_terms = integrate(joint, 0.0, [t_end], tol)
-    return dict(zip(SECTORS, joint.wrap(states[-1], t_end))), n_steps, n_terms
+    return dict(zip(sps, joint.wrap(states[-1], t_end))), n_steps, n_terms
 
 
 def offdiagonal_scales(params: ModelParams, g_spread: float = 0.0
@@ -199,9 +202,8 @@ def offdiagonal_scales(params: ModelParams, g_spread: float = 0.0
     bath_ratio = params.gamma * n * (params.debye_cutoff * params.debye_cutoff) / (g * g)
     spread_ratio = g_spread / g * math.sqrt(n) if g_spread > 0 else 0.0
     if params.temp_bath < params.coupling_j:
-        ds = derived_scales(_mirrored_for_scales(params))
-        theta = ds.theta
-        tau_reg = time_scales(_mirrored_for_scales(params)).tau_reg
+        theta = derived_scales(params).theta
+        tau_reg = time_scales(params).tau_reg
     else:
         theta = math.inf
         tau_reg = math.inf

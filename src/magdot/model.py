@@ -3,14 +3,13 @@
 Conventions: hbar = 1, so times are in hbar/J; k_B absorbed into
 temperatures, Ising coupling J = 1 canonically.  The pointer variable m is
 the mean magnetization of the N apparatus spins; the measured spin enters
-only through the sign of the coupling g (sector "up" keeps +g, sector
-"down" flips it).
+only through the signed coupling g, whose sign is the spin's state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -60,10 +59,9 @@ class ModelParams:
     coupling_j  Ising coupling J (canonical J = 1)
     temp_bath   bath temperature T
     temp_init   initial magnet temperature T0 (math.inf for a full quench)
-    coupling_g  spin-apparatus coupling g, signed; the sector flips it
+    coupling_g  spin-apparatus coupling g, signed: the field of the spin's state
     gamma       magnet-bath coupling, must be << 1
     debye_cutoff  Debye frequency cutoff of the bath kernel
-    sector      "up" (+g) or "down" (-g)
     m_offset    m0, mean of the initial magnetization distribution
     delta0      initial width parameter; derived from temp_init if None
     """
@@ -75,7 +73,6 @@ class ModelParams:
     temp_init: float = _INF
     gamma: float = 1e-3
     debye_cutoff: float = 100.0
-    sector: str = "up"
     m_offset: float = 0.0
     delta0: float | None = None
 
@@ -88,8 +85,6 @@ class ModelParams:
             raise ParameterError("gamma must be positive")
         if self.debye_cutoff <= 0:
             raise ParameterError("debye_cutoff must be positive")
-        if self.sector not in ("up", "down"):
-            raise ParameterError(f"sector must be 'up' or 'down', got {self.sector!r}")
         if abs(self.m_offset) > 1:
             raise ParameterError("m_offset must lie in [-1, 1]")
         d0 = self.delta0
@@ -115,19 +110,10 @@ class ModelParams:
                     )
 
     @property
-    def g_eff(self) -> float:
-        """Sector-adjusted coupling: +g in the up sector, -g in the down sector."""
-        return self.coupling_g if self.sector == "up" else -self.coupling_g
-
-    @property
     def grid(self) -> np.ndarray:
         """Magnetization eigenvalues m_k = -1 + 2k/N, exact at both ends."""
         n = self.n_spins
         return (2.0 * np.arange(n + 1) - n) / n
-
-    def flipped(self) -> "ModelParams":
-        """Same parameters in the opposite sector."""
-        return replace(self, sector="down" if self.sector == "up" else "up")
 
     def require_ferromagnetic(self):
         if self.temp_bath >= self.coupling_j:
@@ -143,10 +129,10 @@ class DerivedScales:
 
     theta       drift time scale hbar / (gamma (J - T))
     m_ferro     positive stable magnetization
-    m_repel     repulsive point -g_eff/(J - T)
+    m_repel     repulsive point -g/(J - T)
     delta_ferro equilibrium peak width parameter
     delta_total total initial width after diffusion, sqrt(T/(J-T) + delta0^2)
-    bias_b      bias g_eff/(J - T) + m0
+    bias_b      bias g/(J - T) + m0
     lam         bias in units of the final spread, b sqrt(N/2)/delta_total
     """
 
@@ -166,8 +152,8 @@ class FixedPoint:
 
 
 def field_h(params: ModelParams, m):
-    """Self-consistent field h(m) = g_eff + J*m."""
-    return params.g_eff + params.coupling_j * np.asarray(m, dtype=float)
+    """Self-consistent field h(m) = g + J*m."""
+    return params.coupling_g + params.coupling_j * np.asarray(m, dtype=float)
 
 
 def drift_v(params: ModelParams, m):
@@ -284,7 +270,7 @@ def _zeros(params: ModelParams, f) -> list[FixedPoint]:
 
 
 def fixed_points(params: ModelParams) -> list[FixedPoint]:
-    """All solutions of m = tanh((g_eff + J m)/T) in [-1, 1], with stability.
+    """All solutions of m = tanh((g + J m)/T) in [-1, 1], with stability.
     For T >= J there is a single paramagnetic root.
     """
     return _zeros(params, lambda m: _mean_field_residual(params, m))
@@ -297,13 +283,13 @@ def drift_zeros(params: ModelParams) -> list[FixedPoint]:
 
 
 def repeller(params: ModelParams) -> float:
-    """Repulsive point -g_eff/(J - T) of the drift's linear part; rejects T >= J.
+    """Repulsive point -g/(J - T) of the drift's linear part; rejects T >= J.
 
     Unlike `derived_scales` it needs no second well, so it also serves a
-    sector that a strong field leaves with one.
+    field strong enough to leave only one.
     """
     params.require_ferromagnetic()
-    return -params.g_eff / (params.coupling_j - params.temp_bath)
+    return -params.coupling_g / (params.coupling_j - params.temp_bath)
 
 
 @lru_cache(maxsize=64)
@@ -329,7 +315,7 @@ def derived_scales(params: ModelParams) -> DerivedScales:
     delta_f = 1.0 / math.sqrt(inv_df2)
     delta2 = t / (j - t) + params.delta0**2
     delta = math.sqrt(delta2)
-    b = params.g_eff / (j - t) + params.m_offset
+    b = params.coupling_g / (j - t) + params.m_offset
     lam = b * math.sqrt(params.n_spins / 2.0) / delta
     return DerivedScales(
         theta=theta,

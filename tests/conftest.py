@@ -1,8 +1,8 @@
 """Shared fixtures, parameter sets and the random-parameter decorator.
 
-`random_params` draws (N, T, g, Gamma, sector, and the offset m0 and width
-delta0 of a Gaussian initial state) with hypothesis when it is installed,
-with a seeded numpy generator otherwise.
+`random_params` draws (N, T, |g|, Gamma, the spin state that signs g, and
+the offset m0 and width delta0 of a Gaussian initial state) with hypothesis
+when it is installed, with a seeded numpy generator otherwise.
 """
 
 import numpy as np
@@ -46,11 +46,16 @@ def rng():
 N_CASES = 8
 
 
+def _signed(sector, coupling_g, **kw):
+    """ModelParams with g signed by the drawn spin state: +|g| up, -|g| down."""
+    return ModelParams(coupling_g=coupling_g if sector == "up" else -coupling_g, **kw)
+
+
 def random_params(test):
-    """Run test(params) over random model parameters, both sectors, T < J and T > J."""
+    """Run test(params) over random model parameters, both signs of g, T < J and T > J."""
     if given is not None:
         params = st.builds(
-            ModelParams,
+            _signed,
             n_spins=st.integers(4, 40),
             temp_bath=st.one_of(st.floats(0.3, 0.9), st.floats(1.1, 1.5)),
             coupling_g=st.floats(0.0, 0.2),
@@ -62,7 +67,7 @@ def random_params(test):
         return settings(max_examples=N_CASES, deadline=None, derandomize=True,
                         database=None)(given(params=params)(test))
     rng = np.random.default_rng(20261018)
-    cases = [ModelParams(
+    cases = [_signed(
         n_spins=int(rng.integers(4, 41)),
         temp_bath=float(rng.choice([rng.uniform(0.3, 0.9), rng.uniform(1.1, 1.5)])),
         coupling_g=float(rng.uniform(0.0, 0.2)),

@@ -90,7 +90,7 @@ class TestCharacteristics:
         # at small N the 1/N term of the drift points outward at m = +/-1, so
         # the characteristics from +/-0.9 leave (-1, 1) within theta; the
         # backward map keeps saturating there
-        p = ModelParams(n_spins=n, temp_bath=temp, coupling_g=g, sector="down")
+        p = ModelParams(n_spins=n, temp_bath=temp, coupling_g=-g)
         th = derived_scales(p).theta
         cm = CharMap(p)
         for mu in (-0.9, 0.9):
@@ -250,7 +250,7 @@ class TestSplitProbabilities:
         assert p_plus + p_minus == 1.0
 
     def test_reflection(self, fig1_params):
-        down = fig1_params.flipped()
+        down = replace(fig1_params, coupling_g=-fig1_params.coupling_g)
         assert split_probabilities(fig1_params)[1] \
             + split_probabilities(down)[1] == pytest.approx(1.0, abs=1e-15)
 
@@ -393,7 +393,7 @@ class TestWidthMaximum:
 
         def log_w(m):
             return (log_binomial(n, m) - log_binomial(n, ds.m_ferro)
-                    + n * (p.g_eff * (m - ds.m_ferro)
+                    + n * (p.coupling_g * (m - ds.m_ferro)
                            + 0.5 * j * (m * m - ds.m_ferro**2)) / temp)
         _, want = binomial_width(n, log_w, 0.3, 1.0 - 1e-9,
                                  curv_extra=n * j / temp)
@@ -499,9 +499,9 @@ class TestClassifyRegime:
         r2 = classify_regime(fig2_params)
         assert r2.classification == "active-bifurcation"
         assert r2.p_plus == 0.5 and r2.p_minus == 0.5
-        # doubling g doubles lambda past 3, in either sector
-        strong = replace(fig1_params, coupling_g=0.1)
-        for p in (strong, strong.flipped()):
+        # doubling g doubles lambda past 3, at either sign of g
+        for g in (0.1, -0.1):
+            p = replace(fig1_params, coupling_g=g)
             r3 = classify_regime(p)
             assert abs(r3.lam) == pytest.approx(3.78, abs=1e-2)
             assert r3.classification == "deterministic"

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from magdot import bath
-from magdot.cli import command_surface
+from magdot.cli import UsageError, _plan, command_surface
 from magdot.config import _KEY_MAP, ConfigError, parse_config
+from magdot.fokker_planck import MAX_CELLS
 from magdot.kmc import sample_trajectories
 from magdot.master import initial_distribution
 from magdot.snapshots import read_long_csv
@@ -98,6 +99,11 @@ class TestParseConfig:
     def test_choice_validation(self):
         with pytest.raises(ConfigError, match="engine"):
             parse_config(FIG1_MINIMAL + "engine = warp\n")
+
+    def test_sector_is_no_key(self):
+        # the sign of g is the spin's state; no second key flips it
+        with pytest.raises(ConfigError, match="line 4: unknown key 'sector'"):
+            parse_config(FIG1_MINIMAL + "sector = down\n")
 
     def test_sweep_line(self):
         cfg = parse_config(FIG1_MINIMAL + "sweep = g=0.01,0.02\n")
@@ -250,9 +256,10 @@ class TestCli:
         assert command_surface(["sample", "-c", str(cfg)] + out) == 1
         err = capsys.readouterr().err
         assert "seed >= 0" in err and "Traceback" not in err
+        # the --seed option is read as a config line, with that line's message
         assert command_surface(["sample", "-c", small_cfg, "--seed", "-3"] + out) == 1
         err = capsys.readouterr().err
-        assert "seed must be >= 0" in err and "Traceback" not in err
+        assert "invariant violated: seed >= 0 (got -3)" in err and "Traceback" not in err
 
     def test_seed_beyond_64_bits_is_error(self, small_cfg, tmp_path, capsys):
         out = ["--out-dir", str(tmp_path / "o")]
@@ -600,6 +607,83 @@ def test_each_run_key_is_honoured_or_refused(tmp_path, capsys, command, both, ch
     else:
         assert code == 0 and after.keys() == before.keys() and after != before
 
+
+def test_exact_paramagnet_start_ignores_m0_and_t0(tmp_path, capsys):
+    # the exact paramagnet is m0 = 0 at T0 = inf: an m0 or T0 that the run
+    # ignores moves no output of measure, analytic or fixed-points, not even
+    # lambda, and under init = gaussian each of them moves it
+    base = "N = 40\nT = 0.65\ng = 0.05\ngamma = 0.01\ntimes_theta = 0.5,3\n"
+    gaussian = base + "init = gaussian\n"
+
+    def fixed_points(text):
+        cfg = tmp_path / "fp.cfg"
+        cfg.write_text(text)
+        capsys.readouterr()
+        code = command_surface(["fixed-points", "-c", str(cfg)])
+        return code, capsys.readouterr().out
+
+    for command in ("measure", "analytic", "fixed-points"):
+        outputs = (fixed_points if command == "fixed-points"
+                   else lambda text: run_outputs(tmp_path, command, text))
+        code, plain = outputs(base)
+        assert code == 0 and plain
+        code, gauss = outputs(gaussian)
+        assert code == 0 and gauss
+        for extra in ("m0 = 0.3\n", "T0 = 2\n"):
+            assert outputs(base + extra) == (0, plain)
+            code, moved = outputs(gaussian + extra)
+            assert code == 0 and moved != gauss
+    capsys.readouterr()
+
+
+def test_measure_reads_its_scales_at_g_of_either_sign(tmp_path, capsys):
+    # the sign of g picks the spin state; lambda, the regime and the times
+    # are read in the frame of g >= 0, so -g reports what +g does
+    seen = {}
+    for g in ("0.05", "-0.05"):
+        code, files = run_outputs(tmp_path, "measure", f"N = 40\nT = 0.65\ng = {g}\n"
+                                  "gamma = 0.01\ntimes_theta = 4\n")
+        assert code == 0
+        rows = files["measure_summary.csv"].decode().splitlines()[1:]
+        regime = capsys.readouterr().out.splitlines()[1]
+        seen[g] = ([row.split(",")[4:] for row in rows], regime)
+    assert seen["0.05"] == seen["-0.05"]
+    (tau_red, tau_reg, lam, _), regime = seen["-0.05"][0][0], seen["-0.05"][1]
+    assert float(lam) > 0 and float(tau_reg) > 0 and float(tau_red) > 0
+    assert regime == f"regime=active-bifurcation lambda={lam}"
+
+
+def test_master_engine_refuses_more_levels_than_it_holds(tmp_path, capsys):
+    # N + 1 levels beyond MAX_CELLS exit 1 naming N before anything is
+    # allocated; the FP engine runs the same N on its cells
+    huge = "N = 1000000000\nT = 0.65\ng = 0.05\ntimes = 1\ncells = 200\n"
+    for command in ("simulate", "sample", "measure", "sweep"):
+        code, files = run_outputs(tmp_path, command, huge)
+        err = capsys.readouterr().err
+        assert code == 1 and not files
+        assert "N = 1000000000" in err and "Traceback" not in err
+    code, files = run_outputs(tmp_path, "simulate", huge + "engine = fp\n")
+    assert code == 0 and files
+    capsys.readouterr()
+    fit = f"N = {MAX_CELLS - 1}\nT = 0.65\ng = 0.05\ntimes = 1\n"
+    assert _plan(parse_config(fit), "simulate")[1] == [1.0]
+    with pytest.raises(UsageError, match=f"N = {MAX_CELLS}"):
+        _plan(parse_config(fit.replace(str(MAX_CELLS - 1), str(MAX_CELLS))), "simulate")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--engine", "warp"], "engine must be one of ('master', 'fp')"),
+    (["simulate", "--times", "1,x"], "cannot parse value '1,x' for key 'times'"),
+    (["sample", "--trajectories", "1e3"], "cannot parse value '1e3' for key"),
+    (["sample", "--seed", "x"], "cannot parse value 'x' for key 'seed'"),
+])
+def test_option_is_read_as_its_config_line(small_cfg, tmp_path, capsys, argv, message):
+    out = str(tmp_path / "o")
+    assert command_surface(argv + ["-c", small_cfg, "--out-dir" if argv[0] != "simulate"
+                                   else "--snapshot-dir", out]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not os.path.exists(out)
 
 @pytest.mark.slow
 class TestFigureCommand:

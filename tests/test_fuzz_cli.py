@@ -28,7 +28,6 @@ EDGES = {
     "Gamma": ["0", "nan", "inf", "1e300", "1e-300", "1e6"],
     "T0": ["nan", "inf", "-inf", "0.5", "1e300", "2"],
     "m0": ["nan", "-1", "1", "1.5", "0.3", "inf"],
-    "sector": ["up", "down", "sideways"],
     "engine": ["master", "fp", "warp"],
     "init": ["exact-paramagnet", "gaussian", "other"],
     "mode": ["short-memory", "full-memory", "none"],

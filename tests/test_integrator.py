@@ -1,11 +1,12 @@
 """The shared birth-death generator and its uniformization integrator.
 
-Solver properties are checked over random (N, T, g, Gamma, sector, and the
+Solver properties are checked over random (N, T, signed g, Gamma, and the
 offset m0 and width delta0 of a Gaussian initial state) drawn by
 `conftest.random_params`.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,7 +61,8 @@ class TestGenerator:
 
     def test_join_chains_guards_the_junction(self):
         p = small_params(n=20)
-        up_rt, down_rt = transition_rates(p), transition_rates(p.flipped())
+        up_rt = transition_rates(p)
+        down_rt = transition_rates(replace(p, coupling_g=-p.coupling_g))
         d = initial_distribution(p)
         joint = join_chains([chain(d, Generator(up_rt.up, up_rt.down)),
                              chain(d, Generator(down_rt.up, down_rt.down))])
@@ -287,8 +289,8 @@ def test_global_profile_is_fixed_point_of_solve_fp(params):
 @random_params
 def test_sector_mirror_symmetry(params):
     tau = relax_time(params)
-    up = params if params.sector == "up" else params.flipped()
+    g = params.coupling_g
     runs = [evolve(initial_distribution(p), p, 2.0 * tau, snapshot_times=[tau, 2.0 * tau])
-            for p in (up, up.flipped())]
+            for p in (replace(params, coupling_g=s * abs(g)) for s in (1, -1))]
     for s_up, s_down in zip(runs[0].snapshots, runs[1].snapshots):
         assert np.abs(s_up.weights - s_down.weights[::-1]).max() < 1e-12

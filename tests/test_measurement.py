@@ -34,18 +34,22 @@ def own_run_l1(final, sp, t_end, engine):
 
 
 class TestSpinState:
-    def test_populations_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            SpinState(r_up=0.7, r_down=0.2)
+    def test_down_population_is_one_minus_r_up(self):
+        # no second population to set, by keyword or by position
+        with pytest.raises(TypeError):
+            SpinState(r_up=0.7, r_down=0.3)
+        with pytest.raises(TypeError):
+            SpinState(0.7, 0.3)
 
     def test_cauchy_schwarz_bound(self):
-        SpinState(r_up=0.5, r_down=0.5, offdiag_mag=0.5)  # boundary OK
+        SpinState(r_up=0.5, offdiag_mag=0.5)  # boundary OK
         with pytest.raises(ValueError):
-            SpinState(r_up=0.9, r_down=0.1, offdiag_mag=0.5)
+            SpinState(r_up=0.9, offdiag_mag=0.5)
 
     def test_nonnegative_populations(self):
-        with pytest.raises(ValueError):
-            SpinState(r_up=1.2, r_down=-0.2)
+        for r_up in (1.2, -0.2, math.nan):
+            with pytest.raises(ValueError):
+                SpinState(r_up=r_up)
 
 
 class TestOffdiagonalScales:
@@ -84,7 +88,7 @@ class TestRunMeasurement:
     def test_pure_up_registration(self):
         p = small_params(n=200, g=0.1)
         th = derived_scales(p).theta
-        rep = run_measurement(SpinState(1.0, 0.0), p, t_end=6 * th)
+        rep = run_measurement(SpinState(1.0), p, t_end=6 * th)
         up = rep.sectors["up"]
         ds = derived_scales(p)
         assert abs(up.peak_m - ds.m_ferro) < 0.02
@@ -95,18 +99,37 @@ class TestRunMeasurement:
     def test_sector_mirror_symmetry(self):
         p = small_params(n=120, g=0.08)
         th = derived_scales(p).theta
-        rep = run_measurement(SpinState(0.5, 0.5), p, t_end=4 * th)
+        rep = run_measurement(SpinState(0.5), p, t_end=4 * th)
         up = rep.sectors["up"].final
         down = rep.sectors["down"].final
         assert np.abs(up.weights - down.weights[::-1]).max() < 1e-12
         assert rep.sectors["up"].p_correct == pytest.approx(
             rep.sectors["down"].p_correct, abs=1e-12)
 
+    def test_negative_g_reads_its_scales_at_positive_g(self):
+        # -g is the down state of +g: the sectors swap, and lambda, the
+        # regime, tau_reg and the coherence scales are those of +g, with the
+        # stray field g0 mirrored as well
+        p = small_params(n=120, g=0.08)
+        t_end = 4 * derived_scales(p).theta
+        a = run_measurement(SpinState(0.7), p, t_end, g0=0.01)
+        b = run_measurement(SpinState(0.7), replace(p, coupling_g=-0.08), t_end, g0=-0.01)
+        assert b.regime == a.regime and b.offdiag == a.offdiag
+        assert b.regime.lam > 0 and math.isfinite(b.regime.tau_reg)
+        assert (b.conclusive, b.faithful) == (a.conclusive, a.faithful)
+        for name, other in (("up", "down"), ("down", "up")):  # to rounding
+            assert np.abs(b.sectors[name].final.weights
+                          - a.sectors[other].final.weights).max() < 1e-14
+            assert b.sectors[name].p_correct == pytest.approx(
+                a.sectors[other].p_correct, abs=1e-14)
+        assert b.sectors["up"].born_weight == 0.7
+        assert b.sectors["down"].born_weight == 1.0 - 0.7
+
     def test_unbiased_coupling_fails(self):
         # both sectors identical, each splitting half/half: no measurement
         p = small_params(n=100, g=0.0)
         th = derived_scales(p).theta
-        rep = run_measurement(SpinState(0.5, 0.5), p, t_end=4 * th)
+        rep = run_measurement(SpinState(0.5), p, t_end=4 * th)
         for sec in rep.sectors.values():
             assert sec.p_correct == pytest.approx(0.5, abs=1e-9)
         assert np.abs(rep.sectors["up"].final.weights
@@ -117,7 +140,7 @@ class TestRunMeasurement:
     def test_inconclusive_before_horizon(self):
         p = small_params(n=200, g=0.1)
         th = derived_scales(p).theta
-        rep = run_measurement(SpinState(1.0, 0.0), p, t_end=0.5 * th)
+        rep = run_measurement(SpinState(1.0), p, t_end=0.5 * th)
         assert not rep.conclusive
         assert rep.faithful is None
 
@@ -132,9 +155,9 @@ class TestRunMeasurement:
         p_weak = small_params(n=200, g=0.02)
         p_strong = small_params(n=200, g=0.2)
         th = derived_scales(p_weak).theta
-        weak = run_measurement(SpinState(1.0, 0.0), p_weak, t_end=8 * th,
+        weak = run_measurement(SpinState(1.0), p_weak, t_end=8 * th,
                                p_wrong_bound=1e-2)
-        strong = run_measurement(SpinState(1.0, 0.0), p_strong, t_end=8 * th,
+        strong = run_measurement(SpinState(1.0), p_strong, t_end=8 * th,
                                  p_wrong_bound=1e-2)
         assert weak.faithful is False
         assert strong.faithful is True
@@ -143,8 +166,8 @@ class TestRunMeasurement:
         from magdot.fokker_planck import FPConfig
         p = small_params(n=200, g=0.1)
         th = derived_scales(p).theta
-        a = run_measurement(SpinState(1.0, 0.0), p, t_end=4 * th)
-        b = run_measurement(SpinState(1.0, 0.0), p, t_end=4 * th, engine="fp",
+        a = run_measurement(SpinState(1.0), p, t_end=4 * th)
+        b = run_measurement(SpinState(1.0), p, t_end=4 * th, engine="fp",
                             fp_config=FPConfig(cells=800))
         assert a.sectors["up"].p_wrong == pytest.approx(
             b.sectors["up"].p_wrong, abs=2e-3)
@@ -153,7 +176,7 @@ class TestRunMeasurement:
     def test_offdiag_carried_through(self):
         p = small_params(n=100, g=0.1)
         th = derived_scales(p).theta
-        rep = run_measurement(SpinState(0.5, 0.5, offdiag_mag=0.3), p,
+        rep = run_measurement(SpinState(0.5, offdiag_mag=0.3), p,
                               t_end=3 * th)
         assert rep.offdiag_mag == 0.3
         assert rep.offdiag is not None
@@ -167,20 +190,21 @@ class TestRunMeasurement:
         # each sector keeps its mass
         p = small_params(n=120, g=0.08, m_offset=0.2, delta0=1.0)
         t_end = 2.0 * derived_scales(p).theta
-        rep = run_measurement(SpinState(0.5, 0.5), p, t_end, engine=engine, tol=TOL,
+        rep = run_measurement(SpinState(0.5), p, t_end, engine=engine, tol=TOL,
                               fp_config=FP_CELLS, init="gaussian")
         up, down = rep.sectors["up"], rep.sectors["down"]
         assert abs(up.p_correct - down.p_correct) > 0.1
+        sector_params = {"up": p, "down": replace(p, coupling_g=-p.coupling_g)}
         for name, sec in rep.sectors.items():
             assert sec.p_correct + sec.p_wrong == pytest.approx(1.0, abs=MASS_TOL)
-            assert own_run_l1(sec.final, replace(p, sector=name), t_end, engine) <= TOL
+            assert own_run_l1(sec.final, sector_params[name], t_end, engine) <= TOL
         assert 0 < rep.n_steps <= rep.n_terms
 
     def test_fp_engine_honours_tol(self):
         # a looser tol cuts the Poisson windows short on the FP engine too
         p = small_params(n=200, g=0.1)
         t_end = 3.0 * derived_scales(p).theta
-        terms = [run_measurement(SpinState(1.0, 0.0), p, t_end, engine="fp", tol=tol,
+        terms = [run_measurement(SpinState(1.0), p, t_end, engine="fp", tol=tol,
                                  fp_config=FP_CELLS).n_terms for tol in (1e-4, 1e-9)]
         assert terms[0] < terms[1]
 
@@ -196,14 +220,14 @@ class TestRunMeasurement:
         monkeypatch.setattr(measurement, "join_chains", leaky_join)
         p = small_params(n=60, g=0.08)
         with pytest.raises(NumericalError, match="chain 0 mass drift"):
-            run_measurement(SpinState(0.5, 0.5), p, t_end=derived_scales(p).theta)
+            run_measurement(SpinState(0.5), p, t_end=derived_scales(p).theta)
 
     @pytest.mark.parametrize("kind", ["no-such-kind", ""])
     def test_fp_refuses_a_start_it_cannot_honour(self, kind):
         # the FP engine raises rather than ignore a kind it has no start for
         p = small_params(n=60, g=0.08)
         with pytest.raises(ValueError, match="unknown initial kind"):
-            run_measurement(SpinState(0.5, 0.5), p, t_end=derived_scales(p).theta,
+            run_measurement(SpinState(0.5), p, t_end=derived_scales(p).theta,
                             engine="fp", fp_config=FP_CELLS, init=kind)
 
     def test_fp_exact_paramagnet_is_the_centred_unit_gaussian(self):
@@ -219,7 +243,7 @@ class TestRunMeasurement:
     def test_rejects_bad_engine(self):
         p = small_params(n=100, g=0.1)
         with pytest.raises(ValueError):
-            run_measurement(SpinState(1.0, 0.0), p, t_end=1.0, engine="magic")
+            run_measurement(SpinState(1.0), p, t_end=1.0, engine="magic")
 
 
 @random_params
@@ -232,6 +256,6 @@ def test_joint_run_matches_own_sector_runs(params):
         finals, n_steps, n_terms = _evolve_sectors(params, t_end, engine, TOL,
                                                    FP_CELLS, "gaussian")
         assert 0 < n_steps <= n_terms
-        for name, final in finals.items():
+        for g, final in zip((params.coupling_g, -params.coupling_g), finals.values()):
             assert final.time == t_end
-            assert own_run_l1(final, replace(params, sector=name), t_end, engine) <= TOL
+            assert own_run_l1(final, replace(params, coupling_g=g), t_end, engine) <= TOL

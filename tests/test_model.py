@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,8 +39,11 @@ class TestFieldH:
         assert field_h(p, 0.0) == pytest.approx(0.05, abs=0)
 
     def test_sector_sign_flip(self):
-        p = small_params(g=0.05, sector="down")
+        # the spin's down state is the field -g; no second knob flips it
+        p = small_params(g=-0.05)
         assert field_h(p, 0.0) == pytest.approx(-0.05, abs=0)
+        with pytest.raises(TypeError):
+            small_params(g=0.05, sector="down")
 
 
 class TestDrift:
@@ -134,7 +138,7 @@ class TestFixedPoints:
         assert fps[0].stable
 
     def test_sector_flip_mirror(self, fig1_params):
-        flipped = fig1_params.flipped()
+        flipped = replace(fig1_params, coupling_g=-fig1_params.coupling_g)
         a = sorted(fp.m for fp in fixed_points(fig1_params))
         b = sorted(-fp.m for fp in fixed_points(flipped))
         assert np.allclose(a, b, atol=1e-10)
@@ -292,9 +296,9 @@ class TestValidation:
 
 class TestRepeller:
     def test_one_well_sector_has_a_repeller(self):
-        # a strong field leaves the down sector one well, so derived_scales
+        # a strong field -g leaves one well, at m < 0, so derived_scales
         # rejects it, but the repeller of the drift's linear part still exists
-        p = small_params(n=200, g=0.2, sector="down")
+        p = small_params(n=200, g=-0.2)
         with pytest.raises(ParameterError):
             derived_scales(p)
         assert repeller(p) == pytest.approx(0.2 / 0.35, rel=1e-14)
