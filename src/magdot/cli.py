@@ -9,10 +9,8 @@ included), 3 comparison assertion failure (`compare --assert-l1`).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -27,6 +25,7 @@ from .master import (
     StiffnessError,
     evolve,
     initial_distribution,
+    start_params,
 )
 from .measurement import SpinState, run_measurement
 from .model import ModelParams, ParameterError, derived_scales, fixed_points
@@ -82,19 +81,10 @@ def _override(cfg: RunConfig, **options) -> None:
                 setattr(cfg, "times_theta" if key == "times" else "times", [])
 
 
-def _params(cfg: RunConfig) -> ModelParams:
-    """The config's parameters at the start its `init` names: the exact
-    paramagnet is m0 = 0 at T0 = inf whatever the config says, as in
-    `fokker_planck.chain`, so neither moves lambda or the regime there."""
-    params = cfg.model_params()
-    if cfg.init == "exact-paramagnet":
-        return replace(params, temp_init=math.inf, m_offset=0.0, delta0=None)
-    return params
-
-
 def _plan(cfg: RunConfig, command: str) -> tuple[ModelParams, list]:
-    """The parameters (`_params`) and output times of one run of `command`
-    on cfg, and the one place that refuses what the chosen engine cannot
+    """The parameters of the start that cfg's `init` names
+    (`master.start_params`) and the output times of one run of `command` on
+    cfg, and the one place that refuses what the chosen engine cannot
     run: only the master engine of `simulate` has full-memory rates,
     `sample` draws the master chain's jumps, and the master engine holds at
     most MAX_CELLS levels, N + 1.  Every engine honours `init`.  times_theta
@@ -110,7 +100,7 @@ def _plan(cfg: RunConfig, command: str) -> tuple[ModelParams, list]:
     if command != "analytic" and cfg.engine == "master" and cfg.n_spins + 1 > MAX_CELLS:
         raise UsageError(f"N = {cfg.n_spins} has more than the {MAX_CELLS} levels "
                          "that the master engine holds; engine = fp runs it on cells")
-    params = _params(cfg)
+    params = start_params(cfg.model_params(), cfg.init)
     theta = derived_scales(params).theta if cfg.times_theta else None
     times = list(cfg.times) or [x * theta for x in cfg.times_theta]
     if not times:
@@ -122,7 +112,8 @@ def _plan(cfg: RunConfig, command: str) -> tuple[ModelParams, list]:
 
 
 def _cmd_fixed_points(args) -> int:
-    params = _params(_load_config(args.config))
+    cfg = _load_config(args.config)
+    params = start_params(cfg.model_params(), cfg.init)
     print("m,stability")
     for fp in fixed_points(params):
         print(f"{FMT % fp.m},{'stable' if fp.stable else 'unstable'}")

@@ -15,12 +15,12 @@ the physical interval.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .integrator import Chain, Generator, integrate
+from .master import start_params
 from .model import ModelParams, diffusion_w, drift_v, refined_peak
 from .special import bernoulli
 
@@ -131,16 +131,11 @@ def chain(params: ModelParams, init: ContinuumField | str = "exact-paramagnet",
     """The cell chain from `init`, weighted by the cell width.  `init` is a
     ContinuumField on the cfg mesh or a start kind of the master engine:
     "gaussian" is `gaussian_field`, and "exact-paramagnet" the binomial's
-    continuum limit, the Gaussian at m = 0 with delta0 = 1 whatever m0 and T0
-    are; any other kind is ValueError.
+    continuum limit, the Gaussian of `master.start_params` (m = 0, delta0 = 1
+    whatever m0 and T0 are); any other kind is ValueError.
     """
-    if init == "exact-paramagnet":
-        init = gaussian_field(replace(params, temp_init=math.inf, m_offset=0.0,
-                                      delta0=None), cfg)
-    elif init == "gaussian":
-        init = gaussian_field(params, cfg)
-    elif isinstance(init, str):
-        raise ValueError(f"unknown initial kind {init!r}")
+    if isinstance(init, str):
+        init = gaussian_field(start_params(params, init), cfg)
     if len(init.mesh) != cfg.cells:
         raise ValueError("init field does not match cfg.cells")
     up, down, _ = _face_rates(params, cfg.cells)

@@ -12,7 +12,7 @@ hbar = 1: times are in hbar/J.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "StiffnessError",
     "NumericalError",
     "initial_distribution",
+    "start_params",
     "transition_rates",
     "chain",
     "evolve",
@@ -182,6 +183,17 @@ def initial_distribution(params: ModelParams, kind: str = "exact-paramagnet"
     return DiscreteDistribution(n_spins=n, weights=w, time=0.0)
 
 
+def start_params(params: ModelParams, kind: str = "exact-paramagnet") -> ModelParams:
+    """The parameters of the start `kind`: the exact paramagnet is m0 = 0 at
+    T0 = inf whatever params says, so neither moves lambda or the regime
+    there; "gaussian" keeps params' own; any other kind is ValueError."""
+    if kind == "exact-paramagnet":
+        return replace(params, temp_init=math.inf, m_offset=0.0, delta0=None)
+    if kind != "gaussian":
+        raise ValueError(f"unknown initial kind {kind!r}")
+    return params
+
+
 def _rate_builder(params: ModelParams, mode: str, kernel_tol: float):
     """Function of t that returns the Generator of `transition_rates` at t.
 
@@ -285,7 +297,8 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
     and caps the interval at 0.1 hbar/T + 0.05 t, the scale on which the
     windowed kernel still varies.  One `bath.WindowedKernel` serves the run:
     the generator at t reads Ktilde_t as the sum of the window slices between
-    successive report points, each integrated to `kernel_tol`, so the
+    successive report points, each integrated until, for each frequency, the
+    K31 value agrees with its embedded G15 value to `kernel_tol`, so the
     kernel's error estimate at t is the sum of the slices' estimates.
     """
     snapshot_times = sorted(snapshot_times) if snapshot_times else []

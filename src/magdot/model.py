@@ -79,6 +79,12 @@ class ModelParams:
     def __post_init__(self):
         if self.n_spins < 2:
             raise ParameterError(f"n_spins must be >= 2, got {self.n_spins}")
+        for name in ("temp_bath", "coupling_g", "coupling_j", "gamma", "debye_cutoff",
+                     "m_offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        if math.isnan(self.temp_init) or self.temp_init == -_INF:
+            raise ParameterError(f"temp_init must be finite or inf, got {self.temp_init}")
         if self.temp_bath <= 0:
             raise ParameterError("temp_bath must be positive")
         if self.gamma <= 0:
@@ -99,8 +105,8 @@ class ModelParams:
                 d0 = math.sqrt(self.temp_init / (self.temp_init - self.coupling_j))
             object.__setattr__(self, "delta0", d0)
         else:
-            if d0 <= 0:
-                raise ParameterError("delta0 must be positive")
+            if not (0 < d0 < _INF):
+                raise ParameterError(f"delta0 must be positive and finite, got {d0}")
             if not math.isinf(self.temp_init):
                 want = math.sqrt(self.temp_init / (self.temp_init - self.coupling_j))
                 if abs(d0 - want) > 1e-12 * max(1.0, want):

@@ -1,9 +1,10 @@
 """The complementary error function on floats and numpy arrays, from the
 standard library's `math.erfc` so that the oracles that run in every
 measurement stay off scipy; the Bernoulli function x/(e^x - 1) that the
-bath spectrum and the Fokker-Planck face fluxes share; and the 15-point
-Gauss-Legendre rule that the bath kernel and the exact characteristics
-share."""
+bath spectrum and the Fokker-Planck face fluxes share; the 15-point
+Gauss-Legendre rule that the exact characteristics use; and its 31-point
+Kronrod extension, the nested pair with which the bath kernel integrates
+and estimates its error in one pass."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["GL15_W", "GL15_X", "bernoulli", "erfc"]
+__all__ = ["GL15_W", "GL15_X", "K31_W", "K31_X", "bernoulli", "erfc"]
 
 # 15-point Gauss-Legendre rule on [-1, 1]: numpy.polynomial.legendre.leggauss(15)
 # to the bit (a test compares them), written out so that importing magdot
@@ -29,6 +30,38 @@ GL15_W = np.array([
     0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
     0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
     0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
+
+# 31-point Gauss-Kronrod rule on [-1, 1] (Piessens et al., QUADPACK 1983):
+# the 15 nodes at odd indices are GL15_X to the bit; the 16 Kronrod nodes,
+# the roots of the Stieltjes polynomial E_16, and all 31 weights are the
+# correctly rounded values of a 60-digit mpmath derivation (a test derives
+# them again).  Exact for polynomials of degree 47; K31 - G15 on a panel is
+# the error estimate of the G15 value, and so a pessimistic one of K31.
+K31_X = np.array([
+    -0.9980022986933971, -0.9879925180204854, -0.9677390756791391,
+    -0.9372733924007058, -0.8972645323440819, -0.8482065834104272,
+    -0.790418501442466, -0.7244177313601701, -0.650996741297417,
+    -0.5709721726085388, -0.4850818636402397, -0.3941513470775634,
+    -0.29918000715316884, -0.20119409399743451, -0.1011420669187175, 0.0,
+    0.1011420669187175, 0.20119409399743451, 0.29918000715316884,
+    0.3941513470775634, 0.4850818636402397, 0.5709721726085388,
+    0.650996741297417, 0.7244177313601701, 0.790418501442466,
+    0.8482065834104272, 0.8972645323440819, 0.9372733924007058,
+    0.9677390756791391, 0.9879925180204854, 0.9980022986933971,
+])
+K31_W = np.array([
+    0.005377479872923349, 0.015007947329316122, 0.02546084732671532,
+    0.03534636079137585, 0.04458975132476488, 0.05348152469092809,
+    0.06200956780067064, 0.06985412131872826, 0.07684968075772038,
+    0.08308050282313302, 0.08856444305621176, 0.09312659817082532,
+    0.09664272698362368, 0.09917359872179196, 0.10076984552387559,
+    0.10133000701479154, 0.10076984552387559, 0.09917359872179196,
+    0.09664272698362368, 0.09312659817082532, 0.08856444305621176,
+    0.08308050282313302, 0.07684968075772038, 0.06985412131872826,
+    0.06200956780067064, 0.05348152469092809, 0.04458975132476488,
+    0.03534636079137585, 0.02546084732671532, 0.015007947329316122,
+    0.005377479872923349,
 ])
 
 

@@ -13,6 +13,7 @@ from magdot.master import (
     evolve,
     free_energy,
     initial_distribution,
+    start_params,
     stationary_distribution,
     transition_rates,
 )
@@ -45,6 +46,17 @@ class TestInitialDistribution:
     def test_unknown_kind(self, fig1_params):
         with pytest.raises(ValueError):
             initial_distribution(fig1_params, "delta")
+        with pytest.raises(ValueError, match="unknown initial kind"):
+            start_params(fig1_params, "delta")
+
+    def test_start_params_of_each_kind(self):
+        # the exact paramagnet is m0 = 0 at T0 = inf whatever the parameters
+        # say; the Gaussian quench starts from their own m0 and T0
+        p = small_params(n=40, g=0.05, m_offset=0.3, temp_init=2.0, delta0=None)
+        start = start_params(p, "exact-paramagnet")
+        assert (start.m_offset, start.temp_init, start.delta0) == (0.0, math.inf, 1.0)
+        assert start == start_params(start, "exact-paramagnet")
+        assert start_params(p, "gaussian") is p
 
 
 class TestTransitionRates:

@@ -268,6 +268,26 @@ class TestValidation:
             ModelParams(n_spins=10, temp_bath=0.65, coupling_g=0.0,
                         debye_cutoff=-1.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("temp_bath", math.nan), ("temp_bath", math.inf), ("temp_bath", -math.inf),
+        ("debye_cutoff", math.nan), ("debye_cutoff", math.inf),
+        ("coupling_g", math.nan), ("coupling_g", math.inf), ("coupling_g", -math.inf),
+        ("coupling_j", math.nan), ("coupling_j", math.inf),
+        ("gamma", math.nan), ("gamma", math.inf),
+        ("m_offset", math.nan),
+        ("temp_init", math.nan), ("temp_init", -math.inf),
+        ("delta0", math.nan), ("delta0", math.inf)])
+    def test_rejects_non_finite_values(self, name, value):
+        # a NaN passed every sign check and stopped evolve only inside
+        # poisson_window, with "cannot convert float NaN to integer"
+        base = dict(n_spins=10, temp_bath=0.65, coupling_g=0.05)
+        with pytest.raises(ParameterError, match=name):
+            ModelParams(**{**base, name: value})
+
+    def test_infinite_quench_temperature_is_legal(self):
+        p = ModelParams(n_spins=10, temp_bath=0.65, coupling_g=0.05, temp_init=math.inf)
+        assert p.delta0 == 1.0
+
     def test_delta0_from_quench_temperature(self):
         p = ModelParams(n_spins=10, temp_bath=0.65, coupling_g=0.0, temp_init=2.0)
         assert p.delta0 == pytest.approx(math.sqrt(2.0), rel=1e-14)

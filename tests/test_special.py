@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from magdot.special import bernoulli, erfc
+from magdot.special import GL15_W, GL15_X, K31_W, K31_X, bernoulli, erfc
 
 
 def erfc_quadrature(x: float) -> float:
@@ -55,3 +56,64 @@ def test_bernoulli_series_and_limits():
     want = [800.0, 30.0 / -math.expm1(-30.0), 1.0, 1e-3 / math.expm1(1e-3),
             30.0 / math.expm1(30.0), 709.0 / math.expm1(709.0), 0.0, 0.0]
     assert got.tolist() == want
+
+
+def kronrod31_mpmath(mpmath, dps=60):
+    """Nodes and weights of the 31-point Gauss-Kronrod rule on [-1, 1] to
+    `dps` digits (worked 40 digits above that, for the monomial system),
+    derived without the constants under test.  The Kronrod
+    nodes are the roots of the Stieltjes polynomial E_16: monic, even, and
+    orthogonal under the weight P_15 to every polynomial of degree < 16.  In
+    y = x^2 it is y^8 + a_7 y^7 + ... + a_0, and its coefficients solve
+    int P_15 E_16 x^j = 0 for odd j < 16, whose entries are exact rationals.
+    The weights make the rule integrate P_0 ... P_30 exactly."""
+    p15 = {15 - 2 * k: Fraction((-1) ** k * math.comb(15, k) * math.comb(30 - 2 * k, 15),
+                                2**15) for k in range(8)}
+
+    def moment(m):  # int_{-1}^{1} x^m P_15(x) dx
+        return sum(c * Fraction(2, j + m + 1) for j, c in p15.items() if (j + m) % 2 == 0)
+
+    with mpmath.workdps(dps + 40):
+        mpf = lambda f: mpmath.mpf(f.numerator) / f.denominator
+        odd = range(1, 16, 2)
+        a = mpmath.lu_solve(mpmath.matrix([[mpf(moment(2 * i + j)) for i in range(8)]
+                                           for j in odd]),
+                            mpmath.matrix([-mpf(moment(16 + j)) for j in odd]))
+        kronrod = mpmath.polyroots([1] + [a[i] for i in reversed(range(8))],
+                                   maxsteps=500, extraprec=400)
+        gauss = mpmath.polyroots([mpf(p15[j]) for j in range(15, 0, -2)],
+                                 maxsteps=500, extraprec=400)
+        half = sorted(mpmath.sqrt(mpmath.re(y)) for y in list(kronrod) + list(gauss))
+        x = [-v for v in reversed(half)] + [mpmath.mpf(0)] + half
+        w = mpmath.lu_solve(mpmath.matrix([[mpmath.legendre(k, xi) for xi in x]
+                                           for k in range(31)]),
+                            mpmath.matrix([2] + [0] * 30))
+        return [float(v) for v in x], [float(v) for v in w]
+
+
+def test_kronrod_rule_against_mpmath_derivation():
+    # float() of an mpf rounds correctly, so the 16 Kronrod nodes and the 31
+    # weights must match to the bit; the 15 Gauss nodes are numpy's leggauss
+    # values, two of which sit 1 ulp from the correctly rounded roots
+    mpmath = pytest.importorskip("mpmath")
+    x, w = kronrod31_mpmath(mpmath)
+    assert K31_X[0::2].tolist() == x[0::2]
+    assert K31_W.tolist() == w
+    gauss = np.array(x[1::2])
+    assert np.all(np.abs(K31_X[1::2] - gauss) <= np.spacing(np.abs(gauss)))
+
+
+def test_kronrod_rule_embeds_gl15():
+    assert K31_X[1::2].tobytes() == GL15_X.tobytes()
+    assert np.all(np.diff(K31_X) > 0)
+
+
+def test_kronrod_rule_integrates_legendre_through_degree_46():
+    # measured worst 3.3e-16; P_48 is off by 1.2e-3, so degree 47 is the last
+    # exact one (P_47, being odd, vanishes by symmetry); G15 fails at P_30
+    legendre = np.polynomial.legendre
+    for k in range(47):
+        p_k = legendre.legval(K31_X, [0] * k + [1])
+        assert abs(K31_W @ p_k - (2.0 if k == 0 else 0.0)) <= 1e-15
+    assert abs(K31_W @ legendre.legval(K31_X, [0] * 48 + [1])) > 1e-4
+    assert abs(GL15_W @ legendre.legval(GL15_X, [0] * 30 + [1])) > 1e-2
