@@ -130,7 +130,8 @@ class WindowedKernel:
     so the error estimate of Ktilde_t is the sum of its slices' estimates;
     only the frequencies that have not agreed go on to the bisected mesh.  A
     slice raises KernelConvergenceError, and leaves the kernel at t_prev,
-    before evaluating a mesh of more than _MAX_NODES nodes.
+    before evaluating a mesh of more than _MAX_NODES nodes.  A target below
+    eps Gamma/8 pi, the rounding of the sum near s = 0, is ValueError.
     """
 
     def __init__(self, spec: KernelSpec, omega, tol: float = 1e-8):
@@ -144,6 +145,15 @@ class WindowedKernel:
             temp, cut = spec.temp_bath, spec.debye_cutoff
             self._target = tol * np.maximum(np.abs(spectral_density(spec, self._omega)),
                                             0.25 * temp)
+            # near s = 0, 2 Re K ~ Re (1/4 pi) (1/Gamma + is)^-2 carries the
+            # K31 sum up to int_0^(1/Gamma) 2 Re K ds = Gamma/8 pi before it
+            # cancels to O(1), so no sum rounds better than eps Gamma/8 pi
+            floor = np.finfo(float).eps * cut / (8.0 * math.pi)
+            if self._target.min() < floor:
+                raise ValueError(
+                    f"kernel tol {tol:.1e} asks for {self._target.min():.2e}, below the "
+                    f"rounding floor eps*Gamma/(8 pi) = {floor:.2e} of the quadrature "
+                    f"sum at Gamma = {cut:.3g}")
             self._width = min(0.5 / temp,
                               math.pi / max(np.abs(self._omega).max(), 1e-300))
             top = 2.0 * self._width

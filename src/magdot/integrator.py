@@ -15,7 +15,12 @@ columns sum to one, so each term is nonnegative and ||P^k p||_1 <= ||p||_1.
 Keeping the weights of a window of counts whose two Poisson tails together
 hold at most eps, and renormalizing them, then errs by at most 2 eps ||p||_1
 in L1 (Fox & Glynn 1988): a proven bound, not an estimate, that a negative
-rate voids.  One series of vectors P^k p serves every time of a span.
+rate voids.  One series of vectors P^k p serves every time of a span: each
+time reads its own window of it, so the right tail beyond the mean (about
+6.5 sqrt(Lambda h) products at tol = 1e-9) is paid once per series, and
+the accumulation of a window's rows once per time.  Windows widen as
+sqrt(Lambda h), so a held generator's series spans at most SERIES_JUMPS
+jumps: beyond that, wider windows cost more to sum than the tails saved.
 
 Positivity and mass are therefore the integrator's checks, the same for
 every engine: `integrate` raises NumericalError on a negative entry (only a
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -34,7 +39,8 @@ __all__ = ["Generator", "Chain", "join_chains", "integrate", "StiffnessError",
            "NumericalError"]
 
 TOL_FLOOR = 100.0 * np.finfo(float).eps  # smallest tol, relative to the L1 mass
-MAX_JUMPS = 512.0  # largest Lambda h one series spans, so that long runs report states
+MAX_JUMPS = 512.0  # largest Lambda h between report points, so that long runs report states
+SERIES_JUMPS = 8 * MAX_JUMPS  # largest Lambda h of one held series; 4x and 16x ran no faster
 MASS_TOL = 1e-10  # largest mass drift of a chain, relative to max(1, its mass)
 
 
@@ -60,16 +66,16 @@ class Generator:
         self.p_up = self.up[:-1] / lam
         self.p_down = self.down[1:] / lam
 
-    def propagate(self, p: np.ndarray, hs, tol: float) -> tuple[list[np.ndarray], int]:
+    def propagate(self, p: np.ndarray, hs, tol: float) -> tuple[Iterable[np.ndarray], int]:
         """exp(hA) p for each h of the ascending `hs`, all off one Poisson
-        series; returns the states and the number of products with P.
+        series; returns an iterator over the states, in the order of `hs`,
+        and the number of products with P.
 
-        The vectors P^k p are formed once, up to the largest count any h
-        needs, and written in place into the rows of a block of about
-        256 KB.  Each h takes the Poisson(Lambda h) weights on its own
-        window (`poisson_window` at eps = tol / (2 ||p||_1)), and whenever
-        the block fills, each state adds its weights times the rows of its
-        window that the block holds.  Each state's L1 error is at most tol.
+        Each h takes the Poisson(Lambda h) weights on its own window
+        (`poisson_window` at eps = tol / (2 ||p||_1)), so each state's L1
+        error is at most tol.  The vectors P^k p are formed once, up to the
+        largest count any window holds, and are summed a block at a time
+        (`_sum_windows`); a state is handed on as soon as its window closes.
         """
         mass = float(np.abs(p).sum())
         if self.rate == 0.0 or mass == 0.0:
@@ -77,31 +83,66 @@ class Generator:
         eps = tol / (2.0 * mass)
         wins = [poisson_window(self.rate * h, eps) for h in hs]
         n_prod = max(lo + len(w) - 1 for lo, w in wins)
-        n = len(p)
-        rows = min(n_prod + 1, max(2, 2**15 // n))  # 2^15 doubles = 256 KB
-        block = np.empty((rows, n))
+        block = np.empty((min(n_prod + 1, max(2, 2**15 // len(p))), len(p)))  # 256 KB
         block[0] = p
+        return self._sum_windows(block, wins, n_prod), n_prod
+
+    def _sum_windows(self, block, wins, n_prod):
+        """Yield sum_k w[k - lo] P^k p for each window (lo, w) of `wins`, in
+        their order, for the counts k = 0..n_prod.
+
+        The vectors P^k p are written in place into the rows of `block`,
+        whose row 0 holds p on entry, so block j holds the counts from
+        j * len(block) on.  Only the windows that overlap the block just
+        filled hold an accumulator: one such window adds its weights times
+        its rows with a matrix-vector product, several add the whole block
+        with one matrix product.  A window is closed after the block of its
+        last count; as window ends need not ascend, a closed window waits
+        until every window before it has been yielded.
+        """
+        rows, n = block.shape
+        mul, add, stay, p_up, p_down = np.multiply, np.add, self.stay, self.p_up, self.p_down
         views = [(v, v[1:], v[:-1]) for v in block]
+        steps = list(zip(views[-1:] + views[:-1], views))  # (row r - 1, row r)
         tmp = np.empty(n - 1)
-        acc = np.zeros((len(wins), n))
-        for k in range(n_prod + 1):
-            r = k % rows
-            if k:
-                # nxt = stay v; nxt[1:] += p_up v[:-1]; nxt[:-1] += p_down v[1:]
-                v, v_hi, v_lo = views[r - 1]
-                nxt, nxt_hi, nxt_lo = views[r]
-                np.multiply(self.stay, v, out=nxt)
-                np.multiply(self.p_up, v_lo, out=tmp)
-                np.add(nxt_hi, tmp, out=nxt_hi)
-                np.multiply(self.p_down, v_hi, out=tmp)
-                np.add(nxt_lo, tmp, out=nxt_lo)
-            if r == rows - 1 or k == n_prod:
-                first = k - r  # the count held by row 0
-                for i, (lo, w) in enumerate(wins):
-                    a, b = max(lo, first), min(lo + len(w) - 1, k)
-                    if a <= b:
-                        acc[i] += w[a - lo:b - lo + 1] @ block[a - first:b - first + 1]
-        return list(acc), n_prod
+        opens: dict[int, list[int]] = {}  # windows by the block of their first count
+        shuts: dict[int, list[int]] = {}  # and of their last
+        for i, (lo, w) in enumerate(wins):
+            opens.setdefault(lo // rows, []).append(i)
+            shuts.setdefault((lo + len(w) - 1) // rows, []).append(i)
+        active, acc, closed, nxt = [], {}, {}, 0
+        for j, first in enumerate(range(0, n_prod + 1, rows)):
+            end = min(first + rows, n_prod + 1)  # one past the block's last count
+            # u = stay v; u[1:] += p_up v[:-1]; u[:-1] += p_down v[1:]
+            for (v, v_hi, v_lo), (u, u_hi, u_lo) in steps[0 if j else 1:end - first]:
+                mul(stay, v, u)
+                mul(p_up, v_lo, tmp)
+                add(u_hi, tmp, u_hi)
+                mul(p_down, v_hi, tmp)
+                add(u_lo, tmp, u_lo)
+            for i in opens.pop(j, ()):
+                active.append(i)
+                acc[i] = np.zeros(n)
+            if len(active) == 1:
+                lo, w = wins[active[0]]
+                a, b = max(lo, first), min(lo + len(w), end)
+                acc[active[0]] += w[a - lo:b - lo] @ block[a - first:b - first]
+            elif active:
+                mix = np.zeros((len(active), end - first))
+                for row, i in zip(mix, active):
+                    lo, w = wins[i]
+                    a, b = max(lo, first), min(lo + len(w), end)
+                    row[a - first:b - first] = w[a - lo:b - lo]
+                sums = mix @ block[:end - first]
+                for row, i in enumerate(active):
+                    acc[i] += sums[row]
+                del sums  # so that two blocks' sums are never held at once
+            for i in shuts.pop(j, ()):
+                active.remove(i)
+                closed[i] = acc.pop(i)
+            while nxt in closed:
+                yield closed.pop(nxt)
+                nxt += 1
 
 
 @dataclass(frozen=True)
@@ -193,10 +234,11 @@ def integrate(chain: Chain, t0, stops, tol, *, h_cap=None, on_step=None):
     Each report point lies at the next stop, cut to `h_cap(t)` when given
     and to Lambda h <= MAX_JUMPS, from the previous one; one that would fall
     within 5% of a stop lands on it.  A held generator serves every report
-    point within MAX_JUMPS jumps of a series start off one Poisson series
-    (`Generator.propagate`), and the next series starts from the last of
-    them; a generator function is called at t0 and at every report point,
-    and its generator serves one report point.  `tol` bounds the L1 error,
+    point within SERIES_JUMPS jumps of a series start off one Poisson series
+    (`Generator.propagate`), which hands each state on as soon as it has
+    summed its window, and the next series starts from the last of them; a
+    generator function is called at t0 and at every report point, and its
+    generator serves one report point.  `tol` bounds the L1 error,
     scaled by the chain's weight, of each report point against the exact
     propagation from its series start, so nothing is rejected.  A step
     below 1e-15 of the time span's magnitude is StiffnessError.  A negative
@@ -234,7 +276,7 @@ def integrate(chain: Chain, t0, stops, tol, *, h_cap=None, on_step=None):
             land = s + 1.05 * h >= stops[j]
             h = stops[j] - s if land else h
             s_next = stops[j] if land else s + h
-            if series and (h < h_min or g.rate * (s_next - t) > MAX_JUMPS):
+            if series and (h < h_min or g.rate * (s_next - t) > SERIES_JUMPS):
                 break
             if h < h_min:
                 raise StiffnessError(f"step size {h:.3e} underflowed at t = {s:.6g} "

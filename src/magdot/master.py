@@ -292,10 +292,13 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
     Uniformization (`integrator.integrate`): every state it reports (the
     snapshot times, which it lands on exactly, and at least one per
     MAX_JUMPS jumps) is read off a Poisson series of exp(hA) with an L1
-    error of at most tol, and checked for positivity and mass.  Full-memory mode
-    builds the generator at every reported state, holds it until the next,
-    and caps the interval at 0.1 hbar/T + 0.05 t, the scale on which the
-    windowed kernel still varies.  One `bath.WindowedKernel` serves the run:
+    error of at most tol against the exact propagation from that series'
+    start, and checked for positivity and mass.  Short-memory rates are held,
+    so one series serves every report point of up to SERIES_JUMPS jumps.
+    Full-memory mode builds the generator at every reported state, holds it
+    until the next, so each series serves one report point, and caps the
+    interval at 0.1 hbar/T + 0.05 t, the scale on which the windowed kernel
+    still varies.  One `bath.WindowedKernel` serves the run:
     the generator at t reads Ktilde_t as the sum of the window slices between
     successive report points, each integrated until, for each frequency, the
     K31 value agrees with its embedded G15 value to `kernel_tol`, so the

@@ -386,3 +386,11 @@ def test_criterion_12_offdiagonal_scales():
           f"tau_red={od.tau_red:.6f}, t_rec={od.t_recurrence:.4f}, "
           f"bath ratio={od.bath_suppression_ratio:.3g}, "
           f"ordering always holds={ordering_ok}")
+
+
+def test_series_product_counts(fig1_run, biased_run):
+    # products with P are deterministic counts of the integrator's work:
+    # 12,116 and 24,724 while each series spanned MAX_JUMPS, 10,362 and
+    # 21,279 with one series per SERIES_JUMPS of a held generator
+    assert fig1_run[3].n_terms <= 10_362
+    assert biased_run[1].n_terms <= 21_279

@@ -195,13 +195,27 @@ class TestWindowedKernel:
             k.at(80.0)
         assert k.t == 1.0 and k.at(1.0) == before
 
+    def test_tol_below_rounding_floor_is_refused(self):
+        # near s = 0 the K31 sum climbs to Gamma/8 pi = 3.8e4 before it
+        # cancels; at tol 1e-12 (target 3.6e-13) a slice [0, 1.66] here was
+        # accepted 6.8e-11 off, so a target below eps Gamma/8 pi is refused
+        spec = KernelSpec(temp_bath=1.42, debye_cutoff=9.53e5)
+        with pytest.raises(ValueError, match=r"rounding floor eps\*Gamma/\(8 pi\) = 8\.42e-12"):
+            WindowedKernel(spec, 1.45, 1e-12)
+        re, _ = windowed_time_domain(spec, 1.45, 1.66)
+        assert abs(WindowedKernel(spec, 1.45, 1e-10).at(1.66) - re) \
+            <= tol_scale(spec, 1.45, 1e-10)
+
     def test_random_parameters_within_summed_targets(self):
         # T and Gamma log-uniform on [1, 1e6], 1-5 frequencies in [-4, 4] and
         # 3-5 ascending reads up to 20 hbar/T: after its n-th read a kernel at
         # tol 1e-8 lies within the n slice targets it summed of one at tol
-        # 1e-12.  Over 9,000 such draws the worst was 2.5e-2 of that sum, at
-        # Gamma ~ 1e6 where both sit on the roundoff of K near s = 0; these
-        # 200 draws reach 4.9e-4.  The bound is 0.05
+        # 1e-12, or at the tightest tol above the rounding floor eps
+        # Gamma/8 pi where that is larger (310 of 9,000 draws).  Over those
+        # 9,000 draws the worst was 8.6e-3 of that sum (2.5e-2 with a tol 1e-12
+        # reference below the floor), at Gamma ~ 1e6 where both sit on the
+        # roundoff of K near s = 0; these 200 draws reach 3.4e-4.  The bound
+        # is 0.05
         rng = np.random.default_rng(20261020)
         worst = 0.0
         for _ in range(200):
@@ -209,7 +223,9 @@ class TestWindowedKernel:
             omega = rng.uniform(-4.0, 4.0, rng.integers(1, 6))
             times = np.sort(rng.uniform(0.0, 20.0, rng.integers(3, 6))) / temp
             spec = KernelSpec(temp_bath=temp, debye_cutoff=cutoff)
-            loose, tight = WindowedKernel(spec, omega, 1e-8), WindowedKernel(spec, omega, 1e-12)
+            floor_tol = np.finfo(float).eps * cutoff / (8.0 * math.pi * 0.25 * temp)
+            loose = WindowedKernel(spec, omega, 1e-8)
+            tight = WindowedKernel(spec, omega, max(1e-12, 1.001 * floor_tol))
             target = 1e-8 * np.maximum(spectral_density(spec, omega), 0.25 * temp)
             for n, t in enumerate(times, 1):
                 gap = np.abs(loose.at(t) - tight.at(t)) / (n * target)

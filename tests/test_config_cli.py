@@ -441,6 +441,15 @@ class TestCli:
         assert f"{command} runs short-memory rates only; mode = full-memory" in err
         assert "Traceback" not in err and not out.exists()
 
+    def test_kernel_tol_below_rounding_floor_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "memory.cfg"
+        cfg.write_text(FULL_MEMORY.replace("T = 0.65", "T = 1.42")
+                       .replace("Gamma = 1e6", "Gamma = 9.53e5") + "kernel_tol = 1e-12\n")
+        assert command_surface(["simulate", "-c", str(cfg),
+                                "--snapshot-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "rounding floor" in err and "Traceback" not in err
+
     def test_kernel_budget_exhausted_is_numerical_failure(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(bath, "_MAX_NODES", 16)

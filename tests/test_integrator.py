@@ -6,6 +6,7 @@ offset m0 and width delta0 of a Gaussian initial state) drawn by
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +59,36 @@ class TestGenerator:
                 for q, e in zip(states, exact):
                     assert np.abs(q - e).sum() <= tol
         assert gen.rate == 0.0 and n_products == 0
+
+    def test_block_sums_match_window_sums(self, rng):
+        # 2000 levels make blocks of 16 rows.  The windows start and end inside
+        # blocks, overlap, fill one block exactly, repeat, nest and so close
+        # out of order, stand alone in a block, and end in a partial block
+        n = 2000
+        up, down = rng.uniform(0.0, 5.0, n), rng.uniform(0.0, 5.0, n)
+        up[-1] = down[0] = 0.0
+        gen = Generator(up, down)
+        p = rng.uniform(0.0, 1.0, n)
+        spans = [(0, 5), (3, 40), (10, 6), (16, 16), (30, 70), (30, 70), (99, 1),
+                 (5, 95), (120, 8), (130, 30), (150, 3), (160, 1)]
+        wins = [(lo, w / w.sum()) for lo, w in ((lo, rng.uniform(0.1, 1.0, m))
+                                                for lo, m in spans)]
+        block = np.empty((16, n))
+        block[0] = p
+        got = list(gen._sum_windows(block, wins, 160))
+        # every vector P^k p by the same products, then one matrix-vector
+        # product per window
+        vecs = [p]
+        for _ in range(160):
+            v = vecs[-1]
+            u = gen.stay * v
+            u[1:] += gen.p_up * v[:-1]
+            u[:-1] += gen.p_down * v[1:]
+            vecs.append(u)
+        vecs = np.array(vecs)
+        assert len(got) == len(wins)
+        for (lo, w), q in zip(wins, got):
+            assert np.abs(q - w @ vecs[lo:lo + len(w)]).sum() <= 1e-15 * p.sum()
 
     def test_join_chains_guards_the_junction(self):
         p = small_params(n=20)
@@ -148,16 +179,20 @@ class TestIntegrate:
 
     def test_dense_stops_match_expm(self, rng):
         # many stops, so that some land by stretching the step and some by
-        # shortening it
-        stops = sorted(rng.uniform(0.0, 2.0 * self.th, 100))
-        states, n_steps, n_products = self.run(stops)
+        # shortening it, over up to several MAX_JUMPS jumps
         a = dense_generator(self.gen.up, self.gen.down)
-        # the span holds fewer than MAX_JUMPS jumps, so one series serves every
-        # stop, and each lies within tol of the exact state, not n_steps tol
-        assert self.gen.rate * stops[-1] <= integrator.MAX_JUMPS
-        assert n_products == self.gen.propagate(self.p0, [stops[-1]], 1e-9)[1]
-        for s, w in zip(stops, states):
-            assert np.abs(w - expm(a * s) @ self.p0).sum() <= 1e-9 + 1e-14
+        for span in (0.9, 3.5, 7.9):
+            stops = sorted(rng.uniform(0.0, span * integrator.MAX_JUMPS / self.gen.rate, 100))
+            states, n_steps, n_products = self.run(stops)
+            # the span holds fewer than SERIES_JUMPS jumps, so one series serves
+            # every stop: it costs the products of the last stop's window
+            # alone, and each stop lies within tol of the exact state, not
+            # n_steps tol
+            assert self.gen.rate * stops[-1] <= integrator.SERIES_JUMPS
+            assert n_products == self.gen.propagate(self.p0, [stops[-1]], 1e-9)[1]
+            assert n_steps >= len(set(stops))
+            for s, w in zip(stops, states):
+                assert np.abs(w - expm(a * s) @ self.p0).sum() <= 1e-9 + 1e-14
 
     def test_steps_span_at_most_max_jumps(self):
         # a long run still reports states: each step covers Lambda h <= MAX_JUMPS,
@@ -169,6 +204,31 @@ class TestIntegrate:
         assert jumps.max() <= 1.05 * integrator.MAX_JUMPS
         assert n_steps >= self.gen.rate * t_end / (1.05 * integrator.MAX_JUMPS)
         assert n_terms >= self.gen.rate * t_end
+
+    def test_series_memory_follows_active_windows(self):
+        # 32 report points forced into one series at N = 2e4: the series keeps
+        # an accumulator for each window that overlaps the current block (and
+        # the block's sums), not one for every report point.  Measured peak
+        # 17.0 N floats against 6 overlapping windows
+        p = ModelParams(n_spins=20_000, temp_bath=0.65, coupling_g=0.0,
+                        debye_cutoff=1e6)
+        gen, d = transition_rates(p), initial_distribution(p)
+        t_end = integrator.SERIES_JUMPS / gen.rate
+        tracemalloc.start()
+        try:
+            _, n_steps, n_products = integrate(chain(d, gen), 0.0, [t_end], 1e-9,
+                                               h_cap=lambda t: t_end / 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_steps == 32
+        assert n_products == gen.propagate(d.weights, [t_end], 1e-9)[1]
+        ends = [(lo, lo + len(w) - 1) for lo, w in
+                (integrator.poisson_window(gen.rate * t_end * i / 32, 0.5e-9)
+                 for i in range(1, 33))]
+        overlap = max(sum(lo <= k <= hi for lo, hi in ends) for k, _ in ends)
+        assert overlap <= 8
+        assert peak <= (2 * overlap + 8) * 8 * len(d.weights)
 
     def test_tol_below_roundoff_fails_fast(self):
         with pytest.raises(StiffnessError, match="roundoff"):
@@ -197,6 +257,19 @@ class TestIntegrate:
                      snapshot_times=[1.0, 2.0, 5.0])
         assert min(s.weights.min() for s in res.snapshots) >= 0.0
         assert res.final.total() == pytest.approx(1.0, abs=integrator.MASS_TOL)
+
+
+def test_registration_run_product_count():
+    # the benchmark's registration run at N = 500: 51 snapshots to 2.25 theta
+    # with the free-energy monitor, all off one Poisson series; it took 1,395
+    # products in three series of at most MAX_JUMPS
+    p = small_params(n=500)
+    th = relax_time(p)
+    fracs = sorted({0.5, 1.0, 2.25} | set(np.round(np.arange(0.9, 2.125, 0.025), 6)))
+    res = evolve(initial_distribution(p), p, 2.25 * th,
+                 snapshot_times=[f * th for f in fracs], record_free_energy=True)
+    assert len(res.snapshots) == 51
+    assert res.n_terms <= 1_258
 
 
 @random_params
