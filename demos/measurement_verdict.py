@@ -28,7 +28,7 @@ for name, sec in report.sectors.items():
     print(f"sector {name}: Born weight {sec.born_weight:.2f}, "
           f"peak at {sec.peak_m:+.4f}, wrong-branch mass {sec.p_wrong:.4f}")
 print(f"Born bookkeeping drift: {report.born_check:.2e} "
-      f"(both sectors in one run: {report.n_terms} products)")
+      f"(one run serves both sectors from m = 0: {report.n_terms} products)")
 print(f"coherence magnitude {report.offdiag_mag} decays on the "
       f"tau_red scale below; no coherence trajectory is computed")
 

@@ -35,13 +35,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-__all__ = ["Generator", "Chain", "join_chains", "integrate", "StiffnessError",
-           "NumericalError"]
+__all__ = ["Generator", "Chain", "integrate", "StiffnessError", "NumericalError"]
 
 TOL_FLOOR = 100.0 * np.finfo(float).eps  # smallest tol, relative to the L1 mass
 MAX_JUMPS = 512.0  # largest Lambda h between report points, so that long runs report states
 SERIES_JUMPS = 8 * MAX_JUMPS  # largest Lambda h of one held series; 4x and 16x ran no faster
-MASS_TOL = 1e-10  # largest mass drift of a chain, relative to max(1, its mass)
+MASS_TOL = 1e-10  # largest mass drift of a run, relative to max(1, its mass)
 
 
 class StiffnessError(RuntimeError):
@@ -149,41 +148,13 @@ class Generator:
 class Chain:
     """A start `p0` under `gen` (a Generator, or a function of t that builds
     one), with the L1 `weight` of the state (the cell width for densities).
-    The chains joined into it begin at the levels `starts`, and each keeps
-    its own mass.  `wrap(values, t)` turns values back into the solver's
-    state.
+    `wrap(values, t)` turns values back into the solver's state.
     """
 
     gen: Generator | Callable[[float], Generator]
     p0: np.ndarray
     weight: float
     wrap: Callable
-    starts: tuple[int, ...] = (0,)
-
-
-def join_chains(chains) -> Chain:
-    """`chains` laid end to end as one Chain, which wraps values into the
-    list of their states.  No hop may cross a junction, so that the joined
-    generator is block-diagonal and each chain evolves as on its own; a
-    nonzero rate there, or a weight that differs between chains, is
-    ValueError.
-    """
-    if len({c.weight for c in chains}) > 1:
-        raise ValueError("joined chains must share their weight")
-    gens = [c.gen for c in chains]
-    for i, (a, b) in enumerate(zip(gens, gens[1:])):
-        if a.up[-1] != 0.0 or b.down[0] != 0.0:
-            raise ValueError(f"hop rates {a.up[-1]:.3e} up and {b.down[0]:.3e} down "
-                             f"cross the junction after chain {i}")
-    offsets = np.cumsum([0] + [len(c.p0) for c in chains])
-    starts = tuple(int(o + s) for o, c in zip(offsets, chains) for s in c.starts)
-
-    def wrap(values, t):
-        return [c.wrap(v, t) for c, v in zip(chains, np.split(values, offsets[1:-1]))]
-
-    return Chain(Generator(np.concatenate([g.up for g in gens]),
-                           np.concatenate([g.down for g in gens])),
-                 np.concatenate([c.p0 for c in chains]), chains[0].weight, wrap, starts)
 
 
 def poisson_window(x: float, eps: float) -> tuple[int, np.ndarray]:
@@ -242,15 +213,15 @@ def integrate(chain: Chain, t0, stops, tol, *, h_cap=None, on_step=None):
     scaled by the chain's weight, of each report point against the exact
     propagation from its series start, so nothing is rejected.  A step
     below 1e-15 of the time span's magnitude is StiffnessError.  A negative
-    entry, or a joined chain whose mass drifts beyond MASS_TOL of
-    max(1, its mass), is NumericalError: nothing is clipped or renormalized.
+    entry, or a mass drift beyond MASS_TOL of max(1, the start's mass), is
+    NumericalError: nothing is clipped or renormalized.
     `on_step(t, p)` sees the state at every report point.
     """
-    gen, weight, starts = chain.gen, chain.weight, chain.starts
+    gen, weight = chain.gen, chain.weight
     p = np.array(chain.p0, dtype=float)
     t = float(t0)
-    masses0 = np.add.reduceat(p, starts)
-    scale = weight * max(float(p.sum()), 1.0)
+    mass0 = float(p.sum())
+    scale = weight * max(mass0, 1.0)
     if any(b < a for a, b in zip([t] + list(stops), stops)):
         raise ValueError("output times must ascend from the start time")
     if not tol > 0.0:
@@ -289,12 +260,9 @@ def integrate(chain: Chain, t0, stops, tol, *, h_cap=None, on_step=None):
             n_steps += 1
             if p.min() < 0.0:
                 raise NumericalError(f"negative entry {p.min():.3e} at t = {t:.6g}")
-            drift = np.add.reduceat(p, starts) - masses0
-            bad = np.abs(drift) > MASS_TOL * np.maximum(1.0, masses0)
-            if bad.any():
-                k = int(bad.argmax())
-                raise NumericalError(f"chain {k} mass drift {drift[k]:.3e} "
-                                     f"at t = {t:.6g}")
+            drift = float(p.sum()) - mass0
+            if abs(drift) > MASS_TOL * max(1.0, mass0):
+                raise NumericalError(f"mass drift {drift:.3e} at t = {t:.6g}")
             if on_step is not None:
                 on_step(t, p)
             j = _passed(stops, i, t)

@@ -5,8 +5,9 @@ is the field +g and its down state -g, and this module alone names them.
 The up sector relaxes under +g weighted by the spin's r_up population, the
 down sector under -g weighted by 1 - r_up; their conditional pointer
 distributions must each conserve their Born weight.  The measured spin's s_z
-is conserved, so no hop connects the sectors: both are advanced together as
-one block-diagonal birth-death chain.  Off-diagonal (coherence)
+is conserved, so no hop connects the sectors, and the magnet has no bias of
+its own: the down sector under -g is the up sector's chain seen in the
+mirror m -> -m, run from the mirrored start.  Off-diagonal (coherence)
 dynamics is reported only through its time scales and suppression ratios;
 no coherence trajectory is computed here.  hbar = 1: times are in hbar/J.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from . import fokker_planck, master
 from .analytic import RegimeReport, classify_regime, time_scales
 from .fokker_planck import FPConfig
-from .integrator import integrate, join_chains
+from .integrator import integrate
 from .model import ModelParams, derived_scales, repeller
 
 __all__ = [
@@ -49,7 +50,6 @@ class SpinState:
 
 @dataclass
 class SectorOutcome:
-    sector: str
     born_weight: float
     p_correct: float
     p_wrong: float
@@ -78,8 +78,8 @@ class MeasurementReport:
     regime: RegimeReport
     conclusive: bool
     faithful: bool | None  # None when the run ended before the horizon
-    n_steps: int  # report points of the joint run of both sectors
-    n_terms: int  # products with P over all its Poisson series
+    n_steps: int  # report points, summed over the one or two runs of the up chain
+    n_terms: int  # products with P over all their Poisson series
 
 
 def _sectors(params: ModelParams) -> dict:
@@ -109,7 +109,8 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
     horizon is flagged inconclusive (faithful is None) rather than
     unfaithful.  Both engines start each sector from `init`, a start kind
     of `master.initial_distribution` (`fokker_planck.chain` takes its
-    continuum form).
+    continuum form); a start off the origin costs a second run
+    (`_evolve_sectors`).
     """
     params.require_ferromagnetic()
     if engine not in ("master", "fp"):
@@ -126,7 +127,7 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
         # at g = 0 the sectors are symmetric and the labels bookkeeping only
         correct, wrong = (above, below) if sp.coupling_g >= 0 else (below, above)
         sectors[name] = SectorOutcome(
-            sector=name, born_weight=weight, p_correct=correct, p_wrong=wrong,
+            born_weight=weight, p_correct=correct, p_wrong=wrong,
             peak_m=final.peak(), mass_drift=abs(final.total() - 1.0), final=final,
         )
         ts = time_scales(_mirrored_for_scales(sp))
@@ -161,24 +162,30 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
 
 def _evolve_sectors(params: ModelParams, t_end: float, engine: str, tol: float,
                     fp_config: FPConfig, init: str):
-    """Advance the up and down sectors of `params` from t = 0 to t_end as one
-    block-diagonal chain (`join_chains`); returns each sector's final state
-    by name, and the report points and products with P of the joint run.
+    """Advance the up and down sectors of `params` from t = 0 to t_end;
+    returns each sector's final state by name, and the report points and
+    products with P summed over the runs.
 
-    Mirror symmetry gives both sectors the same uniformization rate, so
-    their common clock costs no extra product.  The L1 bound tol of a
-    report point holds for both together, hence for each; `integrate`
-    checks each sector's own mass.
+    Only the up sector's chain is built.  Under m -> -m the down sector's
+    rates are the up sector's, so its state is the up chain run from the
+    mirrored start, read mirrored.  A start at m0 = 0 is its own mirror
+    image, and its one run serves both sectors; any other start runs the up
+    chain twice.  Each run conserves its own unit mass, and each sector's
+    state lies within tol in L1 of the exact one.
     """
-    sps = _sectors(params)
     if engine == "master":
-        chains = [master.chain(master.initial_distribution(sp, init),
-                               master.transition_rates(sp)) for sp in sps.values()]
+        ch = master.chain(master.initial_distribution(params, init),
+                          master.transition_rates(params))
     else:
-        chains = [fokker_planck.chain(sp, init, fp_config) for sp in sps.values()]
-    joint = join_chains(chains)
-    states, n_steps, n_terms = integrate(joint, 0.0, [t_end], tol)
-    return dict(zip(sps, joint.wrap(states[-1], t_end))), n_steps, n_terms
+        ch = fokker_planck.chain(params, init, fp_config)
+    symmetric = master.start_params(params, init).m_offset == 0.0
+    finals, n_steps, n_terms = [], 0, 0
+    for p0 in [ch.p0] if symmetric else [ch.p0, ch.p0[::-1]]:
+        states, steps, terms = integrate(replace(ch, p0=p0), 0.0, [t_end], tol)
+        finals.append(states[-1])
+        n_steps, n_terms = n_steps + steps, n_terms + terms
+    up, down = finals[0], finals[-1][::-1].copy()
+    return {"up": ch.wrap(up, t_end), "down": ch.wrap(down, t_end)}, n_steps, n_terms
 
 
 def offdiagonal_scales(params: ModelParams, g_spread: float = 0.0

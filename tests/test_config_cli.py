@@ -239,7 +239,8 @@ class TestCli:
             fields = dict(kv.split("=") for kv in summary.split())
             assert sorted(fields) == ["born_drift", "conclusive", "faithful",
                                       "steps", "terms"]
-            # one joint run of both sectors: its report points and products
+            # the one run that serves both sectors from the symmetric start:
+            # its report points and products
             assert 0 < int(fields["steps"]) <= int(fields["terms"])
 
     def test_sample_reports_steps_and_uniform_rate(self, small_cfg, tmp_path, capsys):
@@ -430,7 +431,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["sample", "measure", "sweep"])
     def test_full_memory_is_refused_where_only_short_memory_runs(self, command,
                                                                   tmp_path, capsys):
-        # neither the sampler nor a joined chain carries time-dependent rates
+        # neither the sampler nor run_measurement takes time-dependent rates
         cfg = tmp_path / "memory.cfg"
         cfg.write_text(FULL_MEMORY)
         out = tmp_path / "o"

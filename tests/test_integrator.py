@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import pdtr, pdtrc
 
-from magdot import fokker_planck, integrator
+from magdot import integrator
 from magdot.fokker_planck import FPConfig, equilibrium_profile, solve_fp
 from magdot.integrator import (
     Chain,
@@ -22,7 +22,6 @@ from magdot.integrator import (
     NumericalError,
     StiffnessError,
     integrate,
-    join_chains,
 )
 from magdot.master import (
     chain,
@@ -89,35 +88,6 @@ class TestGenerator:
         assert len(got) == len(wins)
         for (lo, w), q in zip(wins, got):
             assert np.abs(q - w @ vecs[lo:lo + len(w)]).sum() <= 1e-15 * p.sum()
-
-    def test_join_chains_guards_the_junction(self):
-        p = small_params(n=20)
-        up_rt = transition_rates(p)
-        down_rt = transition_rates(replace(p, coupling_g=-p.coupling_g))
-        d = initial_distribution(p)
-        joint = join_chains([chain(d, Generator(up_rt.up, up_rt.down)),
-                             chain(d, Generator(down_rt.up, down_rt.down))])
-        # no hop between level 20 of the first chain and level 0 of the next
-        assert joint.gen.p_up[20] == 0.0 and joint.gen.p_down[20] == 0.0
-        assert joint.gen.rate == Generator(up_rt.up, up_rt.down).rate
-        assert joint.starts == (0, 21)
-        # a rate table whose boundary rate is nonzero would leak across it
-        leak_up, leak_down = up_rt.up.copy(), down_rt.down.copy()
-        leak_up[-1] = leak_down[0] = 1e-300
-        for rates in ([(leak_up, up_rt.down), (down_rt.up, down_rt.down)],
-                      [(up_rt.up, up_rt.down), (down_rt.up, leak_down)]):
-            with pytest.raises(ValueError, match="junction"):
-                join_chains([chain(d, Generator(*r)) for r in rates])
-
-    def test_join_chains_refuses_other_checks(self):
-        # a master chain and an FP chain differ in cell weight, so no one L1
-        # bound serves both
-        p = small_params(n=20)
-        rt = transition_rates(p)
-        master_chain = chain(initial_distribution(p), Generator(rt.up, rt.down))
-        fp_chain = fokker_planck.chain(p, "gaussian", FPConfig(cells=100))
-        with pytest.raises(ValueError, match="share their weight"):
-            join_chains([master_chain, fp_chain])
 
     def test_poisson_window_against_mpmath(self):
         # 40-digit reference, normalized over the same window
@@ -247,6 +217,13 @@ class TestIntegrate:
                    lambda v, t: v)
         with pytest.raises(NumericalError, match="negative entry .* at t = 1"):
             integrate(ch, 0.0, [1.0], 1e-9)
+
+    def test_mass_leak_raises(self, monkeypatch):
+        # P's columns sum to 1 + 1e-9: the mass grows by about 1e-9 a product,
+        # which the check reports once it passes MASS_TOL
+        monkeypatch.setattr(self.gen, "stay", self.gen.stay + 1e-9)
+        with pytest.raises(NumericalError, match="mass drift .* at t ="):
+            self.run([self.th])
 
     def test_early_negative_full_memory_rates_leave_no_negative_weight(self):
         # full-memory rates dip below zero early in this run (-1.7e-3 at t = 1);
