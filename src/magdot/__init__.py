@@ -28,7 +28,6 @@ from .master import (
 )
 from .kmc import TrajectoryEnsemble, sample_trajectories
 from .fokker_planck import (
-    ContinuumField,
     FPConfig,
     solve_fp,
     equilibrium_profile,

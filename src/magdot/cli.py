@@ -18,7 +18,7 @@ from .analytic import CharacteristicsError, closed_form_P
 from .bath import KernelConvergenceError
 from .config import (ConfigError, RunConfig, parse_config, parse_sweep, set_key,
                      sweep_configs)
-from .fokker_planck import MAX_CELLS, ContinuumField, FPConfig, solve_fp
+from .fokker_planck import MAX_CELLS, FPConfig, solve_fp
 from .kmc import sample_trajectories
 from .master import (
     NumericalError,
@@ -29,7 +29,7 @@ from .master import (
 )
 from .measurement import SpinState, run_measurement
 from .model import ModelParams, ParameterError, derived_scales, fixed_points
-from .snapshots import FMT, compare_dirs, write_long_csv
+from .snapshots import FMT, compare_dirs, write_long_csv, write_rows
 from .svgplot import line_plot_svg
 
 __all__ = ["command_surface", "main"]
@@ -163,8 +163,7 @@ def _cmd_analytic(args) -> int:
         mesh = np.linspace(-0.999999, 0.999999, args.points)
     out = _out_dir(cfg.out_dir, args.out_dir)
     path = os.path.join(out, f"analytic_{model}.csv")
-    write_long_csv(path, [ContinuumField(mesh, closed_form_P(params, mesh, t, model), t)
-                          for t in times])
+    write_rows(path, [(t, mesh, closed_form_P(params, mesh, t, model)) for t in times])
     print(path)
     return 0
 

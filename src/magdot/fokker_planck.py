@@ -11,62 +11,32 @@ integral of N v/w, keeps cell couplings nonnegative at any Peclet number,
 and reduces to upwinding in the drift-dominated limit.  Boundaries are
 zero-flux: the drift points inward at m = +/-1 and probability cannot leave
 the physical interval.
+
+The solver holds each cell's probability mass, P dm, in the master
+equation's `DiscreteDistribution` on the grid of cell centres, whose
+`density()` is P.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .integrator import Chain, Generator, integrate
-from .master import start_params
-from .model import ModelParams, diffusion_w, drift_v, refined_peak
+from .integrator import Generator, integrate
+from .master import DiscreteDistribution, start_params
+from .model import ModelParams, diffusion_w, drift_v
 from .special import bernoulli
 
 __all__ = [
-    "ContinuumField",
     "FPConfig",
     "MAX_CELLS",
-    "chain",
+    "generator",
+    "initial_field",
     "solve_fp",
     "equilibrium_profile",
     "gaussian_field",
 ]
-
-@dataclass
-class ContinuumField:
-    """Density P(m) at the centers of a uniform cell mesh over [-1, 1]."""
-
-    mesh: np.ndarray
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.mesh = np.asarray(self.mesh, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.mesh.shape != self.values.shape:
-            raise ValueError("mesh and values must have matching shapes")
-
-    @property
-    def dm(self) -> float:
-        return float(self.mesh[1] - self.mesh[0])
-
-    def total(self) -> float:
-        """Midpoint-rule mass."""
-        return float(self.values.sum() * self.dm)
-
-    def mass_below(self, x: float) -> float:
-        """Midpoint-rule mass of the cells whose centers lie below x."""
-        return float(self.values[self.mesh < x].sum() * self.dm)
-
-    def mean(self) -> float:
-        return float((self.mesh @ self.values) / self.values.sum())
-
-    def peak(self) -> float:
-        """Location of the maximum density, parabolic-refined in ln P."""
-        return refined_peak(self.mesh, self.values)
-
 
 # A run holds about a dozen float arrays of the mesh (two dozen to measure),
 # 8 MB each at 10**6 cells: a few hundred MB, 30x the mesh that N = 10**6 needs.
@@ -88,7 +58,8 @@ def _mesh(cells: int) -> np.ndarray:
 
 
 def _face_rates(params: ModelParams, cells: int):
-    """Per-cell hop rates (up, down) of the finite-volume operator."""
+    """Per-cell hop rates (up, down) of the finite-volume operator, and the
+    faces' Peclet numbers."""
     dm = 2.0 / cells
     faces = -1.0 + dm * np.arange(1, cells)
     v_f = drift_v(params, faces)
@@ -102,58 +73,59 @@ def _face_rates(params: ModelParams, cells: int):
     return up, down, pe
 
 
-def gaussian_field(params: ModelParams, cfg: FPConfig = FPConfig()) -> ContinuumField:
-    """Initial narrow Gaussian (mean m0, width delta0/sqrt(N)) on the mesh."""
-    mesh = _mesh(cfg.cells)
-    n = params.n_spins
-    log_p = -0.5 * n * ((mesh - params.m_offset) / params.delta0) ** 2
-    log_p -= log_p.max()
-    vals = np.exp(log_p)
-    vals /= vals.sum() * (2.0 / cfg.cells)
-    return ContinuumField(mesh=mesh, values=vals, time=0.0)
+def _field(params: ModelParams, cfg: FPConfig, log_p: np.ndarray) -> DiscreteDistribution:
+    """The cell masses proportional to exp(log_p), normalized to 1."""
+    w = np.exp(log_p - log_p.max())
+    return DiscreteDistribution(params.n_spins, w / w.sum(), 0.0, _mesh(cfg.cells))
+
+
+def gaussian_field(params: ModelParams, cfg: FPConfig = FPConfig()) -> DiscreteDistribution:
+    """Initial narrow Gaussian (mean m0, width delta0/sqrt(N)) on the cells."""
+    x = (_mesh(cfg.cells) - params.m_offset) / params.delta0
+    return _field(params, cfg, -0.5 * params.n_spins * x**2)
 
 
 def equilibrium_profile(params: ModelParams,
-                        cfg: FPConfig = FPConfig()) -> ContinuumField:
+                        cfg: FPConfig = FPConfig()) -> DiscreteDistribution:
     """The mesh-exact equilibrium: exp of the cumulative face-midpoint
     integral of N v/w, which is the exact stationary state of the solve_fp
     operator on the same mesh."""
     _, _, pe = _face_rates(params, cfg.cells)
-    log_p = np.concatenate([[0.0], np.cumsum(pe)])
-    log_p -= log_p.max()
-    vals = np.exp(log_p)
-    vals /= vals.sum() * (2.0 / cfg.cells)
-    return ContinuumField(mesh=_mesh(cfg.cells), values=vals, time=0.0)
+    return _field(params, cfg, np.concatenate([[0.0], np.cumsum(pe)]))
 
 
-def chain(params: ModelParams, init: ContinuumField | str = "exact-paramagnet",
-          cfg: FPConfig = FPConfig()) -> Chain:
-    """The cell chain from `init`, weighted by the cell width.  `init` is a
-    ContinuumField on the cfg mesh or a start kind of the master engine:
-    "gaussian" is `gaussian_field`, and "exact-paramagnet" the binomial's
-    continuum limit, the Gaussian of `master.start_params` (m = 0, delta0 = 1
-    whatever m0 and T0 are); any other kind is ValueError.
+def generator(params: ModelParams, cfg: FPConfig = FPConfig()) -> Generator:
+    """The cell hops of the finite-volume operator, as a birth-death generator."""
+    up, down, _ = _face_rates(params, cfg.cells)
+    return Generator(up, down)
+
+
+def initial_field(params: ModelParams, init: DiscreteDistribution | str = "exact-paramagnet",
+                  cfg: FPConfig = FPConfig()) -> DiscreteDistribution:
+    """The start `init`: a state on the cfg cells, or a start kind of the
+    master engine: "gaussian" is `gaussian_field`, and "exact-paramagnet"
+    the binomial's continuum limit, the Gaussian of `master.start_params`
+    (m = 0, delta0 = 1 whatever m0 and T0 are); any other kind is
+    ValueError.
     """
     if isinstance(init, str):
-        init = gaussian_field(start_params(params, init), cfg)
-    if len(init.mesh) != cfg.cells:
+        return gaussian_field(start_params(params, init), cfg)
+    if len(init.weights) != cfg.cells:
         raise ValueError("init field does not match cfg.cells")
-    up, down, _ = _face_rates(params, cfg.cells)
-    return Chain(Generator(up, down), init.values, 2.0 / cfg.cells,
-                 lambda v, t: ContinuumField(init.mesh, v, t))
+    return init
 
 
-def solve_fp(params: ModelParams, init: ContinuumField | str, times,
-             cfg: FPConfig = FPConfig(), tol: float = 1e-9) -> list[ContinuumField]:
-    """Advance the drift-diffusion equation from `init`, a field or a start
-    kind of `chain` at t = 0; returns fields at the asked times.
+def solve_fp(params: ModelParams, init: DiscreteDistribution | str, times,
+             cfg: FPConfig = FPConfig(), tol: float = 1e-9) -> list[DiscreteDistribution]:
+    """Advance the drift-diffusion equation from `init`, a state or a start
+    kind of `initial_field`; returns the states at the asked times.
 
     The cell hops form a birth-death generator, advanced by the master
-    equation's uniformization integrator: L1 error of the density at each
-    reported state <= tol against its series start, landing exactly on
-    the output times, with the integrator's positivity and mass checks.
+    equation's uniformization integrator: L1 error of the cell masses at
+    each reported state <= tol against its series start, landing exactly
+    on the output times, with the integrator's positivity and mass checks.
     """
     times = list(times)
-    ch = chain(params, init, cfg)
-    states, _, _ = integrate(ch, 0.0 if isinstance(init, str) else init.time, times, tol)
-    return [ch.wrap(v, t) for v, t in zip(states, times)]
+    start = initial_field(params, init, cfg)
+    states, _, _ = integrate(generator(params, cfg), start.weights, start.time, times, tol)
+    return [replace(start, weights=w, time=t) for w, t in zip(states, times)]

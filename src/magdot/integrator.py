@@ -30,12 +30,11 @@ negative rate can make one) or a mass drift beyond MASS_TOL, and mends neither.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-__all__ = ["Generator", "Chain", "integrate", "StiffnessError", "NumericalError"]
+__all__ = ["Generator", "integrate", "StiffnessError", "NumericalError"]
 
 TOL_FLOOR = 100.0 * np.finfo(float).eps  # smallest tol, relative to the L1 mass
 MAX_JUMPS = 512.0  # largest Lambda h between report points, so that long runs report states
@@ -144,19 +143,6 @@ class Generator:
                 nxt += 1
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A start `p0` under `gen` (a Generator, or a function of t that builds
-    one), with the L1 `weight` of the state (the cell width for densities).
-    `wrap(values, t)` turns values back into the solver's state.
-    """
-
-    gen: Generator | Callable[[float], Generator]
-    p0: np.ndarray
-    weight: float
-    wrap: Callable
-
-
 def poisson_window(x: float, eps: float) -> tuple[int, np.ndarray]:
     """First count L and normalized Poisson(x) weights of L..R, where
     P(X < L) <= eps/2 and P(X > R) <= eps/2 are proven.
@@ -198,8 +184,9 @@ def _passed(stops, i: int, t: float) -> int:
     return i
 
 
-def integrate(chain: Chain, t0, stops, tol, *, h_cap=None, on_step=None):
-    """Advance `chain` from t0 through the ascending `stops`; returns
+def integrate(gen, p0, t0, stops, tol, *, h_cap=None, on_step=None):
+    """Advance the start `p0` under `gen` (a Generator, or a function of t
+    that builds one) from t0 through the ascending `stops`; returns
     (values at each stop, report points, products with P over all series).
 
     Each report point lies at the next stop, cut to `h_cap(t)` when given
@@ -209,19 +196,18 @@ def integrate(chain: Chain, t0, stops, tol, *, h_cap=None, on_step=None):
     (`Generator.propagate`), which hands each state on as soon as it has
     summed its window, and the next series starts from the last of them; a
     generator function is called at t0 and at every report point, and its
-    generator serves one report point.  `tol` bounds the L1 error,
-    scaled by the chain's weight, of each report point against the exact
-    propagation from its series start, so nothing is rejected.  A step
-    below 1e-15 of the time span's magnitude is StiffnessError.  A negative
-    entry, or a mass drift beyond MASS_TOL of max(1, the start's mass), is
-    NumericalError: nothing is clipped or renormalized.
+    generator serves one report point.  `tol` bounds the L1 error of each
+    report point against the exact propagation from its series start, so
+    nothing is rejected.  A step below 1e-15 of the time span's magnitude is
+    StiffnessError.  A negative entry, or a mass drift beyond MASS_TOL of
+    max(1, the start's mass), is NumericalError: nothing is clipped or
+    renormalized.
     `on_step(t, p)` sees the state at every report point.
     """
-    gen, weight = chain.gen, chain.weight
-    p = np.array(chain.p0, dtype=float)
+    p = np.array(p0, dtype=float)
     t = float(t0)
     mass0 = float(p.sum())
-    scale = weight * max(mass0, 1.0)
+    scale = max(mass0, 1.0)
     if any(b < a for a, b in zip([t] + list(stops), stops)):
         raise ValueError("output times must ascend from the start time")
     if not tol > 0.0:
@@ -254,7 +240,7 @@ def integrate(chain: Chain, t0, stops, tol, *, h_cap=None, on_step=None):
                                      f"(threshold {h_min:.3e})")
             series.append(s_next)
             s, j = s_next, _passed(stops, j, s_next)
-        states, products = g.propagate(p, [u - t for u in series], tol / weight)
+        states, products = g.propagate(p, [u - t for u in series], tol)
         n_products += products
         for t, p in zip(series, states):
             n_steps += 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bath import KernelSpec, WindowedKernel, spectral_density
-from .integrator import Chain, Generator, NumericalError, StiffnessError, integrate
+from .integrator import Generator, NumericalError, StiffnessError, integrate
 from .model import ModelParams, omega_pm, refined_peak
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "initial_distribution",
     "start_params",
     "transition_rates",
-    "chain",
     "evolve",
     "stationary_distribution",
     "free_energy",
@@ -40,25 +39,45 @@ LOCAL_HALF_SPAN = 0.05  # largest half-width of the `local_width` fit, in m
 
 @dataclass
 class DiscreteDistribution:
-    """Probability weights over the N+1 magnetization eigenvalues."""
+    """Probability masses on a uniform grid of [-1, 1], summing to 1.
+
+    The master equation's grid is the N+1 magnetization eigenvalues (the
+    default); the Fokker-Planck solver's is the centres of its cells.  Both
+    engines re-wrap a state as `dataclasses.replace(start, weights=w, time=t)`.
+    """
 
     n_spins: int
     weights: np.ndarray
     time: float = 0.0
+    grid: np.ndarray | None = None  # the N+1 levels unless given
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (self.n_spins + 1,):
+        if self.grid is None:
+            n = self.n_spins
+            self.grid = (2.0 * np.arange(n + 1) - n) / n
+        if self.weights.shape != self.grid.shape:
             raise ValueError(
-                f"expected {self.n_spins + 1} weights, got {self.weights.shape}"
+                f"expected {len(self.grid)} weights, got {self.weights.shape}"
             )
         if self.weights.min() < 0.0:
             raise NumericalError(f"negative weight {self.weights.min():.3e}")
 
     @property
-    def grid(self) -> np.ndarray:
-        n = self.n_spins
-        return (2.0 * np.arange(n + 1) - n) / n
+    def _steps(self) -> int:
+        """The grid spacing as a count: spacing = 2 / _steps (N for levels,
+        the cell count for cell centres)."""
+        return round(2.0 / (self.grid[1] - self.grid[0]))
+
+    @property
+    def mesh(self) -> np.ndarray:
+        """Read-only alias of `grid`, the name bench/workloads.py reads."""
+        return self.grid
+
+    @property
+    def values(self) -> np.ndarray:
+        """Read-only alias of `density()`, the name bench/workloads.py reads."""
+        return self.density()
 
     def total(self) -> float:
         return float(self.weights.sum())
@@ -67,8 +86,9 @@ class DiscreteDistribution:
         return float(self.grid @ self.weights / self.total())
 
     def density(self) -> np.ndarray:
-        """Continuum normalization P(m) = (N/2) P_d(m)."""
-        return 0.5 * self.n_spins * self.weights
+        """Continuum normalization P(m): the weights over the spacing, as
+        (N/2) P_d(m) on the levels."""
+        return 0.5 * self._steps * self.weights
 
     def mass_below(self, x: float) -> float:
         """Weight strictly below x; weight sitting exactly at x counts half."""
@@ -94,7 +114,7 @@ class DiscreteDistribution:
         k = int(np.searchsorted(cum, half))
         prev = cum[k - 1] if k > 0 else 0.0
         frac = (half - prev) / w[k] if w[k] > 0 else 0.5
-        dm = 2.0 / self.n_spins
+        dm = 2.0 / self._steps
         return float(self.grid[k] + (frac - 0.5) * dm)
 
     def local_width(self, region: tuple[float, float] | None = None) -> float:
@@ -115,7 +135,7 @@ class DiscreteDistribution:
         d, m = self, self.grid
         if region is not None:
             inside = (m >= region[0]) & (m <= region[1])
-            d = DiscreteDistribution(self.n_spins, np.where(inside, self.weights, 0.0))
+            d = replace(self, weights=np.where(inside, self.weights, 0.0))
         c = d.median()
         k = int(np.argmin(np.abs(m - c)))
         span = min(LOCAL_HALF_SPAN, 1.0 / math.sqrt(self.n_spins))
@@ -276,13 +296,6 @@ def _entropy_energy(params: ModelParams):
     return entropy_energy
 
 
-def chain(dist: DiscreteDistribution, gen) -> Chain:
-    """The chain from `dist` under `gen` (a Generator, or a function of t
-    that builds one), with unit weight."""
-    return Chain(gen, dist.weights, 1.0,
-                 lambda w, t: DiscreteDistribution(dist.n_spins, w, t))
-
-
 def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
            mode: str = "short-memory", tol: float = 1e-9,
            snapshot_times=None, record_free_energy: bool = False,
@@ -328,15 +341,15 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
 
         on_step(dist.time, dist.weights)
 
-    ch = chain(dist, gen if full_memory else gen())
     states, n_steps, n_terms = integrate(
-        ch, dist.time, [min(s, t_end) for s in snapshot_times] + [t_end], tol,
+        gen if full_memory else gen(), dist.weights, dist.time,
+        [min(s, t_end) for s in snapshot_times] + [t_end], tol,
         h_cap=(lambda t: 0.1 / params.temp_bath + 0.05 * t)
         if full_memory else None, on_step=on_step)
     fe_t, fe_v = np.array(fe).T if record_free_energy else (None, None)
     return EvolveResult(
-        final=ch.wrap(states[-1], t_end),
-        snapshots=[ch.wrap(w, s) for w, s in zip(states, snapshot_times)],
+        final=replace(dist, weights=states[-1], time=t_end),
+        snapshots=[replace(dist, weights=w, time=s) for w, s in zip(states, snapshot_times)],
         free_energy_times=fe_t, free_energy_values=fe_v,
         n_steps=n_steps, n_terms=n_terms,
         uniform_rate=max(rates, default=0.0),

@@ -55,7 +55,7 @@ class SectorOutcome:
     p_wrong: float
     peak_m: float
     mass_drift: float
-    final: object  # DiscreteDistribution or ContinuumField
+    final: master.DiscreteDistribution  # on the levels (master) or the cells (fp)
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
     coupling ratio above 1.  A run shorter than the registration/relaxation
     horizon is flagged inconclusive (faithful is None) rather than
     unfaithful.  Both engines start each sector from `init`, a start kind
-    of `master.initial_distribution` (`fokker_planck.chain` takes its
-    continuum form); a start off the origin costs a second run
+    of `master.initial_distribution` (`fokker_planck.initial_field` takes
+    its continuum form); a start off the origin costs a second run
     (`_evolve_sectors`).
     """
     params.require_ferromagnetic()
@@ -174,18 +174,21 @@ def _evolve_sectors(params: ModelParams, t_end: float, engine: str, tol: float,
     state lies within tol in L1 of the exact one.
     """
     if engine == "master":
-        ch = master.chain(master.initial_distribution(params, init),
-                          master.transition_rates(params))
+        start = master.initial_distribution(params, init)
+        gen = master.transition_rates(params)
     else:
-        ch = fokker_planck.chain(params, init, fp_config)
+        start = fokker_planck.initial_field(params, init, fp_config)
+        gen = fokker_planck.generator(params, fp_config)
+    p0 = start.weights
     symmetric = master.start_params(params, init).m_offset == 0.0
     finals, n_steps, n_terms = [], 0, 0
-    for p0 in [ch.p0] if symmetric else [ch.p0, ch.p0[::-1]]:
-        states, steps, terms = integrate(replace(ch, p0=p0), 0.0, [t_end], tol)
+    for p in [p0] if symmetric else [p0, p0[::-1]]:
+        states, steps, terms = integrate(gen, p, 0.0, [t_end], tol)
         finals.append(states[-1])
         n_steps, n_terms = n_steps + steps, n_terms + terms
     up, down = finals[0], finals[-1][::-1].copy()
-    return {"up": ch.wrap(up, t_end), "down": ch.wrap(down, t_end)}, n_steps, n_terms
+    return ({"up": replace(start, weights=up, time=t_end),
+             "down": replace(start, weights=down, time=t_end)}, n_steps, n_terms)
 
 
 def offdiagonal_scales(params: ModelParams, g_spread: float = 0.0

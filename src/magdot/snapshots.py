@@ -1,8 +1,9 @@
 """Snapshot CSV emission and cross-run comparison.
 
-Schema: long format with header `t,m,P` where P is the continuum-normalized
-density (N/2) P_d for discrete states.  Numbers carry 17 significant digits
-so files round-trip exactly and identical runs are byte-identical.
+Schema: long format with header `t,m,P` where P is a state's
+`density()`, the continuum normalization of its masses.  Numbers carry 17
+significant digits so files round-trip exactly and identical runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -11,11 +12,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .fokker_planck import ContinuumField
-from .master import DiscreteDistribution
-
 __all__ = [
-    "as_density",
+    "write_rows",
     "write_long_csv",
     "read_long_csv",
     "l1_distance",
@@ -26,25 +24,20 @@ FMT = "%.17g"
 TIME_RTOL = 1e-9  # relative tolerance within which `compare_dirs` pairs two times
 
 
-def as_density(state) -> tuple[float, np.ndarray, np.ndarray]:
-    """(time, m grid, density) view of a discrete or continuum state."""
-    if isinstance(state, DiscreteDistribution):
-        return state.time, state.grid, state.density()
-    if isinstance(state, ContinuumField):
-        return state.time, state.mesh, state.values
-    raise TypeError(f"unsupported state type {type(state)!r}")
+def write_rows(path: str, rows) -> None:
+    """`t,m,P` rows of every (t, m grid, P) triple of `rows`, with one `%`
+    over each whole triple: `tolist()` gives Python floats, which format
+    exactly as numpy's float64 does."""
+    with open(path, "w") as fh:
+        fh.write("t,m,P\n")
+        for t, m, p in rows:
+            row = f"{FMT % t},{FMT},{FMT}\n"
+            fh.write((row * len(m)) % tuple(np.column_stack((m, p)).ravel().tolist()))
 
 
 def write_long_csv(path: str, states) -> None:
-    """`t,m,P` rows of every state, with one `%` over each whole state:
-    `tolist()` gives Python floats, which format exactly as numpy's float64
-    does."""
-    with open(path, "w") as fh:
-        fh.write("t,m,P\n")
-        for state in states:
-            t, m, p = as_density(state)
-            row = f"{FMT % t},{FMT},{FMT}\n"
-            fh.write((row * len(m)) % tuple(np.column_stack((m, p)).ravel().tolist()))
+    """The rows of each state's `density()` on its grid at its time."""
+    write_rows(path, ((s.time, s.grid, s.density()) for s in states))
 
 
 def read_long_csv(path: str) -> "OrderedDict[float, tuple[np.ndarray, np.ndarray]]":

@@ -230,7 +230,7 @@ def test_criterion_7_cross_solver(fig1_run, fp_run):
         s = by_frac[frac]
         f = fp_run[frac]
         worst_fp = max(worst_fp,
-                       l1_distance(f.mesh, f.values, s.grid, s.density()))
+                       l1_distance(f.grid, f.density(), s.grid, s.density()))
 
     # same regime (lambda = 1.89) scaled down to N = 100
     g100 = 0.05 * math.sqrt(10.0)

@@ -30,17 +30,18 @@ def own_run_l1(final, sp, t_end, engine):
         own = evolve(initial_distribution(sp, "gaussian"), sp, t_end, tol=TOL).final
         return float(np.abs(final.weights - own.weights).sum())
     own = solve_fp(sp, gaussian_field(sp, FP_CELLS), [t_end], FP_CELLS, tol=TOL)[0]
-    return float(np.abs(final.values - own.values).sum() * own.dm)
+    return float(np.abs(final.weights - own.weights).sum())
 
 
 def own_run_cost(sp, t_end, engine, init):
     """Report points and products of one `integrate` of a sector's chain
     alone, from the start `init`."""
     if engine == "master":
-        ch = master.chain(initial_distribution(sp, init), master.transition_rates(sp))
+        start, gen = initial_distribution(sp, init), master.transition_rates(sp)
     else:
-        ch = fokker_planck.chain(sp, init, FP_CELLS)
-    _, n_steps, n_terms = integrate(ch, 0.0, [t_end], TOL)
+        start = fokker_planck.initial_field(sp, init, FP_CELLS)
+        gen = fokker_planck.generator(sp, FP_CELLS)
+    _, n_steps, n_terms = integrate(gen, start.weights, 0.0, [t_end], TOL)
     return n_steps, n_terms
 
 
@@ -120,6 +121,17 @@ class TestRunMeasurement:
         assert np.array_equal(up.weights, down.weights[::-1])
         assert rep.sectors["up"].p_correct == pytest.approx(
             rep.sectors["down"].p_correct, abs=1e-12)
+
+    @pytest.mark.parametrize("cells", [400, 401])
+    def test_fp_splits_evenly_at_zero_coupling(self, cells):
+        # at g = 0 the repeller m = 0 is the centre of an odd mesh's middle
+        # cell, whose mass counts half to each side, as a master level at
+        # the repeller does
+        p = ModelParams(n_spins=200, temp_bath=0.65, coupling_g=0.0)
+        rep = run_measurement(SpinState(0.5), p, 96.0, engine="fp",
+                              fp_config=FPConfig(cells=cells))
+        for sec in rep.sectors.values():
+            assert sec.p_correct == pytest.approx(sec.p_wrong, abs=1e-12)
 
     @pytest.mark.parametrize("engine", ["master", "fp"])
     def test_a_symmetric_start_costs_one_run(self, engine):
@@ -266,11 +278,12 @@ class TestRunMeasurement:
         # the binomial's continuum limit, m = 0 and delta0 = 1, whatever m0
         # and T0 are; at m0 = 0 and T0 = inf it is the default Gaussian
         p = small_params(n=60, g=0.08)
-        want = gaussian_field(p, FP_CELLS).values
+        want = gaussian_field(p, FP_CELLS).weights
         for kw in ({"m_offset": 0.3}, {"temp_init": 2.0, "delta0": None}, {}):
-            start = fokker_planck.chain(replace(p, **kw), "exact-paramagnet", FP_CELLS)
-            assert np.array_equal(start.p0, want)
-        assert np.array_equal(fokker_planck.chain(p, cfg=FP_CELLS).p0, want)
+            start = fokker_planck.initial_field(replace(p, **kw), "exact-paramagnet",
+                                                FP_CELLS)
+            assert np.array_equal(start.weights, want)
+        assert np.array_equal(fokker_planck.initial_field(p, cfg=FP_CELLS).weights, want)
 
     def test_rejects_bad_engine(self):
         p = small_params(n=100, g=0.1)
