@@ -20,6 +20,7 @@ from magdot import (
     evolve,
     initial_distribution,
     sample_trajectories,
+    suzuki_alpha,
     suzuki_profile,
     time_scales,
 )
@@ -40,13 +41,13 @@ run = evolve(initial_distribution(params, "exact-paramagnet"), params,
 
 flat = run.snapshots[2]
 prof = suzuki_profile(params, flat.grid, flat.time)
-print(f"scaling variable alpha^2 = {prof.alpha**2:.3f} at the flat stage")
+print(f"scaling variable alpha^2 = {suzuki_alpha(params, flat.time)**2:.3f} "
+      f"at the flat stage")
 for frac in (0.5, 0.6, 0.7):
     m = frac * scales.m_ferro
     sim = np.interp(m, flat.grid, flat.density()) \
         / np.interp(0.0, flat.grid, flat.density())
-    ana = suzuki_profile(params, m, flat.time).values \
-        / suzuki_profile(params, 0.0, flat.time).values
+    ana = suzuki_profile(params, m, flat.time) / suzuki_profile(params, 0.0, flat.time)
     print(f"  P({frac:.1f} m_F)/P(0): simulated {sim:.3f}, scaling form {ana:.3f}")
 
 final = run.snapshots[-1]
@@ -57,7 +58,7 @@ print(f"20000 stochastic runs: up fraction = {ens.up_fraction:.4f}")
 
 curves = [(f"t/theta={f:.3g}", s.grid, s.density())
           for f, s in zip(fracs, run.snapshots)]
-curves.append(("scaling form", flat.grid, prof.values))
+curves.append(("scaling form", flat.grid, prof))
 line_plot_svg(f"{out_dir}/bifurcation.svg", curves,
               title="Symmetric bifurcation through the flat stage",
               xlabel="m", ylabel="P(m,t)")

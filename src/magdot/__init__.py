@@ -39,14 +39,11 @@ from .analytic import (
     RegimeReport,
     TimeScales,
     closed_form_P,
-    peak_width_delta,
     local_width_delta,
     width_maximum,
     suzuki_profile,
     suzuki_alpha,
-    suzuki_peak_positions,
     suzuki_second_max_onset,
-    suzuki_tail_density,
     split_probabilities,
     time_scales,
     classify_regime,

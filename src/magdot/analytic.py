@@ -39,16 +39,12 @@ __all__ = [
     "CharacteristicsError",
     "RegimeReport",
     "TimeScales",
-    "SuzukiProfile",
     "closed_form_P",
-    "peak_width_delta",
     "local_width_delta",
     "width_maximum",
     "suzuki_alpha",
     "suzuki_profile",
-    "suzuki_peak_positions",
     "suzuki_second_max_onset",
-    "suzuki_tail_density",
     "split_probabilities",
     "time_scales",
     "classify_regime",
@@ -77,13 +73,6 @@ class RegimeReport:
     tau_reg: float
     stray_bias_ratio: float      # squared pre-measurement bias over its ceiling
     coupling_ratio: float        # squared coupling bias over the same scale
-
-
-@dataclass(frozen=True)
-class SuzukiProfile:
-    values: np.ndarray
-    alpha: float
-    lam: float
 
 
 class _ExactFlow:
@@ -312,17 +301,16 @@ def suzuki_alpha(params: ModelParams, t: float) -> float:
         * ds.m_ferro / ds.delta_total
 
 
-def suzuki_profile(params: ModelParams, m, t: float) -> SuzukiProfile:
-    """Intermediate-time profile in the scaling window e^{t/theta} ~ sqrt(N).
+def suzuki_profile(params: ModelParams, m, t: float):
+    """Intermediate-time density in the scaling window e^{t/theta} ~ sqrt(N).
 
     P(m) = (alpha m_F^2 / sqrt(pi)) (m_F^2 - m^2)^{-3/2}
            exp[-(alpha m / sqrt(m_F^2 - m^2) - lambda)^2],
     normalized on (-m_F, m_F) for any alpha, lambda.  The caller judges
-    window validity from the returned alpha.
+    window validity from alpha = `suzuki_alpha(params, t)`.
     """
     ds = derived_scales(params)
     alpha = suzuki_alpha(params, t)
-    lam = ds.lam
     m_arr = np.atleast_1d(np.asarray(m, dtype=float))
     vals = np.zeros_like(m_arr)
     inside = np.abs(m_arr) < ds.m_ferro
@@ -330,21 +318,8 @@ def suzuki_profile(params: ModelParams, m, t: float) -> SuzukiProfile:
     gap = ds.m_ferro**2 - mm * mm
     z = alpha * mm / np.sqrt(gap)
     vals[inside] = (alpha * ds.m_ferro**2 / math.sqrt(math.pi)
-                    / gap**1.5 * np.exp(-(z - lam) ** 2))
-    return SuzukiProfile(values=vals if not np.isscalar(m) else float(vals[0]),
-                         alpha=alpha, lam=lam)
-
-
-def suzuki_peak_positions(params: ModelParams, alpha: float):
-    """Maxima of the unbiased scaling profile: +/- m_F sqrt(1 - 2 alpha^2/3).
-
-    Returns None before the two-peak onset (alpha^2 >= 3/2).
-    """
-    if alpha * alpha >= 1.5:
-        return None
-    ds = derived_scales(params)
-    m = ds.m_ferro * math.sqrt(1.0 - 2.0 * alpha * alpha / 3.0)
-    return (-m, m)
+                    / gap**1.5 * np.exp(-(z - ds.lam) ** 2))
+    return float(vals[0]) if np.isscalar(m) else vals
 
 
 def suzuki_second_max_onset(params: ModelParams):
@@ -352,7 +327,8 @@ def suzuki_second_max_onset(params: ModelParams):
 
     Solves m2^3 = -lam m_F^2 sqrt(m_F^2 - 2 m2^2)/sqrt(6) by bisection and
     returns (m2, alpha2, t2).  No closed reference value exists; tests check
-    that (m2, alpha2) is a degenerate stationary point of the profile.
+    that (m2, alpha2) is a degenerate stationary point of the profile, and
+    that the master's first maximum on m < 0 appears just after t2.
     """
     ds = derived_scales(params)
     lam, m_f = ds.lam, ds.m_ferro
@@ -371,46 +347,7 @@ def suzuki_second_max_onset(params: ModelParams):
     return m2, alpha2, t2
 
 
-def suzuki_tail_density(params: ModelParams, m, alpha: float):
-    """Small-alpha shape of the peak forming near +m_F.
-
-    In x = (2/alpha^2)(m_F - m)/m_F the density is e^{-1/x}/(2 sqrt(pi) x^{3/2})
-    per unit x, with its maximum at x = 2/3; expressed here per unit m.
-    """
-    ds = derived_scales(params)
-    m_arr = np.atleast_1d(np.asarray(m, dtype=float))
-    x = (2.0 / alpha**2) * (ds.m_ferro - m_arr) / ds.m_ferro
-    out = np.zeros_like(m_arr)
-    pos = x > 0
-    out[pos] = (np.exp(-1.0 / x[pos]) / (2.0 * math.sqrt(math.pi) * x[pos] ** 1.5)
-                * 2.0 / (alpha**2 * ds.m_ferro))
-    return float(out[0]) if np.isscalar(m) else out
-
-
-# -- splitting, time scales, regime ------------------------------------------
-
-
-def peak_width_delta(params: ModelParams, t) -> np.ndarray | float:
-    """Width factor delta(t) of the moving peak (leading order in the bias).
-
-    delta(t) = sqrt(C(t) + delta0^2) v(m(t)) / v(m0) with the cubic drift and
-    the small-bias flow from the origin; the peak width is delta(t)/sqrt(N).
-    Grows by drift-velocity dispersion, peaks when the center passes
-    m_F/sqrt(3), then shrinks toward the equilibrium width.  Leading order:
-    cubic drift, diffusion at the origin, b/m_F -> 0 and N -> infinity;
-    `local_width_delta` is the width to relative order 1/N of the master
-    equation.
-    """
-    ds = derived_scales(params)
-    theta, m_f, b = ds.theta, ds.m_ferro, ds.bias_b
-    if b <= 0:
-        raise ValueError("width trajectory needs a positive bias")
-    t = np.asarray(t, dtype=float)
-    be = b * np.exp(t / theta)
-    m_t = be * m_f / np.sqrt(m_f**2 + be * be)
-    c = _diffusion_c(params, t, theta)
-    out = np.sqrt(c + params.delta0**2) * m_t * (m_f**2 - m_t**2) / (b * m_f**2)
-    return out if out.ndim else float(out)
+# -- width oracle, splitting, time scales, regime ----------------------------
 
 
 # Taylor coefficients x^0 .. x^4 about the moving center of the width oracle

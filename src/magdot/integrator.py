@@ -34,6 +34,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .special import poisson_weights
+
 __all__ = ["Generator", "integrate", "StiffnessError", "NumericalError"]
 
 TOL_FLOOR = 100.0 * np.finfo(float).eps  # smallest tol, relative to the L1 mass
@@ -147,27 +149,17 @@ def poisson_window(x: float, eps: float) -> tuple[int, np.ndarray]:
     """First count L and normalized Poisson(x) weights of L..R, where
     P(X < L) <= eps/2 and P(X > R) <= eps/2 are proven.
 
-    Fox & Glynn (1988): the weights are built outward from the mode
-    floor(x) by the ratios w[k+1] = w[k] x/(k+1) and w[k-1] = w[k] k/x, so
-    no intermediate is far from 1 and none needs a factorial.  They span a
-    window whose tails beyond it are each at most eps_b = eps/1024, by
-    Chernoff below and Bernstein above.  Each side is then cut where its
-    in-window tail, inflated by 1e-9 for roundoff, plus eps_b is at most
-    eps/2; the kept weights are renormalized.
+    `poisson_weights` spans a window whose tails beyond it are each at most
+    eps_b = eps/1024, by Chernoff below and Bernstein above.  Each side is
+    then cut where its in-window tail, inflated by 1e-9 for roundoff, plus
+    eps_b is at most eps/2; the kept weights are renormalized.
     """
     eps_b = eps / 1024.0
     log_eps = max(-math.log(eps_b), 0.0)
-    # P(X <= x - d) <= exp(-d^2 / (2x)) and
-    # P(X >= x + d) <= exp(-d^2 / (2 (x + d/3))), each eps_b at these d
+    # P(X <= x - d) <= exp(-d^2 / (2x)), eps_b at this d
     lo = max(math.floor(x - math.sqrt(2.0 * x * log_eps)), 0)
-    d = log_eps / 3.0 + math.sqrt(log_eps * log_eps / 9.0 + 2.0 * x * log_eps)
-    hi = math.ceil(x + d)
-    mode = int(x)
-    w = np.empty(hi - lo + 1)
-    c = mode - lo
-    w[c] = 1.0
-    w[c + 1:] = np.cumprod(x / np.arange(mode + 1, hi + 1.0))
-    w[:c] = np.cumprod(np.arange(mode, lo, -1.0) / x)[::-1]
+    w = poisson_weights(x, lo, log_eps)
+    c = int(x) - lo
     # a cut may drop in-window mass up to `spare`, its share of eps/2 once
     # inflated by 1e-9 for roundoff; the sums run from the small end
     spare = (0.5 * eps - eps_b) * w.sum() / (1.0 + 1e-9)

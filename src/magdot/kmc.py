@@ -24,6 +24,7 @@ import numpy as np
 
 from .master import DiscreteDistribution, initial_distribution, transition_rates
 from .model import ModelParams, repeller
+from .special import poisson_weights
 
 __all__ = ["TrajectoryEnsemble", "poisson_hazards", "sample_trajectories"]
 
@@ -44,23 +45,15 @@ class TrajectoryEnsemble:
 def poisson_hazards(x: float) -> np.ndarray:
     """h[j] = P(K = j | K >= j) for K ~ Poisson(x), j = 0..R, with h[R] = 1.
 
-    The weights are built outward from the mode floor(x) by the ratios
-    w[k+1] = w[k] x/(k+1) and w[k-1] = w[k] k/x, so none needs a factorial.
-    They reach R = x + d, where the Bernstein bound
-    P(K >= x + d) <= exp(-d^2 / (2 (x + d/3))) is e^-700; weights that
-    underflow to 0 at the right end are dropped.  The survival P(K >= j) is
-    summed from the right end, so a small one is not a difference of large
-    ones.  [1.0] when x = 0: every walker stops before its first step.
+    The weights are `poisson_weights` from 0 up to the reach R where the
+    upper tail is e^-700; weights that underflow to 0 at the right end are
+    dropped.  The survival P(K >= j) is summed from the right end, so a
+    small one is not a difference of large ones.  [1.0] when x = 0: every
+    walker stops before its first step.
     """
     if x == 0.0:
         return np.ones(1)
-    mode = int(x)
-    d = _TAIL_NATS / 3.0 + math.sqrt(_TAIL_NATS**2 / 9.0 + 2.0 * x * _TAIL_NATS)
-    hi = math.ceil(x + d)
-    w = np.empty(hi + 1)
-    w[mode] = 1.0
-    w[mode + 1:] = np.cumprod(x / np.arange(mode + 1, hi + 1.0))
-    w[:mode] = np.cumprod(np.arange(mode, 0, -1.0) / x)[::-1]
+    w = poisson_weights(x, 0, _TAIL_NATS)
     w = w[:np.flatnonzero(w)[-1] + 1]
     return w / np.cumsum(w[::-1])[::-1]
 
@@ -132,13 +125,13 @@ def sample_trajectories(params: ModelParams, n_traj: int, t_end: float,
         if not active.any():
             break
 
-    m = params.grid
-    up_fraction = float(counts[m > m_repel].sum()
-                        + 0.5 * counts[m == m_repel].sum()) / n_traj
+    # the tie rule of `mass_below`, summed over the counts, which are exact
+    below = DiscreteDistribution(n_spins=n, weights=counts.astype(float),
+                                 time=t_end).mass_below(m_repel)
     return TrajectoryEnsemble(
         histogram=DiscreteDistribution(n_spins=n, weights=counts / n_traj, time=t_end),
         counts=counts,
-        up_fraction=up_fraction,
+        up_fraction=(n_traj - below) / n_traj,
         n_traj=n_traj,
         seed=seed,
         uniform_rate=lam,

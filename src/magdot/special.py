@@ -4,7 +4,8 @@ measurement stay off scipy; the Bernoulli function x/(e^x - 1) that the
 bath spectrum and the Fokker-Planck face fluxes share; the 15-point
 Gauss-Legendre rule that the exact characteristics use; and its 31-point
 Kronrod extension, the nested pair with which the bath kernel integrates
-and estimates its error in one pass."""
+and estimates its error in one pass; and the Poisson weights from which the
+integrator cuts its windows and the jump-process sampler its hazards."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["GL15_W", "GL15_X", "K31_W", "K31_X", "bernoulli", "erfc"]
+__all__ = ["GL15_W", "GL15_X", "K31_W", "K31_X", "bernoulli", "erfc", "poisson_weights"]
 
 # 15-point Gauss-Legendre rule on [-1, 1]: numpy.polynomial.legendre.leggauss(15)
 # to the bit (a test compares them), written out so that importing magdot
@@ -80,3 +81,23 @@ def erfc(x):
     if isinstance(x, np.ndarray):
         return np.array([math.erfc(float(v)) for v in x.ravel()]).reshape(x.shape)
     return math.erfc(float(x))
+
+
+def poisson_weights(x: float, lo: int, nats: float) -> np.ndarray:
+    """Poisson(x) weights of the counts lo..R, scaled to 1 at the mode floor(x).
+
+    Fox & Glynn (1988): the weights are built outward from the mode by the
+    ratios w[k+1] = w[k] x/(k+1) and w[k-1] = w[k] k/x, so no intermediate
+    is far from 1 and none needs a factorial.  They reach R = x + d, where
+    the Bernstein bound P(X >= x + d) <= exp(-d^2 / (2 (x + d/3))) is
+    e^-nats.  lo is at most floor(x).
+    """
+    d = nats / 3.0 + math.sqrt(nats * nats / 9.0 + 2.0 * x * nats)
+    hi = math.ceil(x + d)
+    mode = int(x)
+    w = np.empty(hi - lo + 1)
+    c = mode - lo
+    w[c] = 1.0
+    w[c + 1:] = np.cumprod(x / np.arange(mode + 1, hi + 1.0))
+    w[:c] = np.cumprod(np.arange(mode, lo, -1.0) / x)[::-1]
+    return w

@@ -159,10 +159,10 @@ def test_criterion_3_figure2(fig2_run):
     sim_ok, ana_ok = True, True
     details = []
     from magdot.analytic import suzuki_profile
-    ana0 = suzuki_profile(p, 0.0, ts.t_flat).values
+    ana0 = suzuki_profile(p, 0.0, ts.t_flat)
     for frac, want in ((0.5, 0.93), (0.6, 0.84), (0.7, 0.65)):
         r_sim = np.interp(frac * ds.m_ferro, s_flat.grid, dens) / p0
-        r_ana = suzuki_profile(p, frac * ds.m_ferro, ts.t_flat).values / ana0
+        r_ana = suzuki_profile(p, frac * ds.m_ferro, ts.t_flat) / ana0
         sim_ok &= abs(r_sim - want) <= 0.05
         ana_ok &= abs(r_ana - want) <= 0.005
         details.append(f"{r_sim:.3f}/{want}")

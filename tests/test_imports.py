@@ -124,8 +124,9 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_sampler_imports_nothing_from_the_integrator():
-    """The jump-process sampler checks the integrator, so it builds its own
-    Poisson weights: kmc imports no name and no module from integrator."""
+    """The jump-process sampler checks the integrator, so kmc imports no name
+    and no module from integrator; the Poisson weights that both cut come
+    from `special`, and each cut is tested against an outside reference."""
     tree = ast.parse((Path(magdot.__file__).parent / "kmc.py").read_text())
     found = []
     for node in ast.walk(tree):

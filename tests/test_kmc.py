@@ -22,7 +22,7 @@ from magdot.master import (
     initial_distribution,
     transition_rates,
 )
-from magdot.model import derived_scales
+from magdot.model import derived_scales, repeller
 
 from conftest import dense_generator, random_params, relax_time, small_params
 
@@ -95,6 +95,16 @@ def test_symmetric_split_fraction():
     ens = sample_trajectories(p, n, 2 * th, seed=5)
     sigma = 0.5 / math.sqrt(n)
     assert abs(ens.up_fraction - 0.5) < 3 * sigma
+
+
+def test_up_fraction_counts_a_level_on_the_repeller_half():
+    # at N = 4, g = 0.05, T = 0.9 the repeller -0.5000000000000001 sits on
+    # the level -0.5; its walkers count half, as in `mass_below`
+    p = small_params(n=4, g=0.05, temp=0.9)
+    ens = sample_trajectories(p, 1000, 5.0, seed=0)
+    assert ens.counts[1] > 0
+    assert ens.up_fraction == pytest.approx(
+        1.0 - ens.histogram.mass_below(repeller(p)), abs=1e-12)
 
 
 def test_input_validation():
