@@ -1,7 +1,8 @@
 """Line-oriented run configuration: `key = value` pairs, `#` comments.
 
 Every physical parameter is scalar, so a flat diff-friendly format beats
-nested ones.  Unknown keys, type mismatches and violated invariants raise
+nested ones.  `_KEY_MAP` is the one place a key's field, parser and domain
+live.  Unknown keys, type mismatches and violated invariants raise
 ConfigError with the offending line number.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .fokker_planck import MAX_CELLS
 from .model import ModelParams, ParameterError
@@ -31,7 +32,7 @@ class ConfigError(ValueError):
 class RunConfig:
     n_spins: int = 0                   # required
     temp_bath: float = 0.0             # required
-    coupling_g: float = 0.0            # required (0 is legal; see g_given)
+    coupling_g: float = 0.0            # required; 0 is legal
     coupling_j: float = 1.0
     gamma: float = 1e-3
     debye_cutoff: float = 100.0
@@ -57,50 +58,42 @@ class RunConfig:
     sweep_values: list = field(default_factory=list)
 
     def model_params(self) -> ModelParams:
-        return ModelParams(
-            n_spins=self.n_spins,
-            temp_bath=self.temp_bath,
-            coupling_g=self.coupling_g,
-            coupling_j=self.coupling_j,
-            temp_init=self.temp_init,
-            gamma=self.gamma,
-            debye_cutoff=self.debye_cutoff,
-            m_offset=self.m_offset,
-        )
+        """The model fields, named alike here; delta0 follows from temp_init."""
+        return ModelParams(**{f.name: getattr(self, f.name) for f in fields(ModelParams)
+                              if f.name != "delta0"})
 
 
+# key: (RunConfig field, parser[, domain test, its text]).  The parser is int,
+# float, str, "floatlist", "sweep" or the tuple of words the key may take; a
+# domain is the range that ModelParams, SpinState, evolve or FPConfig would
+# enforce later, checked where the line is read.
 _KEY_MAP = {
-    "N": ("n_spins", int),
-    "T": ("temp_bath", float),
+    "N": ("n_spins", int, lambda v: v >= 2, "N >= 2"),
+    "T": ("temp_bath", float, lambda v: v > 0, "T > 0"),
     "g": ("coupling_g", float),
     "J": ("coupling_j", float),
-    "gamma": ("gamma", float),
-    "Gamma": ("debye_cutoff", float),
+    "gamma": ("gamma", float, lambda v: v > 0, "gamma > 0"),
+    "Gamma": ("debye_cutoff", float, lambda v: v > 0, "Gamma > 0"),
     "T0": ("temp_init", float),
-    "m0": ("m_offset", float),
-    "engine": ("engine", str),
-    "init": ("init", str),
-    "mode": ("mode", str),
+    "m0": ("m_offset", float, lambda v: -1 <= v <= 1, "-1 <= m0 <= 1"),
+    "engine": ("engine", ("master", "fp")),
+    "init": ("init", ("exact-paramagnet", "gaussian")),
+    "mode": ("mode", ("short-memory", "full-memory")),
     "times": ("times", "floatlist"),
     "times_theta": ("times_theta", "floatlist"),
-    "tol": ("tol", float),
-    "kernel_tol": ("kernel_tol", float),
-    "cells": ("cells", int),
-    "seed": ("seed", int),
+    "tol": ("tol", float, lambda v: v > 0, "tol > 0"),
+    "kernel_tol": ("kernel_tol", float, lambda v: 0 < v <= 1e-2, "0 < kernel_tol <= 1e-2"),
+    "cells": ("cells", int, lambda v: 100 <= v <= MAX_CELLS,
+              f"cells >= 100 and <= {MAX_CELLS}"),
+    "seed": ("seed", int, lambda v: v >= 0, "seed >= 0"),
     "trajectories": ("trajectories", int),
-    "p_wrong_bound": ("p_wrong_bound", float),
+    "p_wrong_bound": ("p_wrong_bound", float, lambda v: v > 0, "p_wrong_bound > 0"),
     "g0": ("g0", float),
-    "g_spread": ("g_spread", float),
-    "r_up": ("r_up", float),
-    "workers": ("workers", int),
+    "g_spread": ("g_spread", float, lambda v: v >= 0, "g_spread >= 0"),
+    "r_up": ("r_up", float, lambda v: 0 <= v <= 1, "0 <= r_up <= 1"),
+    "workers": ("workers", int, lambda v: v >= 1, "workers >= 1"),
     "out_dir": ("out_dir", str),
     "sweep": ("sweep", "sweep"),
-}
-
-_CHOICES = {
-    "engine": ("master", "fp"),
-    "init": ("exact-paramagnet", "gaussian"),
-    "mode": ("short-memory", "full-memory"),
 }
 
 
@@ -111,23 +104,14 @@ def _check_times(key: str, values: list, line: int | None) -> None:
         raise ConfigError(line, f"{key} must ascend")
 
 
-def _parse_float(text: str) -> float:
-    t = text.strip().lower()
-    if t in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _parse_value(kind, raw: str, lineno: int | None, key: str):
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return _parse_float(raw)
-        if kind is str:
+        if kind is int or kind is float:
+            return kind(raw)
+        if kind is str or isinstance(kind, tuple):
             return raw.strip()
         if kind == "floatlist":
-            return [_parse_float(x) for x in raw.split(",") if x.strip()]
+            return [float(x) for x in raw.split(",") if x.strip()]
     except ValueError:
         raise ConfigError(lineno, f"cannot parse value {raw!r} for key {key!r}")
     raise AssertionError(kind)
@@ -142,39 +126,19 @@ def parse_sweep(spec: str, line: int | None) -> tuple[str, list]:
     return axis, _parse_value("floatlist", vals, line, "sweep")
 
 
-# Each key's own domain: the ranges that ModelParams, SpinState, evolve and
-# FPConfig would enforce later, checked where the line is read.
-_DOMAIN = {
-    "N": (lambda v: v >= 2, "N >= 2"),
-    "T": (lambda v: v > 0, "T > 0"),
-    "gamma": (lambda v: v > 0, "gamma > 0"),
-    "Gamma": (lambda v: v > 0, "Gamma > 0"),
-    "m0": (lambda v: -1 <= v <= 1, "-1 <= m0 <= 1"),
-    "tol": (lambda v: v > 0, "tol > 0"),
-    "kernel_tol": (lambda v: 0 < v <= 1e-2, "0 < kernel_tol <= 1e-2"),
-    "cells": (lambda v: 100 <= v <= MAX_CELLS, f"cells >= 100 and <= {MAX_CELLS}"),
-    "seed": (lambda v: v >= 0, "seed >= 0"),
-    "p_wrong_bound": (lambda v: v > 0, "p_wrong_bound > 0"),
-    "g_spread": (lambda v: v >= 0, "g_spread >= 0"),
-    "r_up": (lambda v: 0 <= v <= 1, "0 <= r_up <= 1"),
-    "workers": (lambda v: v >= 1, "workers >= 1"),
-}
-
-
 def set_key(cfg: RunConfig, key: str, raw: str, lineno: int | None) -> None:
     """Parse `key = raw` into cfg; errors and the key's own invariants name
     lineno.  Every float is finite but T0, which may be +inf (a full quench)."""
-    attr, kind = _KEY_MAP[key]
+    attr, kind, *domain = _KEY_MAP[key]
     value = _parse_value(kind, raw, lineno, key)
-    if key in _CHOICES and value not in _CHOICES[key]:
-        raise ConfigError(
-            lineno, f"{key} must be one of {_CHOICES[key]}, got {value!r}")
+    if isinstance(kind, tuple) and value not in kind:
+        raise ConfigError(lineno, f"{key} must be one of {kind}, got {value!r}")
     if kind is float and not math.isfinite(value) and (key, value) != ("T0", math.inf):
         allowed = "finite or inf" if key == "T0" else "finite"
         raise ConfigError(lineno, f"{key} must be {allowed}, got {value}")
-    if key in _DOMAIN and not _DOMAIN[key][0](value):
-        raise ConfigError(lineno, f"invariant violated: {_DOMAIN[key][1]} (got {value})")
-    if key in ("times", "times_theta"):
+    if domain and not domain[0](value):
+        raise ConfigError(lineno, f"invariant violated: {domain[1]} (got {value})")
+    if kind == "floatlist":
         _check_times(key, value, lineno)
     setattr(cfg, attr, value)
 

@@ -15,16 +15,7 @@ import numpy as np
 
 __all__ = ["GL15_W", "GL15_X", "K31_W", "K31_X", "bernoulli", "erfc", "poisson_weights"]
 
-# 15-point Gauss-Legendre rule on [-1, 1]: numpy.polynomial.legendre.leggauss(15)
-# to the bit (a test compares them), written out so that importing magdot
-# does not load numpy.polynomial
-GL15_X = np.array([
-    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
-    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
-    -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
-    0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
-    0.9372733924007058, 0.9879925180204854,
-])
+# 15-point Gauss-Legendre weights on [-1, 1]; the nodes GL15_X follow K31_X
 GL15_W = np.array([
     0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
     0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
@@ -34,7 +25,7 @@ GL15_W = np.array([
 ])
 
 # 31-point Gauss-Kronrod rule on [-1, 1] (Piessens et al., QUADPACK 1983):
-# the 15 nodes at odd indices are GL15_X to the bit; the 16 Kronrod nodes,
+# the 15 nodes at odd indices are the Gauss nodes; the 16 Kronrod nodes,
 # the roots of the Stieltjes polynomial E_16, and all 31 weights are the
 # correctly rounded values of a 60-digit mpmath derivation (a test derives
 # them again).  Exact for polynomials of degree 47; K31 - G15 on a panel is
@@ -64,6 +55,10 @@ K31_W = np.array([
     0.03534636079137585, 0.02546084732671532, 0.015007947329316122,
     0.005377479872923349,
 ])
+
+# the Gauss nodes, numpy.polynomial.legendre.leggauss(15) to the bit (a test
+# compares them), so that importing magdot does not load numpy.polynomial
+GL15_X = K31_X[1::2]
 
 
 def bernoulli(x):

@@ -1,19 +1,15 @@
 """Shared fixtures, parameter sets and the random-parameter decorator.
 
 `random_params` draws (N, T, |g|, Gamma, the spin state that signs g, and
-the offset m0 and width delta0 of a Gaussian initial state) with hypothesis
-when it is installed, with a seeded numpy generator otherwise.
+the offset m0 and width delta0 of a Gaussian initial state) with hypothesis,
+derandomized, so that every run draws the same cases.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magdot.model import ModelParams
-
-try:
-    from hypothesis import given, settings, strategies as st
-except ImportError:  # seeded numpy draws instead
-    given = None
 
 # The reference parameter sets of the two figure runs.  The bath cutoff is
 # physically irrelevant for these figures (it only rescales rates by
@@ -53,29 +49,18 @@ def _signed(sector, coupling_g, **kw):
 
 def random_params(test):
     """Run test(params) over random model parameters, both signs of g, T < J and T > J."""
-    if given is not None:
-        params = st.builds(
-            _signed,
-            n_spins=st.integers(4, 40),
-            temp_bath=st.one_of(st.floats(0.3, 0.9), st.floats(1.1, 1.5)),
-            coupling_g=st.floats(0.0, 0.2),
-            debye_cutoff=st.floats(0.0, 6.0).map(lambda x: 10.0**x),
-            sector=st.sampled_from(["up", "down"]),
-            m_offset=st.floats(-0.6, 0.6),
-            delta0=st.floats(0.3, 2.0),
-        )
-        return settings(max_examples=N_CASES, deadline=None, derandomize=True,
-                        database=None)(given(params=params)(test))
-    rng = np.random.default_rng(20261018)
-    cases = [_signed(
-        n_spins=int(rng.integers(4, 41)),
-        temp_bath=float(rng.choice([rng.uniform(0.3, 0.9), rng.uniform(1.1, 1.5)])),
-        coupling_g=float(rng.uniform(0.0, 0.2)),
-        debye_cutoff=float(10.0 ** rng.uniform(0.0, 6.0)),
-        sector=str(rng.choice(["up", "down"])),
-        m_offset=float(rng.uniform(-0.6, 0.6)),
-        delta0=float(rng.uniform(0.3, 2.0))) for _ in range(N_CASES)]
-    return pytest.mark.parametrize("params", cases)(test)
+    params = st.builds(
+        _signed,
+        n_spins=st.integers(4, 40),
+        temp_bath=st.one_of(st.floats(0.3, 0.9), st.floats(1.1, 1.5)),
+        coupling_g=st.floats(0.0, 0.2),
+        debye_cutoff=st.floats(0.0, 6.0).map(lambda x: 10.0**x),
+        sector=st.sampled_from(["up", "down"]),
+        m_offset=st.floats(-0.6, 0.6),
+        delta0=st.floats(0.3, 2.0),
+    )
+    return settings(max_examples=N_CASES, deadline=None, derandomize=True,
+                    database=None)(given(params=params)(test))
 
 
 def relax_time(p):

@@ -78,7 +78,10 @@ class TestParseConfig:
     @pytest.mark.parametrize("line, invariant", [
         ("T = 0", "T > 0"), ("gamma = 0", "gamma > 0"), ("Gamma = -1", "Gamma > 0"),
         ("cells = 99", "cells >= 100"), ("tol = 0", "tol > 0"),
-        ("workers = 0", "workers >= 1")])
+        ("workers = 0", "workers >= 1"), ("N = 1", "N >= 2"), ("m0 = 1.5", "-1 <= m0 <= 1"),
+        ("kernel_tol = 0.1", "0 < kernel_tol <= 1e-2"), ("seed = -1", "seed >= 0"),
+        ("p_wrong_bound = 0", "p_wrong_bound > 0"), ("g_spread = -0.1", "g_spread >= 0"),
+        ("r_up = 1.5", "0 <= r_up <= 1")])
     def test_invariant_names_its_line(self, line, invariant):
         with pytest.raises(ConfigError,
                            match=re.escape(f"line 4: invariant violated: {invariant}")):
@@ -95,10 +98,17 @@ class TestParseConfig:
     def test_inf_literal(self):
         cfg = parse_config(FIG1_MINIMAL + "T0 = inf\n")
         assert math.isinf(cfg.temp_init)
+        for spelling in ("+inf", "Infinity", " INF "):
+            assert parse_config(FIG1_MINIMAL + f"T0 = {spelling}\n").temp_init == math.inf
 
     def test_choice_validation(self):
         with pytest.raises(ConfigError, match="engine"):
             parse_config(FIG1_MINIMAL + "engine = warp\n")
+        for key, words in (("init", "('exact-paramagnet', 'gaussian')"),
+                           ("mode", "('short-memory', 'full-memory')")):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"line 4: {key} must be one of {words}, got 'warp'")):
+                parse_config(FIG1_MINIMAL + f"{key} = warp\n")
 
     def test_sector_is_no_key(self):
         # the sign of g is the spin's state; no second key flips it
