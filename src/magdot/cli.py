@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .analytic import CharacteristicsError, closed_form_P
 from .bath import KernelConvergenceError
 from .config import (ConfigError, RunConfig, parse_config, parse_sweep, set_key,
                      sweep_configs)
-from .fokker_planck import MAX_CELLS, FPConfig, solve_fp
+from .fokker_planck import MAX_CELLS, FPConfig, initial_field, solve_fp
 from .kmc import sample_trajectories
 from .master import (
     NumericalError,
@@ -88,7 +89,7 @@ def _plan(cfg: RunConfig, command: str) -> tuple[ModelParams, list]:
     run: only the master engine of `simulate` has full-memory rates,
     `sample` draws the master chain's jumps, and the master engine holds at
     most MAX_CELLS levels, N + 1.  Every engine honours `init`.  times_theta
-    needs theta, which derived_scales rejects for T >= J.
+    needs theta, read at g >= 0 and rejected by derived_scales for T >= J.
     """
     if cfg.mode != "short-memory" and (command, cfg.engine) != ("simulate", "master"):
         who = "engine = fp" if command == "simulate" else command
@@ -101,7 +102,8 @@ def _plan(cfg: RunConfig, command: str) -> tuple[ModelParams, list]:
         raise UsageError(f"N = {cfg.n_spins} has more than the {MAX_CELLS} levels "
                          "that the master engine holds; engine = fp runs it on cells")
     params = start_params(cfg.model_params(), cfg.init)
-    theta = derived_scales(params).theta if cfg.times_theta else None
+    frame = replace(params, coupling_g=abs(params.coupling_g))
+    theta = derived_scales(frame).theta if cfg.times_theta else None
     times = list(cfg.times) or [x * theta for x in cfg.times_theta]
     if not times:
         raise UsageError(f"{command} needs output times (times or times_theta)")
@@ -139,7 +141,7 @@ def _cmd_simulate(args) -> int:
         states = res.snapshots
     else:
         fpc = FPConfig(cells=cfg.cells)
-        states = solve_fp(params, cfg.init, times, fpc, cfg.tol)
+        states = solve_fp(params, initial_field(params, cfg.init, fpc), times, fpc, cfg.tol)
     path = os.path.join(out, "snapshots.csv")
     write_long_csv(path, states)
     print(path)
@@ -190,8 +192,7 @@ def _measure(cfg: RunConfig, params: ModelParams, times: list):
     return run_measurement(
         spin, params, times[-1], engine=cfg.engine, tol=cfg.tol,
         fp_config=FPConfig(cells=cfg.cells),
-        p_wrong_bound=cfg.p_wrong_bound, g0=cfg.g0, g_spread=cfg.g_spread,
-        init=cfg.init,
+        p_wrong_bound=cfg.p_wrong_bound, g0=cfg.g0, init=cfg.init,
     )
 
 

@@ -50,7 +50,6 @@ class RunConfig:
     trajectories: int = 10000
     p_wrong_bound: float = 1e-3
     g0: float = 0.0
-    g_spread: float = 0.0
     r_up: float = 1.0
     workers: int = 1
     out_dir: str = ""
@@ -89,7 +88,6 @@ _KEY_MAP = {
     "trajectories": ("trajectories", int),
     "p_wrong_bound": ("p_wrong_bound", float, lambda v: v > 0, "p_wrong_bound > 0"),
     "g0": ("g0", float),
-    "g_spread": ("g_spread", float, lambda v: v >= 0, "g_spread >= 0"),
     "r_up": ("r_up", float, lambda v: 0 <= v <= 1, "0 <= r_up <= 1"),
     "workers": ("workers", int, lambda v: v >= 1, "workers >= 1"),
     "out_dir": ("out_dir", str),

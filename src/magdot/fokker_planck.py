@@ -19,7 +19,7 @@ equation's `DiscreteDistribution` on the grid of cell centres, whose
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,16 +73,11 @@ def _face_rates(params: ModelParams, cells: int):
     return up, down, pe
 
 
-def _field(params: ModelParams, cfg: FPConfig, log_p: np.ndarray) -> DiscreteDistribution:
-    """The cell masses proportional to exp(log_p), normalized to 1."""
-    w = np.exp(log_p - log_p.max())
-    return DiscreteDistribution(params.n_spins, w / w.sum(), 0.0, _mesh(cfg.cells))
-
-
 def gaussian_field(params: ModelParams, cfg: FPConfig = FPConfig()) -> DiscreteDistribution:
     """Initial narrow Gaussian (mean m0, width delta0/sqrt(N)) on the cells."""
-    x = (_mesh(cfg.cells) - params.m_offset) / params.delta0
-    return _field(params, cfg, -0.5 * params.n_spins * x**2)
+    m, n = _mesh(cfg.cells), params.n_spins
+    x = (m - params.m_offset) / params.delta0
+    return DiscreteDistribution.from_log(n, -0.5 * n * x**2, m)
 
 
 def equilibrium_profile(params: ModelParams,
@@ -91,7 +86,8 @@ def equilibrium_profile(params: ModelParams,
     integral of N v/w, which is the exact stationary state of the solve_fp
     operator on the same mesh."""
     _, _, pe = _face_rates(params, cfg.cells)
-    return _field(params, cfg, np.concatenate([[0.0], np.cumsum(pe)]))
+    return DiscreteDistribution.from_log(
+        params.n_spins, np.concatenate([[0.0], np.cumsum(pe)]), _mesh(cfg.cells))
 
 
 def generator(params: ModelParams, cfg: FPConfig = FPConfig()) -> Generator:
@@ -100,32 +96,26 @@ def generator(params: ModelParams, cfg: FPConfig = FPConfig()) -> Generator:
     return Generator(up, down)
 
 
-def initial_field(params: ModelParams, init: DiscreteDistribution | str = "exact-paramagnet",
+def initial_field(params: ModelParams, kind: str = "exact-paramagnet",
                   cfg: FPConfig = FPConfig()) -> DiscreteDistribution:
-    """The start `init`: a state on the cfg cells, or a start kind of the
-    master engine: "gaussian" is `gaussian_field`, and "exact-paramagnet"
-    the binomial's continuum limit, the Gaussian of `master.start_params`
-    (m = 0, delta0 = 1 whatever m0 and T0 are); any other kind is
-    ValueError.
+    """The start of the master engine's start `kind` on the cfg cells:
+    "gaussian" is `gaussian_field`, and "exact-paramagnet" the binomial's
+    continuum limit, the Gaussian of `master.start_params` (m = 0,
+    delta0 = 1 whatever m0 and T0 are); any other kind is ValueError.
     """
-    if isinstance(init, str):
-        return gaussian_field(start_params(params, init), cfg)
-    if len(init.weights) != cfg.cells:
-        raise ValueError("init field does not match cfg.cells")
-    return init
+    return gaussian_field(start_params(params, kind), cfg)
 
 
-def solve_fp(params: ModelParams, init: DiscreteDistribution | str, times,
+def solve_fp(params: ModelParams, start: DiscreteDistribution, times,
              cfg: FPConfig = FPConfig(), tol: float = 1e-9) -> list[DiscreteDistribution]:
-    """Advance the drift-diffusion equation from `init`, a state or a start
-    kind of `initial_field`; returns the states at the asked times.
+    """Advance the drift-diffusion equation from `start`, a state on the cfg
+    cells such as `initial_field`'s; returns the states at the ascending `times`.
 
     The cell hops form a birth-death generator, advanced by the master
     equation's uniformization integrator: L1 error of the cell masses at
     each reported state <= tol against its series start, landing exactly
     on the output times, with the integrator's positivity and mass checks.
     """
-    times = list(times)
-    start = initial_field(params, init, cfg)
-    states, _, _ = integrate(generator(params, cfg), start.weights, start.time, times, tol)
-    return [replace(start, weights=w, time=t) for w, t in zip(states, times)]
+    if len(start.weights) != cfg.cells:
+        raise ValueError("start field does not match cfg.cells")
+    return integrate(generator(params, cfg), start, list(times), tol)[0]

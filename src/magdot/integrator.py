@@ -3,6 +3,7 @@ master-equation and Fokker-Planck solvers.
 
 Both solvers evolve dp/dt = A p, where A moves weight one site up at rate
 up[k] and one site down at rate down[k].  The columns of A sum to zero.
+`integrate` takes a start state and returns a state at each output time.
 
 Uniformization (Jensen 1953) writes the exact propagator as a Poisson
 mixture of powers of a stochastic matrix: with Lambda = max(up + down) and
@@ -30,6 +31,7 @@ negative rate can make one) or a mass drift beyond MASS_TOL, and mends neither.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Iterable
 
 import numpy as np
@@ -176,10 +178,11 @@ def _passed(stops, i: int, t: float) -> int:
     return i
 
 
-def integrate(gen, p0, t0, stops, tol, *, h_cap=None, on_step=None):
-    """Advance the start `p0` under `gen` (a Generator, or a function of t
-    that builds one) from t0 through the ascending `stops`; returns
-    (values at each stop, report points, products with P over all series).
+def integrate(gen, start, stops, tol, *, h_cap=None, on_step=None):
+    """Advance the state `start`, a dataclass with `weights` at `time`, under
+    `gen` (a Generator, or a function of t that builds one) through the
+    ascending `stops`; returns (`dataclasses.replace(start, weights=w,
+    time=stop)` at each stop, report points, products with P over all series).
 
     Each report point lies at the next stop, cut to `h_cap(t)` when given
     and to Lambda h <= MAX_JUMPS, from the previous one; one that would fall
@@ -187,17 +190,17 @@ def integrate(gen, p0, t0, stops, tol, *, h_cap=None, on_step=None):
     point within SERIES_JUMPS jumps of a series start off one Poisson series
     (`Generator.propagate`), which hands each state on as soon as it has
     summed its window, and the next series starts from the last of them; a
-    generator function is called at t0 and at every report point, and its
+    generator function is called at start.time and at every report point, and its
     generator serves one report point.  `tol` bounds the L1 error of each
     report point against the exact propagation from its series start, so
     nothing is rejected.  A step below 1e-15 of the time span's magnitude is
     StiffnessError.  A negative entry, or a mass drift beyond MASS_TOL of
     max(1, the start's mass), is NumericalError: nothing is clipped or
     renormalized.
-    `on_step(t, p)` sees the state at every report point.
+    `on_step(t, p)` sees the weights at every report point.
     """
-    p = np.array(p0, dtype=float)
-    t = float(t0)
+    p = np.array(start.weights, dtype=float)
+    t = float(start.time)
     mass0 = float(p.sum())
     scale = max(mass0, 1.0)
     if any(b < a for a, b in zip([t] + list(stops), stops)):
@@ -211,7 +214,8 @@ def integrate(gen, p0, t0, stops, tol, *, h_cap=None, on_step=None):
     t_last = stops[-1] if stops else t
     h_min = 1e-15 * max(abs(t), abs(t_last))
     i = _passed(stops, 0, t)
-    out, n_steps, n_products = [p.copy() for _ in range(i)], 0, 0
+    out = [replace(start, weights=p.copy(), time=u) for u in stops[:i]]
+    n_steps = n_products = 0
     while i < len(stops):
         g = gen(t) if time_dep else gen
         # the report points this series serves
@@ -244,6 +248,6 @@ def integrate(gen, p0, t0, stops, tol, *, h_cap=None, on_step=None):
             if on_step is not None:
                 on_step(t, p)
             j = _passed(stops, i, t)
-            out.extend(p.copy() for _ in range(j - i))
+            out.extend(replace(start, weights=p.copy(), time=u) for u in stops[i:j])
             i = j
     return out, n_steps, n_products

@@ -42,8 +42,7 @@ class DiscreteDistribution:
     """Probability masses on a uniform grid of [-1, 1], summing to 1.
 
     The master equation's grid is the N+1 magnetization eigenvalues (the
-    default); the Fokker-Planck solver's is the centres of its cells.  Both
-    engines re-wrap a state as `dataclasses.replace(start, weights=w, time=t)`.
+    default); the Fokker-Planck solver's is the centres of its cells.
     """
 
     n_spins: int
@@ -62,6 +61,12 @@ class DiscreteDistribution:
             )
         if self.weights.min() < 0.0:
             raise NumericalError(f"negative weight {self.weights.min():.3e}")
+
+    @classmethod
+    def from_log(cls, n_spins: int, log_w: np.ndarray, grid=None) -> DiscreteDistribution:
+        """The masses proportional to exp(log_w), normalized to 1, at t = 0."""
+        w = np.exp(log_w - log_w.max())
+        return cls(n_spins, w / w.sum(), 0.0, grid)
 
     @property
     def _steps(self) -> int:
@@ -186,21 +191,12 @@ def _log_binomial(n: int) -> np.ndarray:
 
 def initial_distribution(params: ModelParams, kind: str = "exact-paramagnet"
                          ) -> DiscreteDistribution:
-    """Initial magnet state: exact binomial paramagnet or the Gaussian quench."""
-    n = params.n_spins
-    if kind == "exact-paramagnet":
-        logw = _log_binomial(n) - n * math.log(2.0)
-        w = np.exp(logw)
-        w /= w.sum()
-    elif kind == "gaussian":
-        m = params.grid
-        logw = -0.5 * n * ((m - params.m_offset) / params.delta0) ** 2
-        logw -= logw.max()
-        w = np.exp(logw)
-        w /= w.sum()
-    else:
-        raise ValueError(f"unknown initial kind {kind!r}")
-    return DiscreteDistribution(n_spins=n, weights=w, time=0.0)
+    """Initial magnet state: exact binomial paramagnet or the Gaussian quench
+    of `start_params`, which rejects any other kind."""
+    n, p = params.n_spins, start_params(params, kind)
+    log_w = (_log_binomial(n) if kind == "exact-paramagnet"
+             else -0.5 * n * ((p.grid - p.m_offset) / p.delta0) ** 2)
+    return DiscreteDistribution.from_log(n, log_w)
 
 
 def start_params(params: ModelParams, kind: str = "exact-paramagnet") -> ModelParams:
@@ -262,12 +258,9 @@ def stationary_distribution(params: ModelParams) -> DiscreteDistribution:
     """
     n = params.n_spins
     m = params.grid
-    logw = _log_binomial(n) + n * (
+    return DiscreteDistribution.from_log(n, _log_binomial(n) + n * (
         params.coupling_g * m + 0.5 * params.coupling_j * m * m
-    ) / params.temp_bath
-    w = np.exp(logw - logw.max())
-    w /= w.sum()
-    return DiscreteDistribution(n_spins=n, weights=w, time=0.0)
+    ) / params.temp_bath)
 
 
 def free_energy(dist: DiscreteDistribution, params: ModelParams) -> FreeEnergyReport:
@@ -300,7 +293,8 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
            mode: str = "short-memory", tol: float = 1e-9,
            snapshot_times=None, record_free_energy: bool = False,
            kernel_tol: float = 1e-8) -> EvolveResult:
-    """Integrate the balance equation from dist.time to t_end.
+    """Integrate the balance equation from dist.time to t_end, reporting
+    the states at the ascending `snapshot_times` (ValueError otherwise).
 
     Uniformization (`integrator.integrate`): every state it reports (the
     snapshot times, which it lands on exactly, and at least one per
@@ -317,8 +311,8 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
     K31 value agrees with its embedded G15 value to `kernel_tol`, so the
     kernel's error estimate at t is the sum of the slices' estimates.
     """
-    snapshot_times = sorted(snapshot_times) if snapshot_times else []
-    if snapshot_times and snapshot_times[-1] > t_end * (1 + 1e-12):
+    snapshot_times = [] if snapshot_times is None else list(snapshot_times)
+    if snapshot_times and max(snapshot_times) > t_end * (1 + 1e-12):
         raise ValueError("snapshot times must not exceed t_end")
 
     full_memory = mode == "full-memory"
@@ -342,14 +336,13 @@ def evolve(dist: DiscreteDistribution, params: ModelParams, t_end: float,
         on_step(dist.time, dist.weights)
 
     states, n_steps, n_terms = integrate(
-        gen if full_memory else gen(), dist.weights, dist.time,
+        gen if full_memory else gen(), dist,
         [min(s, t_end) for s in snapshot_times] + [t_end], tol,
         h_cap=(lambda t: 0.1 / params.temp_bath + 0.05 * t)
         if full_memory else None, on_step=on_step)
     fe_t, fe_v = np.array(fe).T if record_free_energy else (None, None)
     return EvolveResult(
-        final=replace(dist, weights=states[-1], time=t_end),
-        snapshots=[replace(dist, weights=w, time=s) for w, s in zip(states, snapshot_times)],
+        final=states[-1], snapshots=states[:-1],
         free_energy_times=fe_t, free_energy_values=fe_v,
         n_steps=n_steps, n_terms=n_terms,
         uniform_rate=max(rates, default=0.0),

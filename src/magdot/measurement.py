@@ -99,7 +99,6 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
                     fp_config: FPConfig = FPConfig(),
                     p_wrong_bound: float = 1e-3,
                     g0: float = 0.0,
-                    g_spread: float = 0.0,
                     init: str = "exact-paramagnet") -> MeasurementReport:
     """Run both diagonal sectors and assemble the measurement verdict.
 
@@ -113,8 +112,6 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
     (`_evolve_sectors`).
     """
     params.require_ferromagnetic()
-    if engine not in ("master", "fp"):
-        raise ValueError("engine must be 'master' or 'fp'")
     finals, n_steps, n_terms = _evolve_sectors(params, t_end, engine, tol,
                                                fp_config, init)
     sectors = {}
@@ -137,7 +134,7 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
     # the scales are read in the frame of g >= 0, the stray field g0 mirrored too
     frame = _mirrored_for_scales(params)
     regime = classify_regime(frame, g0=g0 if params.coupling_g >= 0 else -g0)
-    offd = offdiagonal_scales(frame, g_spread) if frame.coupling_g > 0 else None
+    offd = offdiagonal_scales(frame) if frame.coupling_g > 0 else None
     conclusive = t_end >= horizon
     if not conclusive:
         faithful = None
@@ -162,9 +159,9 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
 
 def _evolve_sectors(params: ModelParams, t_end: float, engine: str, tol: float,
                     fp_config: FPConfig, init: str):
-    """Advance the up and down sectors of `params` from t = 0 to t_end;
-    returns each sector's final state by name, and the report points and
-    products with P summed over the runs.
+    """Advance the up and down sectors of `params` on `engine` ("master" or
+    "fp") from t = 0 to t_end; returns each sector's final state by name,
+    and the report points and products with P summed over the runs.
 
     Only the up sector's chain is built.  Under m -> -m the down sector's
     rates are the up sector's, so its state is the up chain run from the
@@ -176,19 +173,18 @@ def _evolve_sectors(params: ModelParams, t_end: float, engine: str, tol: float,
     if engine == "master":
         start = master.initial_distribution(params, init)
         gen = master.transition_rates(params)
-    else:
+    elif engine == "fp":
         start = fokker_planck.initial_field(params, init, fp_config)
         gen = fokker_planck.generator(params, fp_config)
-    p0 = start.weights
+    else:
+        raise ValueError("engine must be 'master' or 'fp'")
     symmetric = master.start_params(params, init).m_offset == 0.0
-    finals, n_steps, n_terms = [], 0, 0
-    for p in [p0] if symmetric else [p0, p0[::-1]]:
-        states, steps, terms = integrate(gen, p, 0.0, [t_end], tol)
-        finals.append(states[-1])
-        n_steps, n_terms = n_steps + steps, n_terms + terms
-    up, down = finals[0], finals[-1][::-1].copy()
-    return ({"up": replace(start, weights=up, time=t_end),
-             "down": replace(start, weights=down, time=t_end)}, n_steps, n_terms)
+    flip = lambda d: replace(d, weights=d.weights[::-1].copy())
+    starts = [start] if symmetric else [start, flip(start)]
+    runs = [integrate(gen, s, [t_end], tol) for s in starts]
+    (up,), (down,) = runs[0][0], runs[-1][0]
+    return ({"up": up, "down": flip(down)},
+            sum(r[1] for r in runs), sum(r[2] for r in runs))
 
 
 def offdiagonal_scales(params: ModelParams, g_spread: float = 0.0

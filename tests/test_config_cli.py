@@ -40,7 +40,7 @@ class TestParseConfig:
             parse_config("N = -5\nT = 0.65\ng = 0\n")
 
     def test_unknown_key_with_line_number(self):
-        for key in ("frobnicate", "lambda_threshold", "hbar"):
+        for key in ("frobnicate", "lambda_threshold", "hbar", "g_spread"):
             with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
                 parse_config(f"N = 10\n{key} = 3\nT = 0.65\ng = 0\n")
 
@@ -80,7 +80,7 @@ class TestParseConfig:
         ("cells = 99", "cells >= 100"), ("tol = 0", "tol > 0"),
         ("workers = 0", "workers >= 1"), ("N = 1", "N >= 2"), ("m0 = 1.5", "-1 <= m0 <= 1"),
         ("kernel_tol = 0.1", "0 < kernel_tol <= 1e-2"), ("seed = -1", "seed >= 0"),
-        ("p_wrong_bound = 0", "p_wrong_bound > 0"), ("g_spread = -0.1", "g_spread >= 0"),
+        ("p_wrong_bound = 0", "p_wrong_bound > 0"),
         ("r_up = 1.5", "0 <= r_up <= 1")])
     def test_invariant_names_its_line(self, line, invariant):
         with pytest.raises(ConfigError,
@@ -416,9 +416,9 @@ class TestCli:
     @pytest.mark.parametrize("line", [
         "gamma = inf", "r_up = nan", "T0 = nan", "T0 = -inf", "m0 = nan", "T = inf",
         "g = nan", "J = inf", "Gamma = nan", "tol = inf", "kernel_tol = nan",
-        "p_wrong_bound = nan", "g0 = inf", "g_spread = nan", "r_up = 1.5",
+        "p_wrong_bound = nan", "g0 = inf", "r_up = 1.5",
         "r_up = -0.1", "m0 = 1.5", "kernel_tol = 0", "kernel_tol = 0.5",
-        "g_spread = -1", "p_wrong_bound = -1", "p_wrong_bound = 0",
+        "p_wrong_bound = -1", "p_wrong_bound = 0",
         "cells = 1000000000000"])
     def test_value_out_of_its_domain_names_its_line(self, line, tmp_path, capsys):
         # each of these ran to a traceback or to nan in the output, or was
@@ -671,6 +671,29 @@ def test_measure_reads_its_scales_at_g_of_either_sign(tmp_path, capsys):
     (tau_red, tau_reg, lam, _), regime = seen["-0.05"][0][0], seen["-0.05"][1]
     assert float(lam) > 0 and float(tau_reg) > 0 and float(tau_red) > 0
     assert regime == f"regime=active-bifurcation lambda={lam}"
+
+
+def test_one_well_negative_g_runs_on_times_theta(tmp_path, capsys):
+    # at T = 0.65, g = -0.3 leaves only the well at m < 0, yet theta =
+    # 1/(gamma (J - T)) does not depend on g: simulate and measure run at
+    # either sign, and each sector's measure row at -g is its row at +g
+    # seen in the mirror m -> -m
+    rows = {}
+    for g in ("0.3", "-0.3"):
+        text = f"N = 100\nT = 0.65\ng = {g}\ntimes_theta = 3\n"
+        assert run_outputs(tmp_path, "simulate", text)[0] == 0
+        code, files = run_outputs(tmp_path, "measure", text)
+        assert code == 0
+        lines = files["measure_summary.csv"].decode().splitlines()[1:]
+        rows[g] = {line.split(",")[0]: line.split(",")[1:] for line in lines}
+    capsys.readouterr()
+    for name in ("up", "down"):
+        plus, minus = rows["0.3"][name], rows["-0.3"][name]
+        p_correct, p_wrong, peak_m = (float(x) for x in plus[:3])
+        assert float(minus[0]) == pytest.approx(p_correct, abs=1e-15)
+        assert float(minus[1]) == pytest.approx(p_wrong, abs=1e-15)
+        assert float(minus[2]) == pytest.approx(-peak_m, abs=1e-12)
+        assert minus[3:] == plus[3:]  # tau_red, tau_reg, lambda, faithful
 
 
 def test_master_engine_refuses_more_levels_than_it_holds(tmp_path, capsys):

@@ -161,7 +161,8 @@ class TestObservables:
         # diffusion limit puts the upper one 3.0e-5 above the master's
         p = small_params(n=1000, g=0.0)
         t_end = 5.0 * derived_scales(p).theta
-        f = solve_fp(p, "exact-paramagnet", [t_end], FPConfig(cells=4000))[0]
+        cfg = FPConfig(cells=4000)
+        f = solve_fp(p, initial_field(p, "exact-paramagnet", cfg), [t_end], cfg)[0]
         s = evolve(initial_distribution(p), p, t_end).final
         assert abs(f.peak(region=(0.0, 1.0)) - s.peak(region=(0.0, 1.0))) < 1e-4
 
@@ -177,7 +178,8 @@ class TestObservables:
         t_pred, d_pred = width_maximum(p)
         k = round(t_pred / (0.01 * th))
         times = 0.01 * th * np.arange(k - 25, k + 26)
-        states = solve_fp(p, "exact-paramagnet", times, FPConfig(cells=cells), tol=1e-9)
+        cfg = FPConfig(cells=cells)
+        states = solve_fp(p, initial_field(p, "exact-paramagnet", cfg), times, cfg, tol=1e-9)
         widths = [s.local_width() * math.sqrt(n) for s in states]
         assert 0 < int(np.argmax(widths)) < len(widths) - 1
         assert max(widths) == pytest.approx(d_pred, rel=1e-3)

@@ -38,7 +38,6 @@ EDGES = {
     "trajectories": ["0", "1", str(2**63), str(2**63 - 1), "-5"],
     "p_wrong_bound": ["-1", "0", "nan", "inf", "1"],
     "g0": ["nan", "inf", "-1", "1e300"],
-    "g_spread": ["-1", "nan", "inf", "1e300", "0.01"],
     "r_up": ["-0.5", "0", "0.5", "1", "2", "nan"],
     "times_theta": ["0", "0.5", "0,0.25", "0.5,0.1", "nan", "-1", ""],
     "times": ["0", "1", "nan", "-1", "1,0"],

@@ -14,8 +14,8 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import pdtr, pdtrc
 
-from magdot import integrator
-from magdot.fokker_planck import FPConfig, equilibrium_profile, solve_fp
+from magdot import fokker_planck, integrator
+from magdot.fokker_planck import FPConfig, equilibrium_profile, initial_field, solve_fp
 from magdot.integrator import (
     Generator,
     NumericalError,
@@ -23,6 +23,7 @@ from magdot.integrator import (
     integrate,
 )
 from magdot.master import (
+    DiscreteDistribution,
     evolve,
     initial_distribution,
     stationary_distribution,
@@ -129,11 +130,12 @@ class TestIntegrate:
         self.p = small_params(n=60)
         rt = transition_rates(self.p)
         self.gen = Generator(rt.up, rt.down)
-        self.p0 = initial_distribution(self.p).weights
+        self.d0 = initial_distribution(self.p)
+        self.p0 = self.d0.weights
         self.th = relax_time(self.p)
 
     def run(self, stops, tol=1e-9, **kw):
-        return integrate(self.gen, self.p0, 0.0, stops, tol, **kw)
+        return integrate(self.gen, self.d0, stops, tol, **kw)
 
     def test_steps_land_exactly_on_stops(self):
         stops = [0.0, 0.13 * self.th, 0.13 * self.th, 0.7 * self.th, 2.0 * self.th]
@@ -141,8 +143,25 @@ class TestIntegrate:
         states, n_steps, _ = self.run(stops, on_step=lambda t, p: seen.append(t))
         assert len(states) == len(stops) and len(seen) == n_steps
         assert set(stops[1:]) <= set(seen)
-        assert np.array_equal(states[0], self.p0)
-        assert np.array_equal(states[1], states[2])
+        # a state comes out at each stop: the start's, at the stop's time
+        assert [s.time for s in states] == stops
+        assert all(s.grid is self.d0.grid and s.n_spins == self.d0.n_spins for s in states)
+        assert np.array_equal(states[0].weights, self.p0)
+        assert np.array_equal(states[1].weights, states[2].weights)
+
+    def test_fp_cell_state_starts_at_its_own_time(self):
+        # a Fokker-Planck start on 200 cells, at t = 0.5 theta: its states keep
+        # the cell grid and match the dense propagator from the start's time
+        cfg = FPConfig(cells=200)
+        start = replace(initial_field(self.p, "gaussian", cfg), time=0.5 * self.th)
+        gen = fokker_planck.generator(self.p, cfg)
+        stops = [0.5 * self.th, self.th, 2.0 * self.th]
+        states, n_steps, _ = integrate(gen, start, stops, 1e-9)
+        a = dense_generator(gen.up, gen.down)
+        for s, u in zip(states, stops):
+            assert s.time == u and s.grid is start.grid and s.n_spins == start.n_spins
+            exact = expm(a * (u - start.time)) @ start.weights
+            assert np.abs(s.weights - exact).sum() <= n_steps * 1e-9
 
     def test_dense_stops_match_expm(self, rng):
         # many stops, so that some land by stretching the step and some by
@@ -159,7 +178,7 @@ class TestIntegrate:
             assert n_products == self.gen.propagate(self.p0, [stops[-1]], 1e-9)[1]
             assert n_steps >= len(set(stops))
             for s, w in zip(stops, states):
-                assert np.abs(w - expm(a * s) @ self.p0).sum() <= 1e-9 + 1e-14
+                assert np.abs(w.weights - expm(a * s) @ self.p0).sum() <= 1e-9 + 1e-14
 
     def test_steps_span_at_most_max_jumps(self):
         # a long run still reports states: each step covers Lambda h <= MAX_JUMPS,
@@ -183,8 +202,7 @@ class TestIntegrate:
         t_end = integrator.SERIES_JUMPS / gen.rate
         tracemalloc.start()
         try:
-            _, n_steps, n_products = integrate(gen, d.weights, 0.0, [t_end], 1e-9,
-                                               h_cap=lambda t: t_end / 32)
+            _, n_steps, n_products = integrate(gen, d, [t_end], 1e-9, h_cap=lambda t: t_end / 32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -212,7 +230,7 @@ class TestIntegrate:
         # negative entry, which the integrator reports rather than mends
         gen = Generator([0.5, 0.0], [0.0, -0.4])
         with pytest.raises(NumericalError, match="negative entry .* at t = 1"):
-            integrate(gen, np.array([0.0, 1.0]), 0.0, [1.0], 1e-9)
+            integrate(gen, DiscreteDistribution(1, [0.0, 1.0]), [1.0], 1e-9)
 
     def test_mass_leak_raises(self, monkeypatch):
         # P's columns sum to 1 + 1e-9: the mass grows by about 1e-9 a product,
@@ -256,9 +274,9 @@ def test_tol_sets_the_truncation(params):
     exact = expm(t * dense_generator(rt.up, rt.down)) @ d.weights
     terms = []
     for tol in (1e-6, 1e-9, 1e-12):
-        (p,), n_steps, n_terms = integrate(gen, d.weights, 0.0, [t], tol)
+        (p,), n_steps, n_terms = integrate(gen, d, [t], tol)
         assert n_steps == 1
-        assert np.abs(p - exact).sum() <= tol
+        assert np.abs(p.weights - exact).sum() <= tol
         terms.append(n_terms)
     assert terms[0] < terms[1] < terms[2]
 

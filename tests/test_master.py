@@ -178,6 +178,13 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(d, p, 1.0, snapshot_times=[2.0])
 
+    def test_descending_snapshot_times_rejected(self):
+        # the integrator's ascending-stops check: evolve does not sort them
+        p = small_params(n=80)
+        d = initial_distribution(p, "exact-paramagnet")
+        with pytest.raises(ValueError, match="ascend"):
+            evolve(d, p, 1.0, snapshot_times=[0.5, 0.25])
+
     def test_snapshots_at_requested_times(self):
         p = small_params(n=80)
         th = relax_time(p)

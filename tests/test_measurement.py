@@ -41,7 +41,7 @@ def own_run_cost(sp, t_end, engine, init):
     else:
         start = fokker_planck.initial_field(sp, init, FP_CELLS)
         gen = fokker_planck.generator(sp, FP_CELLS)
-    _, n_steps, n_terms = integrate(gen, start.weights, 0.0, [t_end], TOL)
+    _, n_steps, n_terms = integrate(gen, start, [t_end], TOL)
     return n_steps, n_terms
 
 

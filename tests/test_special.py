@@ -104,7 +104,7 @@ def test_kronrod_rule_against_mpmath_derivation():
 
 
 def test_kronrod_rule_embeds_gl15():
-    assert K31_X[1::2].tobytes() == GL15_X.tobytes()
+    assert K31_X[1::2].tobytes() == np.polynomial.legendre.leggauss(15)[0].tobytes()
     assert np.all(np.diff(K31_X) > 0)
 
 
