@@ -171,7 +171,7 @@ class EvolveResult:
     free_energy_values: np.ndarray | None = None
     n_steps: int = 0
     n_rejected: int = 0      # always 0: uniformization rejects no step
-    n_terms: int = 0         # products with P over all Poisson series
+    n_terms: int = 0         # Poisson counts summed, over all series
     uniform_rate: float = 0.0  # Lambda = max(up + down); the largest over the run
 
 

@@ -79,7 +79,7 @@ class MeasurementReport:
     conclusive: bool
     faithful: bool | None  # None when the run ended before the horizon
     n_steps: int  # report points, summed over the one or two runs of the up chain
-    n_terms: int  # products with P over all their Poisson series
+    n_terms: int  # Poisson counts summed, over all their series
 
 
 def _sectors(params: ModelParams) -> dict:
@@ -119,8 +119,11 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
     for (name, sp), weight in zip(_sectors(params).items(),
                                   (spin.r_up, 1.0 - spin.r_up)):
         final = finals[name]
-        below = final.mass_below(repeller(sp))
-        above = final.total() - below
+        x = repeller(sp)
+        below = final.mass_below(x)
+        # the grid is symmetric about 0: the mass above x, summed directly
+        # so that a small one keeps its digits, is the mirror's below -x
+        above = replace(final, weights=final.weights[::-1]).mass_below(-x)
         # at g = 0 the sectors are symmetric and the labels bookkeeping only
         correct, wrong = (above, below) if sp.coupling_g >= 0 else (below, above)
         sectors[name] = SectorOutcome(
@@ -161,7 +164,7 @@ def _evolve_sectors(params: ModelParams, t_end: float, engine: str, tol: float,
                     fp_config: FPConfig, init: str):
     """Advance the up and down sectors of `params` on `engine` ("master" or
     "fp") from t = 0 to t_end; returns each sector's final state by name,
-    and the report points and products with P summed over the runs.
+    and the report points and Poisson counts summed over the runs.
 
     Only the up sector's chain is built.  Under m -> -m the down sector's
     rates are the up sector's, so its state is the up chain run from the

@@ -8,6 +8,7 @@ offset m0 and width delta0 of a Gaussian initial state) drawn by
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,21 +60,23 @@ class TestGenerator:
         assert gen.rate == 0.0 and n_products == 0
 
     def test_block_sums_match_window_sums(self, rng):
-        # 2000 levels make blocks of 16 rows.  The windows start and end inside
-        # blocks, overlap, fill one block exactly, repeat, nest and so close
-        # out of order, stand alone in a block, and end in a partial block
+        # 2000 levels make blocks of 16 rows of one count each at stride 1,
+        # and of 2 rows of 8 counts each at stride 8.  The windows start and end
+        # inside blocks, overlap, fill one block exactly, repeat, nest and so
+        # close out of order, stand alone in a block, and end in a partial
+        # block; at stride 8 they start and end on every phase mod 8, and
+        # some hold fewer than 8 counts
         n = 2000
         up, down = rng.uniform(0.0, 5.0, n), rng.uniform(0.0, 5.0, n)
         up[-1] = down[0] = 0.0
         gen = Generator(up, down)
         p = rng.uniform(0.0, 1.0, n)
         spans = [(0, 5), (3, 40), (10, 6), (16, 16), (30, 70), (30, 70), (99, 1),
-                 (5, 95), (120, 8), (130, 30), (150, 3), (160, 1)]
+                 (5, 95), (120, 8), (130, 30), (150, 3), (160, 1),
+                 (17, 14), (44, 90), (63, 3)]
+        assert {lo % 8 for lo, _ in spans} == {(lo + m - 1) % 8 for lo, m in spans} == set(range(8))
         wins = [(lo, w / w.sum()) for lo, w in ((lo, rng.uniform(0.1, 1.0, m))
                                                 for lo, m in spans)]
-        block = np.empty((16, n))
-        block[0] = p
-        got = list(gen._sum_windows(block, wins, 160))
         # every vector P^k p by the same products, then one matrix-vector
         # product per window
         vecs = [p]
@@ -84,9 +87,11 @@ class TestGenerator:
             u[:-1] += gen.p_down * v[1:]
             vecs.append(u)
         vecs = np.array(vecs)
-        assert len(got) == len(wins)
-        for (lo, w), q in zip(wins, got):
-            assert np.abs(q - w @ vecs[lo:lo + len(w)]).sum() <= 1e-15 * p.sum()
+        for s in (1, 8):
+            got = list(gen._sum_windows(p, wins, 160, s))
+            assert len(got) == len(wins)
+            for (lo, w), q in zip(wins, got):
+                assert np.abs(q - w @ vecs[lo:lo + len(w)]).sum() <= 1e-15 * p.sum()
 
     def test_poisson_window_against_mpmath(self):
         # 40-digit reference, normalized over the same window
@@ -263,6 +268,20 @@ def test_registration_run_product_count():
     assert res.n_terms <= 1_258
 
 
+def test_registration_fp_run_term_count():
+    # the benchmark's registration FP run at N = 500 on 1000 cells, to the
+    # caption times: its two series sum Poisson counts up to 4,695 in all,
+    # whether they are formed a product or a leap at a time
+    p = small_params(n=500)
+    th = relax_time(p)
+    cfg = FPConfig(cells=1000)
+    states, _, n_terms = integrate(fokker_planck.generator(p, cfg),
+                                   fokker_planck.gaussian_field(p, cfg),
+                                   [0.5 * th, th, 2.25 * th], 1e-9)
+    assert len(states) == 3
+    assert n_terms <= 4_695
+
+
 @random_params
 def test_tol_sets_the_truncation(params):
     # one step of the integrator is one truncated Poisson sum: its L1 error
@@ -283,11 +302,21 @@ def test_tol_sets_the_truncation(params):
 
 @random_params
 def test_master_agrees_with_dense_expm(params):
+    # the last stop lies 500 jumps beyond 2 tau, so that a series sums
+    # enough counts per report point to take leaps by P^LEAP
     tau = relax_time(params)
-    times = [0.5 * tau, 2.0 * tau]
-    d = initial_distribution(params)
-    res = evolve(d, params, times[-1], snapshot_times=times)
     rt = transition_rates(params)
+    times = [0.5 * tau, 2.0 * tau, 2.0 * tau + 500.0 / rt.rate]
+    d = initial_distribution(params)
+    strides, sum_windows = [], Generator._sum_windows
+
+    def spy(gen, p, wins, n_prod, s):
+        strides.append(s)
+        return sum_windows(gen, p, wins, n_prod, s)
+
+    with mock.patch.object(Generator, "_sum_windows", spy):
+        res = evolve(d, params, times[-1], snapshot_times=times)
+    assert integrator.LEAP in strides
     a = dense_generator(rt.up, rt.down)
     for s in res.snapshots:
         exact = expm(a * s.time) @ d.weights
