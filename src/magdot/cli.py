@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +28,8 @@ from .master import (
     start_params,
 )
 from .measurement import SpinState, run_measurement
-from .model import ModelParams, ParameterError, derived_scales, fixed_points
+from .model import (ModelParams, ParameterError, derived_scales, fixed_points,
+                    positive_g_frame)
 from .snapshots import FMT, compare_dirs, write_long_csv, write_rows
 from .svgplot import line_plot_svg
 
@@ -102,8 +102,7 @@ def _plan(cfg: RunConfig, command: str) -> tuple[ModelParams, list]:
         raise UsageError(f"N = {cfg.n_spins} has more than the {MAX_CELLS} levels "
                          "that the master engine holds; engine = fp runs it on cells")
     params = start_params(cfg.model_params(), cfg.init)
-    frame = replace(params, coupling_g=abs(params.coupling_g))
-    theta = derived_scales(frame).theta if cfg.times_theta else None
+    theta = derived_scales(positive_g_frame(params)[0]).theta if cfg.times_theta else None
     times = list(cfg.times) or [x * theta for x in cfg.times_theta]
     if not times:
         raise UsageError(f"{command} needs output times (times or times_theta)")
@@ -115,16 +114,17 @@ def _plan(cfg: RunConfig, command: str) -> tuple[ModelParams, list]:
 
 def _cmd_fixed_points(args) -> int:
     cfg = _load_config(args.config)
-    params = start_params(cfg.model_params(), cfg.init)
+    # read at |g|: a negative g prints the mirror image m -> -m of its frame
+    frame, sign = positive_g_frame(start_params(cfg.model_params(), cfg.init))
     print("m,stability")
-    for fp in fixed_points(params):
-        print(f"{FMT % fp.m},{'stable' if fp.stable else 'unstable'}")
-    if params.temp_bath < params.coupling_j:
-        ds = derived_scales(params)
-        print(f"# theta={FMT % ds.theta} m_F={FMT % ds.m_ferro} "
-              f"m_P={FMT % ds.m_repel} delta_F={FMT % ds.delta_ferro} "
-              f"delta={FMT % ds.delta_total} b={FMT % ds.bias_b} "
-              f"lambda={FMT % ds.lam}")
+    for fp in fixed_points(frame)[::int(sign)]:
+        print(f"{FMT % (sign * fp.m)},{'stable' if fp.stable else 'unstable'}")
+    if frame.temp_bath < frame.coupling_j:
+        ds = derived_scales(frame)
+        print(f"# theta={FMT % ds.theta} m_F={FMT % (sign * ds.m_ferro)} "
+              f"m_P={FMT % (sign * ds.m_repel)} delta_F={FMT % ds.delta_ferro} "
+              f"delta={FMT % ds.delta_total} b={FMT % (sign * ds.bias_b)} "
+              f"lambda={FMT % (sign * ds.lam)}")
     return 0
 
 
@@ -155,17 +155,17 @@ def _cmd_analytic(args) -> int:
     cfg = _load_config(args.config)
     _override(cfg, times_theta=args.times_theta)
     params, times = _plan(cfg, "analytic")
-    ds = derived_scales(params)  # rejects T >= J before the output directory is made
+    # read at |g|: a negative g writes the mirror image m -> -m of its frame
+    frame, sign = positive_g_frame(params)
+    ds = derived_scales(frame)  # rejects T >= J before the output directory is made
     model = args.model
-    if model == "gaussian-cubic":
-        # stay off the attractor skin, where the transport Jacobian diverges
-        span = ds.m_ferro * (1.0 - 1e-4)
-        mesh = np.linspace(-span, span, args.points)
-    else:
-        mesh = np.linspace(-0.999999, 0.999999, args.points)
+    # stay off the attractor skin, where the transport Jacobian diverges
+    span = ds.m_ferro * (1.0 - 1e-4) if model == "gaussian-cubic" else 0.999999
+    mesh = np.linspace(-span, span, args.points)
+    mesh = 0.5 * (mesh - mesh[::-1])  # exactly odd, so that -mesh is mesh reversed
     out = _out_dir(cfg.out_dir, args.out_dir)
     path = os.path.join(out, f"analytic_{model}.csv")
-    write_rows(path, [(t, mesh, closed_form_P(params, mesh, t, model)) for t in times])
+    write_rows(path, [(t, mesh, closed_form_P(frame, sign * mesh, t, model)) for t in times])
     print(path)
     return 0
 

@@ -31,20 +31,23 @@ polyphase identity
 
 is exact: each window keeps s accumulators, filled as before, and is closed
 by Horner's rule in s - 1 products with P.  Each q_j is one leap from
-q_{j-1}, the (2s + 1) diagonals of P^s times the sliding windows of q_{j-1}:
-two numpy calls in place of s products of five.  Every entry of P^s is a
-sum of nonnegative products, so the bound and the checks below hold as
-they are, and `propagate` still counts the highest Poisson count summed.
-The stride is LEAP = 8 on grids of at most LEAP_SIZE = 4096 entries when
-the series sums at least LEAP (LEAP - 1) counts per report point, which
-pays the Horner products and the accumulators, and 1 otherwise, the plain
-product loop.  Per count of a 1024-count series (2-core Xeon VM, one BLAS
-thread, band built beforehand) a leap took 0.67 us against 2.20 us for a
-product at 201 entries and 2.44 against 3.98 us at 1001, but saved only
-12-20% at 4001-20001 entries, where its 8 accumulators per window cost 8
-times the memory; building the band costs about 0.2 ms at 201 entries
-and 0.4 ms at 1001, once per generator.  Strides 4 and 16 ran slower
-end to end than 8.
+q_{j-1}: entry k of q_j is row k of the (n, 2s + 1) band of P^s dotted
+with the 2s + 1 entries of q_{j-1} about k, one `np.einsum` call that
+writes q_j in place, with no temporary, against s products of five calls.
+Every entry of P^s is a sum of nonnegative products, so the bound and the
+checks below hold as they are, and `propagate` still counts the highest
+Poisson count summed.  The stride is LEAP = 8 on grids of at most
+LEAP_SIZE = 4096 entries when the series sums at least LEAP (LEAP - 1)
+counts per report point, which pays the Horner products and the
+accumulators, and 1 otherwise, the plain product loop.  Per count of a
+1024-count series (2-core Xeon VM, one BLAS thread, band built
+beforehand, best of 10) a leap took 0.62 us against 1.71 us for a product
+at 201 entries, 1.37 against 3.16 us at 1001 and 4.68 against 10.75 us at
+4001, and about half a product's cost up to 20001 entries; but each open
+window keeps 8 accumulators, 8 times the memory of one, so LEAP_SIZE caps
+memory, not time.  Building the band costs about 0.12 ms at 201 entries
+and 0.34 ms at 1001, once per generator.  Strides 4 and 16 ran slower end
+to end than 8.
 
 Positivity and mass are therefore the integrator's checks, the same for
 every engine: `integrate` raises NumericalError on a negative entry (only a
@@ -68,7 +71,7 @@ TOL_FLOOR = 100.0 * np.finfo(float).eps  # smallest tol, relative to the L1 mass
 MAX_JUMPS = 512.0  # largest Lambda h between report points, so that long runs report states
 SERIES_JUMPS = 8 * MAX_JUMPS  # largest Lambda h of one held series; 4x and 16x ran no faster
 LEAP = 8  # stride of a series on a small grid: one leap by P^LEAP per LEAP counts
-LEAP_SIZE = 4096  # largest grid that leaps; beyond it a leap saves little and costs memory
+LEAP_SIZE = 4096  # largest grid that leaps: each open window holds LEAP accumulators
 MASS_TOL = 1e-10  # largest mass drift of a run, relative to max(1, its mass)
 
 
@@ -126,14 +129,15 @@ class Generator:
         return u
 
     def _band(self, s: int) -> np.ndarray:
-        """The (2s + 1, n) band of P^s: row d, column k holds the weight that
-        P^s moves from level k + d - s to level k.  Built once per stride,
-        by s products P M from M = I, each on the 2t + 1 diagonals that
-        P^t fills; every entry is a sum of nonnegative products while every
-        rate is nonnegative.
+        """The (n, 2s + 1) band of P^s, C-contiguous: row k, column d holds
+        the weight that P^s moves from level k + d - s into level k, and 0
+        where that level lies off the grid.  Built once per stride, a
+        diagonal to a row and then transposed, by s products P M from
+        M = I, each on the 2t + 1 diagonals that P^t fills; every entry is
+        a sum of nonnegative products while every rate is nonnegative.
         """
         if s not in self._bands:
-            band = np.zeros((2 * s + 1, len(self.stay)))
+            band = np.zeros((2 * s + 1, len(self.stay)))  # row d: diagonal d - s
             band[s] = 1.0
             for t in range(1, s + 1):
                 # (P M)[k, l] = stay[k] M[k, l] + P[k, k - 1] M[k - 1, l] + P[k, k + 1] M[k + 1, l]
@@ -141,7 +145,7 @@ class Generator:
                 band[s - t + 1:s + t] *= self.stay
                 band[s - t:s + t - 1, 1:] += self.p_up * old[:, :-1]
                 band[s - t + 2:s + t + 1, :-1] += self.p_down * old[:, 1:]
-            self._bands[s] = band
+            self._bands[s] = np.ascontiguousarray(band.T)
         return self._bands[s]
 
     def _sum_windows(self, p, wins, n_prod, s):
@@ -149,11 +153,13 @@ class Generator:
         their order, for the counts k = 0..n_prod, in strides of s counts.
 
         The vectors q_j = P^(s j) p are written in place into the rows of a
-        block that holds about 256 KB together with a leap's products, so
-        block b holds j from b * len(block) on.  At s = 1 each row is one
-        product with P; at s > 1 it is one leap by P^s, the band `_band(s)`
-        times the sliding windows of the previous row, which therefore
-        carries s zeros at each end.  A window's sum is split by phase:
+        block of about 256 KB (at s > 1, 2s + 1 rows less: the block that
+        LEAP was chosen on), so block b holds j from b * len(block) on.  At
+        s = 1 each row is one product with P; at s > 1 it is one leap by
+        P^s, one `np.einsum` call that dots each row of the band `_band(s)`
+        with its sliding window of the previous row, with no temporary; a
+        row therefore carries s zeros at each end.  A window's sum is split
+        by phase:
 
             sum_k w_k P^k p = sum_{r<s} P^r a_r,   a_r = sum_j w_{sj+r} q_j,
 
@@ -175,14 +181,13 @@ class Generator:
             steps = list(zip(views[-1:] + views[:-1], views))  # (row r - 1, row r)
             tmp = np.empty(n - 1)
         else:
-            # the block and a leap's 2s + 1 rows of products hold about 256 KB
+            # about 256 KB less 2s + 1 rows: the block that LEAP was chosen on
             rows = min(n_rows, max(2, 2**15 // (n + 2 * s) - (2 * s + 1)))
             block = np.zeros((rows, n + 2 * s))  # s zeros at each end of a row
             inner = block[:, s:s + n]
-            band, reduce = self._band(s), np.add.reduce
-            slides = list(sliding_window_view(block, n, axis=1))  # (2s + 1, n) per row
+            band, einsum = self._band(s), np.einsum
+            slides = list(sliding_window_view(block, 2 * s + 1, axis=1))  # (n, 2s + 1) per row
             leaps = list(zip(slides[-1:] + slides[:-1], inner))
-            tmp = np.empty((2 * s + 1, n))
         inner[0] = p
         opens: dict[int, list[int]] = {}  # windows by the block of their first count
         shuts: dict[int, list[int]] = {}  # and of their last
@@ -201,10 +206,9 @@ class Generator:
                     mul(p_down, v_hi, tmp)
                     add(u_lo, tmp, u_lo)
             else:
-                # u[k] = sum_d band[d, k] v[k + d - s]
+                # u[k] = sum_d band[k, d] v[k + d - s]
                 for v_win, u in leaps[0 if j else 1:end - first]:
-                    mul(band, v_win, tmp)
-                    reduce(tmp, 0, None, u)
+                    einsum("kd,kd->k", band, v_win, out=u)
             for i in opens.pop(j, ()):
                 active.append(i)
                 acc[i] = np.zeros((s, n))

@@ -21,7 +21,7 @@ from . import fokker_planck, master
 from .analytic import RegimeReport, classify_regime, time_scales
 from .fokker_planck import FPConfig
 from .integrator import integrate
-from .model import ModelParams, derived_scales, repeller
+from .model import ModelParams, derived_scales, positive_g_frame, repeller
 
 __all__ = [
     "SpinState",
@@ -87,13 +87,6 @@ def _sectors(params: ModelParams) -> dict:
     return {"up": params, "down": replace(params, coupling_g=-params.coupling_g)}
 
 
-def _mirrored_for_scales(params: ModelParams) -> ModelParams:
-    """Frame with nonnegative coupling, for toward-target scales."""
-    if params.coupling_g >= 0:
-        return params
-    return replace(params, coupling_g=-params.coupling_g, m_offset=-params.m_offset)
-
-
 def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
                     engine: str = "master", tol: float = 1e-9,
                     fp_config: FPConfig = FPConfig(),
@@ -130,12 +123,12 @@ def run_measurement(spin: SpinState, params: ModelParams, t_end: float,
             born_weight=weight, p_correct=correct, p_wrong=wrong,
             peak_m=final.peak(), mass_drift=abs(final.total() - 1.0), final=final,
         )
-        ts = time_scales(_mirrored_for_scales(sp))
+        ts = time_scales(positive_g_frame(sp)[0])
         horizon = max(horizon, min(ts.tau_reg, ts.tau_relax))
 
     born_check = max(s.mass_drift for s in sectors.values())
     # the scales are read in the frame of g >= 0, the stray field g0 mirrored too
-    frame = _mirrored_for_scales(params)
+    frame = positive_g_frame(params)[0]
     regime = classify_regime(frame, g0=g0 if params.coupling_g >= 0 else -g0)
     offd = offdiagonal_scales(frame) if frame.coupling_g > 0 else None
     conclusive = t_end >= horizon

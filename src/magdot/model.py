@@ -9,7 +9,7 @@ only through the signed coupling g, whose sign is the spin's state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
     "drift_zeros",
     "derived_scales",
     "repeller",
+    "positive_g_frame",
     "x_coth_x",
     "refined_peak",
 ]
@@ -296,6 +297,15 @@ def repeller(params: ModelParams) -> float:
     """
     params.require_ferromagnetic()
     return -params.coupling_g / (params.coupling_j - params.temp_bath)
+
+
+def positive_g_frame(params: ModelParams) -> tuple[ModelParams, float]:
+    """params in the frame of g >= 0, and the sign that carries the frame's
+    magnetizations back: at g < 0 the magnet mirrored m -> -m (g and m0
+    negated) and -1, else params itself and +1."""
+    if params.coupling_g >= 0:
+        return params, 1.0
+    return replace(params, coupling_g=-params.coupling_g, m_offset=-params.m_offset), -1.0
 
 
 @lru_cache(maxsize=64)

@@ -70,7 +70,7 @@ class TestCharacteristics:
         cm = CharMap(fig1_params)
         t = 1.7 * ds.theta
         m = cm.forward(0.02, t)
-        assert cm.travel_time(0.02, m) == pytest.approx(t, rel=1e-9)
+        assert cm.travel_time(0.02, m) == pytest.approx(t, rel=1e-9, abs=0.0)
 
     def test_cross_basin_rejected(self, fig1_params):
         cm = CharMap(fig1_params)
@@ -153,7 +153,7 @@ class TestSuzuki:
     def test_flatness_ratios(self, fig2_params):
         ts = time_scales(fig2_params)
         ds = derived_scales(fig2_params)
-        assert suzuki_alpha(fig2_params, ts.t_flat)**2 == pytest.approx(1.5, rel=1e-9)
+        assert suzuki_alpha(fig2_params, ts.t_flat)**2 == pytest.approx(1.5, rel=1e-9, abs=0.0)
         prof0 = suzuki_profile(fig2_params, 0.0, ts.t_flat)
         for frac, want in ((0.5, 0.93), (0.6, 0.84), (0.7, 0.65)):
             r = suzuki_profile(fig2_params, frac * ds.m_ferro, ts.t_flat) / prof0
@@ -165,7 +165,7 @@ class TestSuzuki:
             * derived_scales(fig2_params).delta_total * 0.35
         for params in (fig2_params, replace(fig2_params, coupling_g=g_unit_lambda)):
             ds = derived_scales(params)
-            assert ds.lam in (0.0, pytest.approx(1.0, rel=1e-12))
+            assert ds.lam in (0.0, pytest.approx(1.0, rel=1e-12, abs=0.0))
             for alpha in (0.2, 1.2, math.sqrt(1.5)):
                 t = ds.theta * math.log(
                     math.sqrt(500) * ds.m_ferro / (ds.delta_total * alpha))
@@ -192,7 +192,7 @@ class TestSuzuki:
         ds = derived_scales(fig1_params)
         m2, alpha2, t2 = suzuki_second_max_onset(fig1_params)
         assert -ds.m_ferro / math.sqrt(2) < m2 < 0
-        assert suzuki_alpha(fig1_params, t2) == pytest.approx(alpha2, rel=1e-12)
+        assert suzuki_alpha(fig1_params, t2) == pytest.approx(alpha2, rel=1e-12, abs=0.0)
         h = 1e-5
         samples = suzuki_profile(
             fig1_params, np.array([m2 - h, m2, m2 + h]), t2)
@@ -262,20 +262,20 @@ class TestTimeScales:
         ds = derived_scales(fig1_params)
         ts = time_scales(fig1_params)
         assert ts.tau_reg == pytest.approx(
-            ds.theta * math.log(3 * ds.m_ferro / ds.bias_b), rel=1e-9)
+            ds.theta * math.log(3 * ds.m_ferro / ds.bias_b), rel=1e-9, abs=0.0)
         assert ts.t_width_max == pytest.approx(
             ds.theta * math.log(ds.m_ferro / (math.sqrt(2) * ds.bias_b)),
-            rel=1e-9)
+            rel=1e-9, abs=0.0)
         assert ts.delta_max == pytest.approx(
             2 * ds.m_ferro * ds.delta_total / (3 * math.sqrt(3) * ds.bias_b),
-            rel=1e-9)
+            rel=1e-9, abs=0.0)
 
     def test_relax_flat_gap_identity(self, fig1_params, fig2_params):
         th = derived_scales(fig1_params).theta
         for params in (fig1_params, fig2_params):
             ts = time_scales(params)
             assert ts.tau_relax - ts.t_flat == pytest.approx(
-                th * math.log(math.sqrt(10.0)), rel=1e-12)
+                th * math.log(math.sqrt(10.0)), rel=1e-12, abs=0.0)
 
     def test_divergence_for_unbiased(self, fig2_params):
         ts = time_scales(fig2_params)
@@ -338,7 +338,7 @@ class TestWidthMaximum:
         n = fig1_params.n_spins
         want = math.sqrt(n / (0.5 * n * n * math.log1p(2.0 / n)))
         assert local_width_delta(fig1_params, 0.0) == pytest.approx(
-            want, rel=1e-6)
+            want, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("lam_t", [0.3, 1.0, 3.0])
     @pytest.mark.parametrize("g, cutoff", [(0.03, 100.0), (0.05, 0.2)])
@@ -360,7 +360,7 @@ class TestWidthMaximum:
                     + n * (1.0 - m) / 2.0 * math.log(1.0 - q))
         _, want = binomial_width(n, log_w, c - 0.5, c + 0.5)
         got = local_width_delta(p, lam_t / (up + down))
-        assert got == pytest.approx(want, rel=2e-6)
+        assert got == pytest.approx(want, rel=2e-6, abs=0.0)
 
     @pytest.mark.parametrize("frac", [0.5, 1.5, 2.5])
     def test_linear_noise_limit(self, frac):
@@ -375,7 +375,7 @@ class TestWidthMaximum:
             lambda m: diffusion_w(p, m) / drift_v(p, m) ** 3, 0.0, m_c,
             epsabs=0.0, epsrel=1e-12)[0]
         want = drift_v(p, m_c) / v0 * math.sqrt(s)
-        assert local_width_delta(p, t) == pytest.approx(want, rel=1e-5)
+        assert local_width_delta(p, t) == pytest.approx(want, rel=1e-5, abs=0.0)
 
     @pytest.mark.parametrize("cutoff", [1e6, 1.0])
     def test_stationary_limit(self, fig1_params, cutoff):
@@ -394,7 +394,7 @@ class TestWidthMaximum:
         _, want = binomial_width(n, log_w, 0.3, 1.0 - 1e-9,
                                  curv_extra=n * j / temp)
         assert local_width_delta(p, 60.0 * ds.theta) == pytest.approx(
-            want, rel=1e-4)
+            want, rel=1e-4, abs=0.0)
 
     @pytest.mark.parametrize("y0", [-2.0, -0.1001, -0.05, 0.0, 0.0999, 0.7])
     def test_bose_factor_derivatives(self, y0):
@@ -482,7 +482,7 @@ class TestLocalWidthEstimator:
         assert med == pytest.approx(cm.forward(0.0, t), abs=1e-3)
         curv = (log_p(med + h) - 2.0 * log_p(med) + log_p(med - h)) / h**2
         assert d.local_width() == pytest.approx(math.sqrt(-1.0 / curv),
-                                                rel=0.01)
+                                                rel=0.01, abs=0.0)
 
 
 class TestClassifyRegime:
@@ -505,5 +505,5 @@ class TestClassifyRegime:
     def test_stray_bias_ratio(self, fig1_params):
         r = classify_regime(fig1_params, g0=0.05)
         # with g0 equal to g the two ratios coincide (m0 = 0)
-        assert r.stray_bias_ratio == pytest.approx(r.coupling_ratio, rel=1e-12)
+        assert r.stray_bias_ratio == pytest.approx(r.coupling_ratio, rel=1e-12, abs=0.0)
         assert classify_regime(fig1_params).stray_bias_ratio == 0.0

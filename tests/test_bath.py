@@ -52,8 +52,8 @@ def tol_scale(spec, omega, tol=1e-8):
 
 class TestSpectralDensity:
     def test_zero_frequency_limit(self):
-        assert spectral_density(SPEC, 0.0) == pytest.approx(0.65 / 4, rel=1e-14)
-        assert spectral_density(SPEC, 1e-12) == pytest.approx(0.65 / 4, rel=1e-9)
+        assert spectral_density(SPEC, 0.0) == pytest.approx(0.65 / 4, rel=1e-14, abs=0.0)
+        assert spectral_density(SPEC, 1e-12) == pytest.approx(0.65 / 4, rel=1e-9, abs=0.0)
 
     def test_detailed_balance_identity(self):
         for w in (0.1, 1.0, 5.0):
@@ -65,7 +65,7 @@ class TestSpectralDensity:
         w = 1.0
         val = spectral_density(SPEC, w) * math.exp(w / 100.0) \
             * (math.exp(w / 0.65) - 1.0) / w
-        assert val == pytest.approx(0.25, rel=1e-13)
+        assert val == pytest.approx(0.25, rel=1e-13, abs=0.0)
 
     def test_nonnegative_everywhere(self):
         w = np.linspace(-400.0, 50.0, 3001)
@@ -104,7 +104,7 @@ class TestWindowed:
         t = 2e-4
         want = 2.0 * t * autocorrelation(spec, 0.0).real
         for w in (-1.0, 0.0, 2.0):
-            assert windowed_spectral(spec, w, t) == pytest.approx(want, rel=1e-2)
+            assert windowed_spectral(spec, w, t) == pytest.approx(want, rel=1e-2, abs=0.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -241,7 +241,7 @@ class TestWindowedKernel:
         k0 = spectral_density(SPEC, 0.0)
         gap = {t: k.at(t) - k0 for t in (100.0, 200.0, 400.0)}
         assert [gap[100.0], gap[200.0], gap[400.0]] == pytest.approx(
-            [-1.03e-5, -5.2e-6, -2.6e-6], rel=1e-2)
+            [-1.03e-5, -5.2e-6, -2.6e-6], rel=1e-2, abs=0.0)
         scaled = [t * g for t, g in gap.items()]
         assert max(scaled) - min(scaled) <= 1e-4 * abs(scaled[0])
 
@@ -296,12 +296,12 @@ class TestAutocorrelation:
     def test_hermitian_symmetry(self):
         for s in (0.03, 0.7, 4.0):
             assert autocorrelation(SPEC, -s) == pytest.approx(
-                autocorrelation(SPEC, s).conjugate(), rel=1e-13)
+                autocorrelation(SPEC, s).conjugate(), rel=1e-13, abs=0.0)
 
     def test_zero_time_value_tracks_cutoff(self):
         # K(0) ~ hbar^2 Gamma^2 / (8 pi) for Gamma >> T
         val = autocorrelation(SPEC, 0.0).real
-        assert val == pytest.approx(100.0**2 / (8.0 * math.pi), rel=0.02)
+        assert val == pytest.approx(100.0**2 / (8.0 * math.pi), rel=0.02, abs=0.0)
 
     def test_forward_transform_recovers_spectrum(self):
         # windowed transform at long time == spectral density; uses the
@@ -309,7 +309,7 @@ class TestAutocorrelation:
         spec = KernelSpec(temp_bath=0.65, debye_cutoff=10.0)
         re, im = windowed_time_domain(spec, 1.0, 60.0)
         assert abs(im) < 1e-9
-        assert re == pytest.approx(spectral_density(spec, 1.0), rel=5e-3)
+        assert re == pytest.approx(spectral_density(spec, 1.0), rel=5e-3, abs=0.0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

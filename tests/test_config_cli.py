@@ -697,6 +697,55 @@ def test_one_well_negative_g_runs_on_times_theta(tmp_path, capsys):
         assert minus[3:] == plus[3:]  # tau_red, tau_reg, lambda, faithful
 
 
+# at T = 0.65, g = -0.2 leaves only the well at m < 0 and g = -0.02 keeps both
+MIRROR_G = ["0.2", "0.02"]
+
+
+@pytest.mark.parametrize("g", MIRROR_G)
+def test_fixed_points_at_negative_g_is_the_mirror_image(g, tmp_path, capsys):
+    # the roots negated in reverse order, each with its stability, and the
+    # scales that carry a sign (m_F, m_P, b, lambda) negated
+    lines = {}
+    for sign in ("", "-"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"N = 200\nT = 0.65\ng = {sign}{g}\n")
+        assert command_surface(["fixed-points", "-c", str(cfg)]) == 0
+        lines[sign] = capsys.readouterr().out.splitlines()
+    plus, minus = lines[""], lines["-"]
+    assert plus[0] == minus[0] == "m,stability"
+
+    def roots(out):
+        return [(float(m), s) for m, s in (line.split(",") for line in out[1:-1])]
+
+    def scales(out):
+        return {k: float(v) for k, v in (kv.split("=") for kv in out[-1][2:].split())}
+
+    assert roots(minus) == [(-m, s) for m, s in reversed(roots(plus))]
+    signed = {"m_F", "m_P", "b", "lambda"}
+    assert scales(minus) == {k: -v if k in signed else v for k, v in scales(plus).items()}
+
+
+@pytest.mark.parametrize("model", ["drift-only", "gaussian-linear", "gaussian-cubic"])
+@pytest.mark.parametrize("g", MIRROR_G)
+def test_analytic_at_negative_g_is_the_mirror_image(g, model, tmp_path, capsys):
+    # the same mesh, symmetric about 0, and each profile read backwards
+    snaps = {}
+    for sign in ("", "-"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"N = 200\nT = 0.65\ng = {sign}{g}\ntimes_theta = 0.5,2\n")
+        out = str(tmp_path / f"an{sign}")
+        assert command_surface(["analytic", "-c", str(cfg), "--model", model,
+                                "--points", "41", "--out-dir", out]) == 0
+        snaps[sign] = read_long_csv(os.path.join(out, f"analytic_{model}.csv"))
+    capsys.readouterr()
+    plus, minus = snaps[""], snaps["-"]
+    assert list(minus) == list(plus) and len(plus) == 2
+    for t, (mesh, dens) in plus.items():
+        assert np.array_equal(mesh, -mesh[::-1])
+        assert np.array_equal(minus[t][0], mesh)
+        assert np.array_equal(minus[t][1], dens[::-1])
+
+
 def test_master_engine_refuses_more_levels_than_it_holds(tmp_path, capsys):
     # N + 1 levels beyond MAX_CELLS exit 1 naming N before anything is
     # allocated; the FP engine runs the same N on its cells

@@ -27,7 +27,7 @@ class TestFields:
         assert f.total() == pytest.approx(1.0, abs=1e-12)
         assert abs(f.mean()) < 1e-15
         std = math.sqrt((f.grid - f.mean()) ** 2 @ f.weights / f.total())
-        assert std == pytest.approx(1.0 / math.sqrt(1000), rel=1e-4)
+        assert std == pytest.approx(1.0 / math.sqrt(1000), rel=1e-4, abs=0.0)
 
     def test_config_floor(self):
         with pytest.raises(ValueError):
@@ -182,4 +182,4 @@ class TestObservables:
         states = solve_fp(p, initial_field(p, "exact-paramagnet", cfg), times, cfg, tol=1e-9)
         widths = [s.local_width() * math.sqrt(n) for s in states]
         assert 0 < int(np.argmax(widths)) < len(widths) - 1
-        assert max(widths) == pytest.approx(d_pred, rel=1e-3)
+        assert max(widths) == pytest.approx(d_pred, rel=1e-3, abs=0.0)

@@ -103,12 +103,12 @@ def test_oracles_import_scipy_where_used():
     values = ast.literal_eval(out.splitlines()[-1])
     inv1, inv2, t_max, delta_max, m2, alpha2, t2, theta = values
     assert [inv1, inv2] == pytest.approx([0.21702445826189365, -0.2785046544243003],
-                                         rel=1e-13)
+                                         rel=1e-13, abs=0.0)
     # the width search stops at xatol = 1e-9 theta
     assert t_max == pytest.approx(4865.545218409724, abs=1e-8 * theta)
-    assert delta_max == pytest.approx(5.759609089141864, rel=1e-12)
+    assert delta_max == pytest.approx(5.759609089141864, rel=1e-12, abs=0.0)
     assert [m2, alpha2, t2] == pytest.approx(
-        [-0.5897476258957342, 0.3398698996681666, 10151.34559706036], rel=1e-13)
+        [-0.5897476258957342, 0.3398698996681666, 10151.34559706036], rel=1e-13, abs=0.0)
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -12,6 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 from scipy.special import pdtr, pdtrc
 
@@ -78,7 +79,12 @@ class TestGenerator:
         wins = [(lo, w / w.sum()) for lo, w in ((lo, rng.uniform(0.1, 1.0, m))
                                                 for lo, m in spans)]
         # every vector P^k p by the same products, then one matrix-vector
-        # product per window
+        # product per window.  Each window is held to a few ulps of the mass
+        # for its sums, plus 8e-18 of it per count up to its last: at
+        # stride 8 the leap chain drifts from the product chain by about
+        # 5e-18 of the mass per count (largest error 0.62 of this bound over
+        # seeds 0-19), and every window ending before count 100 is held
+        # within 1e-15
         vecs = [p]
         for _ in range(160):
             v = vecs[-1]
@@ -91,7 +97,40 @@ class TestGenerator:
             got = list(gen._sum_windows(p, wins, 160, s))
             assert len(got) == len(wins)
             for (lo, w), q in zip(wins, got):
-                assert np.abs(q - w @ vecs[lo:lo + len(w)]).sum() <= 1e-15 * p.sum()
+                bound = (2e-16 + 8e-18 * (lo + len(w) - 1)) * p.sum()
+                assert np.abs(q - w @ vecs[lo:lo + len(w)]).sum() <= bound
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 18, 1001, integrator.LEAP_SIZE])
+    def test_leap_kernel_matches_dense_power(self, n, rng):
+        # grids shorter than the 17 diagonals of P^8, and the 8 zeros that pad
+        # a row at each end: the band holds the diagonals of P^8 and zeros off
+        # the grid, and one leap is eight products with P
+        s = integrator.LEAP
+        up, down = rng.uniform(0.0, 5.0, n), rng.uniform(0.0, 5.0, n)
+        up[-1] = down[0] = 0.0
+        gen = Generator(up, down)
+        p_mat = (sparse.diags(gen.stay) + sparse.diags(gen.p_up, -1)
+                 + sparse.diags(gen.p_down, 1))
+        if n <= 1001:
+            power = np.linalg.matrix_power(p_mat.toarray(), s)
+        else:  # a dense P^8 of 4096 levels takes 134 MB a copy
+            power = p_mat.tocsr()
+            for _ in range(3):
+                power = power @ power
+        ref = np.zeros((n, 2 * s + 1))
+        for d in range(2 * s + 1):
+            ref[max(0, s - d):max(0, n + s - d), d] = power.diagonal(d - s)
+        band = gen._band(s)
+        assert band.shape == (n, 2 * s + 1) and band.flags.c_contiguous
+        assert np.abs(band - ref).max() <= s * np.finfo(float).eps  # an ulp of 1 a product
+        levels = np.arange(n)[:, None] + np.arange(2 * s + 1) - s
+        assert np.all(band[(levels < 0) | (levels >= n)] == 0.0)
+        p = rng.uniform(0.0, 1.0, n)
+        (leap,) = gen._sum_windows(p, [(s, np.ones(1))], s, s)
+        prod = p
+        for _ in range(s):
+            prod = gen._apply(prod)
+        assert np.abs(leap - prod).sum() <= 1e-15 * p.sum()
 
     def test_poisson_window_against_mpmath(self):
         # 40-digit reference, normalized over the same window

@@ -31,7 +31,7 @@ class TestInitialDistribution:
     def test_binomial_moments(self, fig1_params):
         d = initial_distribution(fig1_params, "exact-paramagnet")
         assert abs(d.mean()) < 1e-14
-        assert (d.grid - d.mean()) ** 2 @ d.weights == pytest.approx(1e-3, rel=1e-10)
+        assert (d.grid - d.mean()) ** 2 @ d.weights == pytest.approx(1e-3, rel=1e-10, abs=0.0)
 
     def test_gaussian_mean_grid_oracle(self):
         p = small_params(n=1000, g=0.05, m_offset=0.1, delta0=0.5)
@@ -131,7 +131,7 @@ class TestFreeEnergy:
     def test_paramagnet_entropy(self, fig1_params):
         d = initial_distribution(fig1_params, "exact-paramagnet")
         fe = free_energy(d, fig1_params)
-        assert fe.entropy == pytest.approx(1000 * math.log(2.0), rel=1e-12)
+        assert fe.entropy == pytest.approx(1000 * math.log(2.0), rel=1e-12, abs=0.0)
 
     def test_stationary_maximizes_functional(self):
         p = small_params(n=100)
@@ -326,7 +326,7 @@ class TestDistributionStats:
         p = small_params(n=1000, g=0.0, m_offset=m_offset, delta0=0.4)
         d = initial_distribution(p, "gaussian")
         want = 0.4 / math.sqrt(1000)
-        assert d.local_width() == pytest.approx(want, rel=1e-6)
+        assert d.local_width() == pytest.approx(want, rel=1e-6, abs=0.0)
 
     def test_local_width_rejects_convex_median(self):
         d = DiscreteDistribution(n_spins=100, weights=np.full(101, 1 / 101))
@@ -347,7 +347,7 @@ class TestDistributionStats:
         curv = -(0.5 * n) ** 2 * (polygamma(1, k + 1) + polygamma(1, n - k + 1)) \
             + n * p.coupling_j / p.temp_bath
         assert d.local_width(region=(0.0, 1.0)) == pytest.approx(
-            math.sqrt(-1.0 / curv), rel=1e-4 if n >= 4000 else 3e-3)
+            math.sqrt(-1.0 / curv), rel=1e-4 if n >= 4000 else 3e-3, abs=0.0)
 
     def test_local_width_region_picks_one_of_two_peaks(self, fig2_params):
         # at g = 0 the median of the whole distribution sits in the valley
@@ -356,4 +356,4 @@ class TestDistributionStats:
         with pytest.raises(ValueError, match="not concave"):
             d.local_width()
         want = derived_scales(fig2_params).delta_ferro / math.sqrt(fig2_params.n_spins)
-        assert d.local_width(region=(0.0, 1.0)) == pytest.approx(want, rel=0.05)
+        assert d.local_width(region=(0.0, 1.0)) == pytest.approx(want, rel=0.05, abs=0.0)

@@ -69,15 +69,15 @@ class TestOffdiagonalScales:
         p = small_params(n=1000, g=0.05, debye_cutoff=100.0)
         od = offdiagonal_scales(p, g_spread=0.1)
         assert od.tau_red == pytest.approx(1.0 / (math.sqrt(2000) * 0.05),
-                                           rel=1e-12)
+                                           rel=1e-12, abs=0.0)
         assert od.tau_red == pytest.approx(0.4472, abs=1e-4)
-        assert od.t_recurrence == pytest.approx(math.pi / 0.1, rel=1e-12)
+        assert od.t_recurrence == pytest.approx(math.pi / 0.1, rel=1e-12, abs=0.0)
         # direct formula: gamma N hbar^2 Gamma^2 / g^2
         assert od.bath_suppression_ratio == pytest.approx(
-            1e-3 * 1000 * 100.0**2 / 0.05**2, rel=1e-12)
-        assert od.bath_suppression_ratio == pytest.approx(4e6, rel=1e-9)
+            1e-3 * 1000 * 100.0**2 / 0.05**2, rel=1e-12, abs=0.0)
+        assert od.bath_suppression_ratio == pytest.approx(4e6, rel=1e-9, abs=0.0)
         assert od.spread_suppression_ratio == pytest.approx(
-            0.1 / 0.05 * math.sqrt(1000), rel=1e-12)
+            0.1 / 0.05 * math.sqrt(1000), rel=1e-12, abs=0.0)
 
     def test_reduction_precedes_recurrence(self):
         for n in (2, 10, 1000, 10**6):
@@ -239,7 +239,7 @@ class TestRunMeasurement:
         assert rep.offdiag_mag == 0.3
         assert rep.offdiag is not None
         assert rep.offdiag.tau_red == pytest.approx(
-            1.0 / (math.sqrt(200) * 0.1), rel=1e-12)
+            1.0 / (math.sqrt(200) * 0.1), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("engine", ["master", "fp"])
     def test_offset_start_keeps_each_sector(self, engine):

@@ -79,18 +79,18 @@ class TestDrift:
         for m in (-0.7, -0.05, 0.0, 0.3, 0.9):
             h = 1e-6
             fd = (drift_v(fig1_params, m + h) - drift_v(fig1_params, m - h)) / (2 * h)
-            assert drift_v_prime(fig1_params, m) == pytest.approx(fd, rel=1e-6)
+            assert drift_v_prime(fig1_params, m) == pytest.approx(fd, rel=1e-6, abs=0.0)
 
 
 class TestDiffusion:
     def test_zero_field_limit(self):
         p = small_params(g=0.0, temp=0.65)
-        assert diffusion_w(p, 0.0) == pytest.approx(p.gamma * 0.65, rel=1e-14)
+        assert diffusion_w(p, 0.0) == pytest.approx(p.gamma * 0.65, rel=1e-14, abs=0.0)
 
     def test_series_oracle(self):
         p = small_params(g=0.05, temp=0.65)
         want = p.gamma * 0.05 * (coth_series(0.05 / 0.65) - 0.0)
-        assert diffusion_w(p, 0.0) == pytest.approx(want, rel=1e-10)
+        assert diffusion_w(p, 0.0) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_positive_inside_interval(self, fig1_params):
         m = np.linspace(-0.99, 0.99, 199)
@@ -185,10 +185,10 @@ def test_zeros_match_scalar_bisection(params):
 class TestDerivedScales:
     def test_reference_values(self, fig1_params):
         ds = derived_scales(fig1_params)
-        assert ds.theta == pytest.approx(1.0 / (1e-3 * 0.35), rel=1e-14)
-        assert ds.delta_total**2 == pytest.approx(0.65 / 0.35 + 1.0, rel=1e-14)
+        assert ds.theta == pytest.approx(1.0 / (1e-3 * 0.35), rel=1e-14, abs=0.0)
+        assert ds.delta_total**2 == pytest.approx(0.65 / 0.35 + 1.0, rel=1e-14, abs=0.0)
         assert ds.delta_total == pytest.approx(1.690309, abs=1e-6)
-        assert ds.bias_b == pytest.approx(0.142857142857, rel=1e-10)
+        assert ds.bias_b == pytest.approx(0.142857142857, rel=1e-10, abs=0.0)
         assert ds.lam == pytest.approx(1.8899, abs=1e-4)
         assert ds.delta_ferro == pytest.approx(0.528290, abs=1e-5)
 
@@ -202,7 +202,7 @@ class TestDerivedScales:
         ds = derived_scales(fig1_params)
         n = fig1_params.n_spins
         assert ds.bias_b == pytest.approx(
-            ds.lam * math.sqrt(2.0 / n) * ds.delta_total, rel=1e-15)
+            ds.lam * math.sqrt(2.0 / n) * ds.delta_total, rel=1e-15, abs=0.0)
 
     def test_rejects_paramagnetic_bath(self):
         p = small_params(temp=1.5)
@@ -248,9 +248,9 @@ class TestXCothX:
 
     def test_matches_series_across_crossover(self):
         for x in (1e-6, 5e-5, 2e-4, 1e-3):
-            assert x_coth_x(x) == pytest.approx(x * coth_series(x), rel=1e-12)
+            assert x_coth_x(x) == pytest.approx(x * coth_series(x), rel=1e-12, abs=0.0)
         # truncated series itself is only ~1e-8 accurate this far out
-        assert x_coth_x(0.3) == pytest.approx(0.3 * coth_series(0.3), rel=1e-7)
+        assert x_coth_x(0.3) == pytest.approx(0.3 * coth_series(0.3), rel=1e-7, abs=0.0)
         assert x_coth_x(-0.3) == x_coth_x(0.3)
 
 
@@ -290,7 +290,7 @@ class TestValidation:
 
     def test_delta0_from_quench_temperature(self):
         p = ModelParams(n_spins=10, temp_bath=0.65, coupling_g=0.0, temp_init=2.0)
-        assert p.delta0 == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert p.delta0 == pytest.approx(math.sqrt(2.0), rel=1e-14, abs=0.0)
         assert small_params().delta0 == 1.0
 
     def test_rejects_inconsistent_delta0(self):
@@ -321,7 +321,7 @@ class TestRepeller:
         p = small_params(n=200, g=-0.2)
         with pytest.raises(ParameterError):
             derived_scales(p)
-        assert repeller(p) == pytest.approx(0.2 / 0.35, rel=1e-14)
+        assert repeller(p) == pytest.approx(0.2 / 0.35, rel=1e-14, abs=0.0)
 
 
 @random_params
