@@ -257,38 +257,27 @@ def closed_form_P(params: ModelParams, m, t: float, model: str = "gaussian-cubic
     n = params.n_spins
     m0, d0 = params.m_offset, params.delta0
 
-    if model == "drift-only":
+    if model not in ("drift-only", "gaussian-linear", "gaussian-cubic"):
+        raise ValueError(f"unknown model {model!r}")
+    if model == "gaussian-cubic" and np.any(np.abs(m_arr) >= ds.m_ferro):
+        raise ValueError("gaussian-cubic density defined for |m| < m_F")
+    # each model's backward image mu, transport factor and width^2 (identity at t = 0)
+    if t == 0.0:
+        mu, jac = m_arr, 1.0
+    elif model == "drift-only":
         cmap = CharMap(params)
-        if t == 0.0:
-            mu = m_arr.copy()
-        else:
-            mu = np.array([cmap.inverse(x, t) for x in m_arr])
+        mu = np.array([cmap.inverse(x, t) for x in m_arr])
         jac = drift_v(params, mu) / drift_v(params, m_arr)
-        out = (math.sqrt(n / (2.0 * math.pi)) / d0
-               * np.exp(-0.5 * n * ((mu - m0) / d0) ** 2) * jac)
     elif model == "gaussian-linear":
-        c = _diffusion_c(params, t, theta)
-        width2 = c + d0 * d0
         e = math.exp(t / theta)
         mu = m_arr / e + ds.m_repel * (1.0 - 1.0 / e)
-        out = (math.sqrt(n / (2.0 * math.pi * width2))
-               * np.exp(-0.5 * n * (mu - m0) ** 2 / width2)
-               * math.exp(-t / theta))
-    elif model == "gaussian-cubic":
-        if np.any(np.abs(m_arr) >= ds.m_ferro):
-            raise ValueError("gaussian-cubic density defined for |m| < m_F")
-        c = _diffusion_c(params, t, theta)
-        width2 = c + d0 * d0
-        if t == 0.0:
-            mu = m_arr.copy()
-            jac = np.ones_like(m_arr)
-        else:
-            mu = _cubic_inverse_printed(ds, m_arr, t)
-            jac = _cubic_inverse_printed_jacobian(ds, m_arr, t)
-        out = (math.sqrt(n / (2.0 * math.pi * width2))
-               * np.exp(-0.5 * n * (mu - m0) ** 2 / width2) * jac)
+        jac = math.exp(-t / theta)
     else:
-        raise ValueError(f"unknown model {model!r}")
+        mu = _cubic_inverse_printed(ds, m_arr, t)
+        jac = _cubic_inverse_printed_jacobian(ds, m_arr, t)
+    width2 = d0 * d0 if model == "drift-only" else _diffusion_c(params, t, theta) + d0 * d0
+    out = (math.sqrt(n / (2.0 * math.pi * width2))
+           * np.exp(-0.5 * n * (mu - m0) ** 2 / width2) * jac)
     return float(out[0]) if scalar else out
 
 

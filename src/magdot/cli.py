@@ -18,7 +18,8 @@ from .analytic import CharacteristicsError, closed_form_P
 from .bath import KernelConvergenceError
 from .config import (ConfigError, RunConfig, parse_config, parse_sweep, set_key,
                      sweep_configs)
-from .fokker_planck import MAX_CELLS, FPConfig, initial_field, solve_fp
+from .fokker_planck import MAX_CELLS, FPConfig, generator, initial_field
+from .integrator import integrate
 from .kmc import sample_trajectories
 from .master import (
     NumericalError,
@@ -50,16 +51,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_config(path: str) -> str:
+def _load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
-            return fh.read()
+            return parse_config(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-
-
-def _load_config(path: str) -> RunConfig:
-    return parse_config(_read_config(path))
 
 
 def _out_dir(cfg_dir: str, override: str | None) -> str:
@@ -138,16 +135,16 @@ def _cmd_simulate(args) -> int:
         init = initial_distribution(params, cfg.init)
         res = evolve(init, params, times[-1], mode=cfg.mode, tol=cfg.tol,
                      snapshot_times=times, kernel_tol=cfg.kernel_tol)
-        states = res.snapshots
+        states, steps, terms, rate = res.snapshots, res.n_steps, res.n_terms, res.uniform_rate
     else:
         fpc = FPConfig(cells=cfg.cells)
-        states = solve_fp(params, initial_field(params, cfg.init, fpc), times, fpc, cfg.tol)
+        gen = generator(params, fpc)
+        states, steps, terms = integrate(gen, initial_field(params, cfg.init, fpc), times, cfg.tol)
+        rate = gen.rate
     path = os.path.join(out, "snapshots.csv")
     write_long_csv(path, states)
     print(path)
-    if cfg.engine == "master":
-        print(f"steps={res.n_steps} terms={res.n_terms} "
-              f"uniform_rate={FMT % res.uniform_rate}")
+    print(f"steps={steps} terms={terms} uniform_rate={FMT % rate}")
     return 0
 
 
@@ -247,10 +244,12 @@ def _cmd_sweep(args) -> int:
     cfgs = sweep_configs(cfg, axis, values, None)  # parse_config checked a sweep line
     plans = [_plan(c, "sweep") for c in cfgs]  # refuse any value before a run starts
     out = _out_dir(cfg.out_dir, args.out_dir)
-    if cfg.workers > 1:
+    # a fork pool starts all its workers at once: no more than values or CPUs
+    workers = min(cfg.workers, len(cfgs), os.cpu_count() or 1)
+    if workers > 1:
         import concurrent.futures  # with logging, 9-15 ms that a serial run never needs
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, cfgs, plans, values))
     else:
         rows = list(map(_sweep_row, cfgs, plans, values))

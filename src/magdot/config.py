@@ -84,8 +84,9 @@ _KEY_MAP = {
     "kernel_tol": ("kernel_tol", float, lambda v: 0 < v <= 1e-2, "0 < kernel_tol <= 1e-2"),
     "cells": ("cells", int, lambda v: 100 <= v <= MAX_CELLS,
               f"cells >= 100 and <= {MAX_CELLS}"),
-    "seed": ("seed", int, lambda v: v >= 0, "seed >= 0"),
-    "trajectories": ("trajectories", int),
+    "seed": ("seed", int, lambda v: 0 <= v < 2**64, "seed >= 0 and < 2**64"),
+    "trajectories": ("trajectories", int, lambda v: 1 <= v < 2**63,
+                     "trajectories >= 1 and < 2**63"),
     "p_wrong_bound": ("p_wrong_bound", float, lambda v: v > 0, "p_wrong_bound > 0"),
     "g0": ("g0", float),
     "r_up": ("r_up", float, lambda v: 0 <= v <= 1, "0 <= r_up <= 1"),

@@ -47,7 +47,8 @@ at 201 entries, 1.37 against 3.16 us at 1001 and 4.68 against 10.75 us at
 window keeps 8 accumulators, 8 times the memory of one, so LEAP_SIZE caps
 memory, not time.  Building the band costs about 0.12 ms at 201 entries
 and 0.34 ms at 1001, once per generator.  Strides 4 and 16 ran slower end
-to end than 8.
+to end than 8.  Every stride s writes the series into blocks of about
+256 KB less 2s + 1 rows, each row with s zeros at each end.
 
 Positivity and mass are therefore the integrator's checks, the same for
 every engine: `integrate` raises NumericalError on a negative entry (only a
@@ -153,13 +154,12 @@ class Generator:
         their order, for the counts k = 0..n_prod, in strides of s counts.
 
         The vectors q_j = P^(s j) p are written in place into the rows of a
-        block of about 256 KB (at s > 1, 2s + 1 rows less: the block that
-        LEAP was chosen on), so block b holds j from b * len(block) on.  At
-        s = 1 each row is one product with P; at s > 1 it is one leap by
-        P^s, one `np.einsum` call that dots each row of the band `_band(s)`
-        with its sliding window of the previous row, with no temporary; a
-        row therefore carries s zeros at each end.  A window's sum is split
-        by phase:
+        block laid out alike at every stride: about 256 KB less 2s + 1 rows,
+        each with s zeros at each end, so block b holds j from
+        b * len(block) on.  At s = 1 each row is one product with P; at
+        s > 1 one leap by P^s, an `np.einsum` call that dots each row of the
+        band `_band(s)` with its sliding window of the previous row, with no
+        temporary.  A window's sum is split by phase:
 
             sum_k w_k P^k p = sum_{r<s} P^r a_r,   a_r = sum_j w_{sj+r} q_j,
 
@@ -174,17 +174,14 @@ class Generator:
         n = len(p)
         n_rows = n_prod // s + 1
         mul, add, stay, p_up, p_down = np.multiply, np.add, self.stay, self.p_up, self.p_down
+        rows = min(n_rows, max(2, 2**15 // (n + 2 * s) - (2 * s + 1)))
+        block = np.zeros((rows, n + 2 * s))
+        inner = block[:, s:s + n]
         if s == 1:
-            rows = min(n_rows, max(2, 2**15 // n))  # about 256 KB
-            block = inner = np.empty((rows, n))
-            views = [(v, v[1:], v[:-1]) for v in block]
+            views = [(v, v[1:], v[:-1]) for v in inner]
             steps = list(zip(views[-1:] + views[:-1], views))  # (row r - 1, row r)
             tmp = np.empty(n - 1)
         else:
-            # about 256 KB less 2s + 1 rows: the block that LEAP was chosen on
-            rows = min(n_rows, max(2, 2**15 // (n + 2 * s) - (2 * s + 1)))
-            block = np.zeros((rows, n + 2 * s))  # s zeros at each end of a row
-            inner = block[:, s:s + n]
             band, einsum = self._band(s), np.einsum
             slides = list(sliding_window_view(block, 2 * s + 1, axis=1))  # (n, 2s + 1) per row
             leaps = list(zip(slides[-1:] + slides[:-1], inner))

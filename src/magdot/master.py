@@ -96,11 +96,10 @@ class DiscreteDistribution:
         return 0.5 * self._steps * self.weights
 
     def mass_below(self, x: float) -> float:
-        """Weight strictly below x; weight sitting exactly at x counts half."""
+        """Weight below x; weight within 1e-12 of x counts half."""
         m = self.grid
-        at = np.isclose(m, x, rtol=0.0, atol=1e-12)
-        return float(self.weights[m < x].sum() - 0.5 * self.weights[at & (m < x)].sum()
-                     + 0.5 * self.weights[at & ~(m < x)].sum())
+        at = np.abs(m - x) <= 1e-12
+        return float(self.weights[(m < x) & ~at].sum() + 0.5 * self.weights[at].sum())
 
     def peak(self, region: tuple[float, float] | None = None) -> float:
         """Location of the maximum weight, parabolic-refined in ln P."""

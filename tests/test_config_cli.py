@@ -8,10 +8,10 @@ import pytest
 from magdot import bath
 from magdot.cli import UsageError, _plan, command_surface
 from magdot.config import _KEY_MAP, ConfigError, parse_config
-from magdot.fokker_planck import MAX_CELLS
+from magdot.fokker_planck import MAX_CELLS, FPConfig, generator
 from magdot.kmc import sample_trajectories
 from magdot.master import initial_distribution
-from magdot.snapshots import read_long_csv
+from magdot.snapshots import FMT, read_long_csv
 
 FIG1_MINIMAL = "N = 1000\nT = 0.65\ng = 0.05\n"
 
@@ -81,7 +81,9 @@ class TestParseConfig:
         ("workers = 0", "workers >= 1"), ("N = 1", "N >= 2"), ("m0 = 1.5", "-1 <= m0 <= 1"),
         ("kernel_tol = 0.1", "0 < kernel_tol <= 1e-2"), ("seed = -1", "seed >= 0"),
         ("p_wrong_bound = 0", "p_wrong_bound > 0"),
-        ("r_up = 1.5", "0 <= r_up <= 1")])
+        ("r_up = 1.5", "0 <= r_up <= 1"), ("trajectories = 0", "trajectories >= 1"),
+        ("trajectories = 9223372036854775808", "trajectories >= 1 and < 2**63"),
+        ("seed = 18446744073709551616", "seed >= 0 and < 2**64")])
     def test_invariant_names_its_line(self, line, invariant):
         with pytest.raises(ConfigError,
                            match=re.escape(f"line 4: invariant violated: {invariant}")):
@@ -227,17 +229,19 @@ class TestCli:
 
     def test_simulate_reports_steps_terms_and_uniform_rate(self, small_cfg, tmp_path,
                                                            capsys):
-        assert command_surface(["simulate", "-c", small_cfg,
-                                "--snapshot-dir", str(tmp_path / "m")]) == 0
-        summary = capsys.readouterr().out.splitlines()[-1]
-        fields = dict(kv.split("=") for kv in summary.split())
-        assert sorted(fields) == ["steps", "terms", "uniform_rate"]
-        assert 0 < int(fields["steps"]) <= int(fields["terms"])
-        assert float(fields["uniform_rate"]) > 0.0
-        # the FP engine prints only its paths
-        assert command_surface(["simulate", "-c", small_cfg, "--engine", "fp",
-                                "--snapshot-dir", str(tmp_path / "f")]) == 0
-        assert all(os.path.exists(line) for line in capsys.readouterr().out.splitlines())
+        for engine in ("master", "fp"):
+            assert command_surface(["simulate", "-c", small_cfg, "--engine", engine,
+                                    "--snapshot-dir", str(tmp_path / engine)]) == 0
+            path, summary = capsys.readouterr().out.splitlines()
+            assert os.path.exists(path)
+            fields = dict(kv.split("=") for kv in summary.split())
+            assert sorted(fields) == ["steps", "terms", "uniform_rate"]
+            assert 0 < int(fields["steps"]) <= int(fields["terms"])
+            assert float(fields["uniform_rate"]) > 0.0
+        # the FP engine's uniformization rate is that of its cell generator
+        cfg = parse_config(open(small_cfg).read())
+        params, _ = _plan(cfg, "simulate")
+        assert fields["uniform_rate"] == FMT % generator(params, FPConfig(cells=cfg.cells)).rate
 
     def test_measure_reports_steps_and_terms(self, tmp_path, capsys):
         for engine in ("master", "fp"):
@@ -270,21 +274,22 @@ class TestCli:
         # the --seed option is read as a config line, with that line's message
         assert command_surface(["sample", "-c", small_cfg, "--seed", "-3"] + out) == 1
         err = capsys.readouterr().err
-        assert "invariant violated: seed >= 0 (got -3)" in err and "Traceback" not in err
+        assert "invariant violated: seed >= 0 and < 2**64 (got -3)" in err
+        assert "Traceback" not in err
 
     def test_seed_beyond_64_bits_is_error(self, small_cfg, tmp_path, capsys):
         out = ["--out-dir", str(tmp_path / "o")]
         assert command_surface(["sample", "-c", small_cfg,
                                 "--seed", str(2**64)] + out) == 1
         err = capsys.readouterr().err
-        assert "seed must be >= 0 and < 2**64" in err and "Traceback" not in err
+        assert "invariant violated: seed >= 0 and < 2**64" in err and "Traceback" not in err
 
     def test_zero_trajectories_is_not_replaced_by_config(self, small_cfg, tmp_path,
                                                           capsys):
         assert command_surface(["sample", "-c", small_cfg, "--trajectories", "0",
                                 "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert "n_traj must be >= 1" in err and "Traceback" not in err
+        assert "invariant violated: trajectories >= 1" in err and "Traceback" not in err
 
     def test_nonfinite_or_negative_times_are_config_errors(self, small_cfg, tmp_path,
                                                            capsys):
@@ -570,6 +575,43 @@ class TestCli:
         capsys.readouterr()
         read = lambda d: open(os.path.join(d, "sweep.csv")).read()
         assert read(serial) == read(pooled)
+
+    def test_sweep_asks_for_no_more_workers_than_values(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # a fork pool starts all of its max_workers processes on its first
+        # submit; this fake one records the count and maps in-process
+        import concurrent.futures
+
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        csv = {}
+        for workers, axis in (("1", "g=0.06,0.1"), ("1000000", "g=0.06,0.1"),
+                              ("1000000", "g=0.06")):
+            cfg = tmp_path / f"{workers}-{axis}.cfg"
+            cfg.write_text(SMALL + f"workers = {workers}\n")
+            out = tmp_path / f"{workers}-{axis}"
+            asked.clear()
+            assert command_surface(["sweep", "-c", str(cfg), "--axis", axis,
+                                    "--out-dir", str(out)]) == 0
+            csv[workers, axis] = (out / "sweep.csv").read_text()
+            assert asked == ([2] if (workers, axis) == ("1000000", "g=0.06,0.1") else [])
+        capsys.readouterr()
+        assert csv["1000000", "g=0.06,0.1"] == csv["1", "g=0.06,0.1"]
 
 
 RUN_BASE = ("N = 24\nT = 0.65\ng = 0.05\ngamma = 0.01\nm0 = 0.3\n"

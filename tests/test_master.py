@@ -320,6 +320,16 @@ class TestDistributionStats:
         d = DiscreteDistribution(n_spins=2, weights=np.array([0.25, 0.5, 0.25]))
         assert d.mass_below(0.0) == pytest.approx(0.5, abs=1e-15)
         assert d.mass_below(0.5) == pytest.approx(0.75, abs=1e-15)
+        # thresholds within and beyond the 1e-12 tie on either side of each
+        # level, against the rule's three sums: the weight strictly below,
+        # less half of the tied part of it, plus half of the tied rest
+        m, w = d.grid, d.weights
+        for level in m:
+            for x in level + np.array([-2e-12, -0.5e-12, 0.5e-12, 2e-12]):
+                at = np.isclose(m, x, rtol=0.0, atol=1e-12)
+                want = (w[m < x].sum() - 0.5 * w[at & (m < x)].sum()
+                        + 0.5 * w[at & ~(m < x)].sum())
+                assert d.mass_below(x) == pytest.approx(want, abs=1e-15)
 
     @pytest.mark.parametrize("m_offset", [0.0, 0.1])
     def test_local_width_of_gaussian(self, m_offset):
